@@ -85,9 +85,6 @@ class ClassFlags:
             "subphylogeny_free": self.subphylogeny_free,
         }
 
-    def to_set(self) -> frozenset[str]:
-        return frozenset(name for name, on in self.to_dict().items() if on)
-
 
 class Network:
     """Immutable rooted DAG with labeled leaves.
@@ -212,9 +209,6 @@ class Network:
     def num_branches(self) -> int:
         return sum(len(cs) for cs in self._out.values())
 
-    def in_branches(self, v: int) -> tuple[Branch, ...]:
-        return tuple(Branch(p, v) for p in self._in[v])
-
     def has_branch(self, tail: int, head: int) -> bool:
         return head in self._out.get(tail, ())
 
@@ -247,16 +241,14 @@ class Network:
             return None
         return tuple(order)
 
-    def reachable_from(self, start: int, skip: int | None = None) -> set[int]:
-        """Vertices reachable from start, optionally ignoring one vertex."""
-        if start == skip:
-            return set()
+    def reachable_from(self, start: int) -> set[int]:
+        """Vertices reachable from start."""
         seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
             for c in self._out[v]:
-                if c != skip and c not in seen:
+                if c not in seen:
                     seen.add(c)
                     stack.append(c)
         return seen
@@ -295,7 +287,9 @@ class NetworkEditor:
 
     Fresh vertex ids continue from the source network's counter, so ids of
     surviving vertices are stable across a derivation and new ids never
-    collide with deleted ones.
+    collide with deleted ones. freeze() builds the source's class, so an
+    edited PhyloTree comes back as a PhyloTree (unvalidated, like any
+    frozen result).
     """
 
     def __init__(self, net: Network):
@@ -304,9 +298,7 @@ class NetworkEditor:
         self.labels = dict(net._labels)
         self.root = net._root
         self._next = net.next_id
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.out
+        self._cls = type(net)
 
     def new_vertex(self) -> int:
         v = self._next
@@ -369,7 +361,7 @@ class NetworkEditor:
             self.labels[v] = label
 
     def freeze(self) -> Network:
-        return Network(self.out, self.labels, next_id=self._next)
+        return self._cls(self.out, self.labels, next_id=self._next)
 
 
 # -- operations ---------------------------------------------------------------
@@ -398,7 +390,13 @@ def vertex_kind(net: Network, v: int) -> str:
 
 
 def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
-    """Check the structural invariants; violations are data, not failures."""
+    """Check the structural invariants; violations are data, not failures.
+
+    The outcome is memoized on the (immutable) network per flavour.
+    """
+    key = ("valid", require_binary)
+    if key in net._cache:
+        return net._cache[key]
     vs: list[Violation] = []
     verts = net.vertices
     single = len(verts) == 1
@@ -462,10 +460,17 @@ def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
                     )
                 )
 
-    return ValidationOutcome(not vs, tuple(vs))
+    outcome = ValidationOutcome(not vs, tuple(vs))
+    net._cache[key] = outcome
+    return outcome
 
 
-def _dominator_stability(net: Network) -> StabilityReport:
+def stability(net: Network) -> StabilityReport:
+    """Stability flags and witness leaves (the smallest dominated leaf) for
+    every vertex."""
+    if "stab" in net._cache:
+        return net._cache["stab"]
+    net.require_valid()
     # Immediate dominators over a DAG need a single pass in topological
     # order: every parent is final before its child is processed.
     order = net.topological_order()
@@ -503,43 +508,8 @@ def _dominator_stability(net: Network) -> StabilityReport:
         if witness[up] is None or w < witness[up]:
             witness[up] = w
     stable = {v: witness[v] is not None for v in order}
-    return StabilityReport(stable, witness)
-
-
-def _deletion_stability(net: Network) -> StabilityReport:
-    root = net.root
-    leaves = net.leaves
-    witness: dict[int, int | None] = {}
-    for v in net.vertices:
-        if v == root:
-            witness[v] = min(leaves)
-            continue
-        reached = net.reachable_from(root, skip=v)
-        lost = [l for l in leaves if l not in reached]
-        witness[v] = min(lost) if lost else None
-    stable = {v: witness[v] is not None for v in net.vertices}
-    return StabilityReport(stable, witness)
-
-
-def stability(net: Network, method: str = "auto") -> StabilityReport:
-    """Stability flags and witness leaves for every vertex.
-
-    method "dominator" (default via "auto") computes immediate dominators in
-    one topological pass; "deletion" removes each vertex in turn and checks
-    leaf reachability. Both return identical reports; the deletion method is
-    the simple oracle the tests compare against.
-    """
-    key = ("stab", method)
-    if key in net._cache:
-        return net._cache[key]
-    net.require_valid()
-    if method in ("auto", "dominator"):
-        rep = _dominator_stability(net)
-    elif method == "deletion":
-        rep = _deletion_stability(net)
-    else:
-        raise ValueError(f"unknown stability method {method!r}")
-    net._cache[key] = rep
+    rep = StabilityReport(stable, witness)
+    net._cache["stab"] = rep
     return rep
 
 

@@ -244,39 +244,6 @@ def _assemble(syn_root: _SynNode, statement_offset: int, diags) -> Network:
     return net
 
 
-def parse_network(text: str) -> Network:
-    """Parse exactly one eNewick statement into a validated Network.
-
-    Raises NewickParseError carrying ParseDiagnostic records (with byte
-    offsets into the input) on any defect.
-    """
-    diags: list[ParseDiagnostic] = []
-    clean = _strip_comment_lines(text)
-    tokens = _tokenize(clean, diags)
-    if not tokens:
-        _fail(diags, 0, "empty input")
-    syn, pos = _parse_statement(tokens, 0, len(clean), diags)
-    if pos < len(tokens):
-        _fail(diags, tokens[pos][2], "trailing content after ';'")
-    return _assemble(syn, tokens[0][2], diags)
-
-
-def parse_networks(text: str) -> list[Network]:
-    """Parse a whole file of ';'-terminated statements."""
-    diags: list[ParseDiagnostic] = []
-    clean = _strip_comment_lines(text)
-    tokens = _tokenize(clean, diags)
-    if not tokens:
-        _fail(diags, 0, "empty input")
-    nets = []
-    pos = 0
-    while pos < len(tokens):
-        start = tokens[pos][2]
-        syn, pos = _parse_statement(tokens, pos, len(clean), diags)
-        nets.append(_assemble(syn, start, diags))
-    return nets
-
-
 def _reject_hybrids(syn: _SynNode, diags) -> None:
     stack = [syn]
     while stack:
@@ -297,37 +264,57 @@ def _check_tree_arity(syn: _SynNode, diags) -> None:
         stack.extend(node.children)
 
 
-def parse_tree(text: str) -> PhyloTree:
-    """Parse one newick statement as a binary phylogenetic tree."""
-    diags: list[ParseDiagnostic] = []
+def _statements(text: str, diags):
+    """Yield (syntax tree, statement offset, offset of the next token or
+    None) for each ';'-terminated statement of the text."""
     clean = _strip_comment_lines(text)
     tokens = _tokenize(clean, diags)
     if not tokens:
         _fail(diags, 0, "empty input")
-    syn, pos = _parse_statement(tokens, 0, len(clean), diags)
-    if pos < len(tokens):
-        _fail(diags, tokens[pos][2], "trailing content after ';'")
-    _reject_hybrids(syn, diags)
-    _check_tree_arity(syn, diags)
-    net = _assemble(syn, tokens[0][2], diags)
-    return PhyloTree.from_network(net)
-
-
-def parse_trees(text: str) -> list[PhyloTree]:
-    diags: list[ParseDiagnostic] = []
-    clean = _strip_comment_lines(text)
-    tokens = _tokenize(clean, diags)
-    if not tokens:
-        _fail(diags, 0, "empty input")
-    trees = []
     pos = 0
     while pos < len(tokens):
         start = tokens[pos][2]
         syn, pos = _parse_statement(tokens, pos, len(clean), diags)
-        _reject_hybrids(syn, diags)
-        _check_tree_arity(syn, diags)
-        trees.append(PhyloTree.from_network(_assemble(syn, start, diags)))
-    return trees
+        yield syn, start, tokens[pos][2] if pos < len(tokens) else None
+
+
+def _parse(text: str, as_tree: bool, single: bool) -> list:
+    diags: list[ParseDiagnostic] = []
+    parsed = []
+    for syn, start, after in _statements(text, diags):
+        if single and after is not None:
+            _fail(diags, after, "trailing content after ';'")
+        if as_tree:
+            _reject_hybrids(syn, diags)
+            _check_tree_arity(syn, diags)
+        net = _assemble(syn, start, diags)
+        parsed.append(PhyloTree.from_network(net) if as_tree else net)
+        if single:
+            break
+    return parsed
+
+
+def parse_network(text: str) -> Network:
+    """Parse exactly one eNewick statement into a validated Network.
+
+    Raises NewickParseError carrying ParseDiagnostic records (with byte
+    offsets into the input) on any defect.
+    """
+    return _parse(text, as_tree=False, single=True)[0]
+
+
+def parse_networks(text: str) -> list[Network]:
+    """Parse a whole file of ';'-terminated statements."""
+    return _parse(text, as_tree=False, single=False)
+
+
+def parse_tree(text: str) -> PhyloTree:
+    """Parse one newick statement as a binary phylogenetic tree."""
+    return _parse(text, as_tree=True, single=True)[0]
+
+
+def parse_trees(text: str) -> list[PhyloTree]:
+    return _parse(text, as_tree=True, single=False)
 
 
 def _min_leaf_labels(net: Network) -> dict[int, str]:
@@ -381,32 +368,3 @@ def canonical_equal(a: Network, b: Network) -> bool:
     """Isomorphism check via canonical serialization (labels, topology and
     hybrid structure; vertex ids are irrelevant)."""
     return serialize(a) == serialize(b)
-
-
-def to_dot(net: Network, report=None) -> str:
-    """GraphViz DOT with vertex kinds and, when a StabilityReport is given,
-    stability marks (witness leaf id, or '-' when unstable)."""
-    net.require_valid()
-    rets = set(net.reticulations)
-    lines = ["digraph network {", "  rankdir=TB;"]
-    for v in net.vertices:
-        attrs = []
-        lab = net.label(v)
-        text = lab if lab is not None else str(v)
-        if report is not None:
-            w = report.witness.get(v)
-            text += f"\\n[{w if w is not None else '-'}]"
-        attrs.append(f'label="{text}"')
-        if v in rets:
-            attrs.append("shape=box")
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightsalmon")
-        elif net.is_leaf(v):
-            attrs.append("shape=ellipse")
-        else:
-            attrs.append("shape=circle")
-        lines.append(f"  n{v} [{', '.join(attrs)}];")
-    for br in net.branches():
-        lines.append(f"  n{br.tail} -> n{br.head};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

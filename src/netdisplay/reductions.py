@@ -8,6 +8,7 @@ reduction, which is what makes the recorded branches meaningful later.
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ class ReductionStep:
     degrees (1,1) or (0,1) at contraction time).
     """
 
-    kind: str  # cherry | uncle_nephew | case_A..case_J | suppress
+    kind: str  # cherry | case_A..case_J
     removed_branches: tuple[Branch, ...] = ()
     contracted: tuple[int, ...] = ()
     introduced_leaf: tuple[int, str] | None = None
@@ -123,23 +124,6 @@ def _suppress_in_place(ed: NetworkEditor) -> list[int]:
     return contracted
 
 
-def suppress_degenerate(net: Network) -> tuple[Network, ReductionStep]:
-    """Suppress to fixpoint: no suppressible vertex, no unlabeled
-    outdegree-0 vertex, no outdegree-1 root chain. Idempotent."""
-    ed = NetworkEditor(net)
-    contracted = _suppress_in_place(ed)
-    return ed.freeze(), ReductionStep("suppress", (), tuple(contracted))
-
-
-def _fresh_label(net: Network) -> str:
-    k = -1
-    for lab in net.leaf_labels.values():
-        m = _FRESH_RE.match(lab)
-        if m:
-            k = max(k, int(m.group(1)))
-    return f"__r{k + 1}"
-
-
 def _check_same_leaves(net: Network, tree: Network) -> None:
     if net.label_set() != tree.label_set():
         raise LeafSetMismatchError(
@@ -147,31 +131,36 @@ def _check_same_leaves(net: Network, tree: Network) -> None:
         )
 
 
-def _find_common_cherry(net: Network, tree: PhyloTree):
-    """Smallest net cherry whose two labels are also siblings in tree."""
-    best = None
-    for v in net.vertices:
-        if net.in_degree(v) == 1 and net.out_degree(v) == 2:
-            c1, c2 = net.children(v)
-            if net.is_leaf(c1) and net.is_leaf(c2):
-                l1, l2 = sorted((c1, c2))
-                p1 = tree.parent_of_label(net.label(l1))
-                p2 = tree.parent_of_label(net.label(l2))
-                if p1 == p2:
-                    cand = (l1, l2, v)
-                    if best is None or cand < best:
-                        best = cand
-    return best
+def _cherry_at(out, ins, v: int):
+    """(l1, l2, v) with l1 < l2 when v is a strict tree vertex over two
+    leaves, else None. Takes adjacency maps, so that frozen networks and
+    editors share it."""
+    cs = out[v]
+    if len(ins[v]) == 1 and len(cs) == 2 and not out[cs[0]] and not out[cs[1]]:
+        return (min(cs), max(cs), v)
+    return None
 
 
 def net_cherry(net: Network):
-    """Any two leaves sharing a strict tree-vertex parent, or None."""
+    """The cherry under the smallest-id cherry parent, or None."""
     for v in net.vertices:
-        if net.in_degree(v) == 1 and net.out_degree(v) == 2:
-            c1, c2 = net.children(v)
-            if net.is_leaf(c1) and net.is_leaf(c2):
-                return (min(c1, c2), max(c1, c2), v)
+        found = _cherry_at(net._out, net._in, v)
+        if found is not None:
+            return found
     return None
+
+
+def _collapse_cherry(
+    ned: NetworkEditor, ted: NetworkEditor, l1: int, l2: int, p: int, q: int, lab: str
+) -> None:
+    """Replace the net cherry p -> {l1, l2} and the tree cherry under q,
+    which holds the same two labels, by one leaf labelled lab on each side."""
+    ned.delete_vertex(l1)
+    ned.delete_vertex(l2)
+    ned.set_label(p, lab)
+    for t in list(ted.out[q]):
+        ted.delete_vertex(t)
+    ted.set_label(q, lab)
 
 
 def cherry_reduce(
@@ -179,38 +168,50 @@ def cherry_reduce(
 ) -> tuple[Network, PhyloTree, ReductionTrace]:
     """Collapse cherries common to net and tree until none remains.
 
-    Each round replaces the cherry parent by a fresh reserved leaf
-    (``__r<k>``) on both sides, keeping the leaf label sets equal. Cherries
-    present only in one structure are left alone.
+    Each round replaces the smallest common cherry (l1, l2, parent) by a
+    fresh reserved leaf (``__r<k>``) on both sides, keeping the leaf label
+    sets equal. Cherries present only in one structure are left alone.
+    Both sides are edited in place and frozen once, at the end; the inputs
+    come back unchanged when no cherry is common.
     """
     _check_same_leaves(net, tree)
+    ned, ted = NetworkEditor(net), NetworkEditor(tree)
+    tree_parent = {lab: (ted.ins[v] or [None])[0] for v, lab in ted.labels.items()}
+
+    def common(found) -> bool:
+        return found is not None and (
+            tree_parent[ned.labels[found[0]]] == tree_parent[ned.labels[found[1]]]
+        )
+
+    # A collapse deletes only l1 and l2 and relabels p (and t1, t2, q in the
+    # tree), so every other common cherry stays common and the only new
+    # candidate is the one holding p's new label, under p's parent. The
+    # heap therefore yields the same smallest cherry a full rescan would.
+    heap = [c for c in (_cherry_at(ned.out, ned.ins, v) for v in ned.out) if common(c)]
+    heapq.heapify(heap)
+    # each new label is the largest, and labelled leaves go only by collapse
+    fresh = 1 + max(
+        (int(m.group(1)) for m in map(_FRESH_RE.match, ned.labels.values()) if m),
+        default=-1,
+    )
     trace = ReductionTrace()
-    while True:
-        found = _find_common_cherry(net, tree)
-        if found is None:
-            return net, tree, trace
-        l1, l2, p = found
-        lab = _fresh_label(net)
-        lab1, lab2 = net.label(l1), net.label(l2)
-
-        ed = NetworkEditor(net)
-        ed.delete_vertex(l1)
-        ed.delete_vertex(l2)
-        ed.set_label(p, lab)
-        net = ed.freeze()
-
-        t1 = tree.vertex_by_label(lab1)
-        t2 = tree.vertex_by_label(lab2)
-        q = tree.parent(t1)
-        ted = NetworkEditor(tree)
-        ted.delete_vertex(t1)
-        ted.delete_vertex(t2)
-        ted.set_label(q, lab)
-        tree = PhyloTree.from_network(ted.freeze())
-
+    while heap:
+        l1, l2, p = heapq.heappop(heap)
+        lab = f"__r{fresh}"
+        fresh += 1
+        q = tree_parent.pop(ned.labels[l1])
+        del tree_parent[ned.labels[l2]]
+        _collapse_cherry(ned, ted, l1, l2, p, q, lab)
+        tree_parent[lab] = (ted.ins[q] or [None])[0]
         trace.append(
             ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
         )
+        found = _cherry_at(ned.out, ned.ins, ned.ins[p][0])
+        if common(found):
+            heapq.heappush(heap, found)
+    if not trace:
+        return net, tree, trace
+    return ned.freeze(), ted.freeze(), trace
 
 
 def _uncle_nephew_site(net: Network, site: int):
@@ -249,26 +250,6 @@ def _uncle_nephew_branch(net: Network, tree: PhyloTree, site: int) -> Branch:
     return Branch(others[0], ret)
 
 
-def uncle_nephew_reduce(
-    net: Network, tree: PhyloTree, site: int
-) -> tuple[Network, ReductionStep]:
-    """Resolve the uncle-nephew pattern below `site`.
-
-    The site has a leaf child and a reticulation child whose only child is a
-    leaf. If the two leaves are siblings in the reference tree the
-    reticulation's outside in-branch is removed (the pair is kept together),
-    otherwise the branch from the site to the reticulation is removed.
-    """
-    _check_same_leaves(net, tree)
-    branch = _uncle_nephew_branch(net, tree, site)
-    ed = NetworkEditor(net)
-    ed.remove_branch(*branch)
-    contracted = _suppress_in_place(ed)
-    return ed.freeze(), ReductionStep(
-        "uncle_nephew", (branch,), tuple(contracted)
-    )
-
-
 def replay_trace(
     net: Network, tree: PhyloTree, trace: ReductionTrace
 ) -> list[tuple[Network, PhyloTree]]:
@@ -280,33 +261,21 @@ def replay_trace(
     """
     states = [(net, tree)]
     for step in trace.steps:
+        ned = NetworkEditor(net)
         if step.kind == "cherry":
             b1, b2 = step.removed_branches
             p, l1, l2 = b1.tail, b1.head, b2.head
             v, lab = step.introduced_leaf
             if v != p:
                 raise InternalConsistencyError("cherry step names two parents")
-            lab1, lab2 = net.label(l1), net.label(l2)
-            ed = NetworkEditor(net)
-            ed.delete_vertex(l1)
-            ed.delete_vertex(l2)
-            ed.set_label(p, lab)
-            net = ed.freeze()
-            t1 = tree.vertex_by_label(lab1)
-            t2 = tree.vertex_by_label(lab2)
-            q = tree.parent(t1)
             ted = NetworkEditor(tree)
-            ted.delete_vertex(t1)
-            ted.delete_vertex(t2)
-            ted.set_label(q, lab)
-            tree = PhyloTree.from_network(ted.freeze())
-        elif step.kind == "suppress":
-            net, _ = suppress_degenerate(net)
+            q = tree.parent_of_label(net.label(l1))
+            _collapse_cherry(ned, ted, l1, l2, p, q, lab)
+            tree = ted.freeze()
         else:
-            ed = NetworkEditor(net)
             for b in step.removed_branches:
-                ed.remove_branch(*b)
-            _suppress_in_place(ed)
-            net = ed.freeze()
+                ned.remove_branch(*b)
+            _suppress_in_place(ned)
+        net = ned.freeze()
         states.append((net, tree))
     return states

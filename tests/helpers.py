@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from netdisplay.core import Network, PhyloTree
+from netdisplay.core import Network, PhyloTree, StabilityReport
 
 # running example: one reticulation, three leaves, everything stable
 RUNNING = "((a,(b)#H1),(#H1,c));"
@@ -110,3 +110,26 @@ def gen_with_fallback(n, rets, constraint, seed):
         except GenerationExhaustedError:
             continue
     raise AssertionError("unreachable: a plain tree always generates")
+
+
+def deletion_stability(net: Network) -> StabilityReport:
+    """Reference oracle for core.stability: delete each vertex in turn and
+    see which leaves the root no longer reaches."""
+    root = net.root
+    leaves = net.leaves
+    witness: dict[int, int | None] = {}
+    for v in net.vertices:
+        if v == root:
+            witness[v] = min(leaves)
+            continue
+        reached = {root}
+        stack = [root]
+        while stack:
+            for c in net.children(stack.pop()):
+                if c != v and c not in reached:
+                    reached.add(c)
+                    stack.append(c)
+        lost = [l for l in leaves if l not in reached]
+        witness[v] = min(lost) if lost else None
+    stable = {v: witness[v] is not None for v in net.vertices}
+    return StabilityReport(stable, witness)

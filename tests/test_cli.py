@@ -37,9 +37,11 @@ def test_validate_parse_error_exit_3(files, capsys):
 
 
 def test_validate_structural_violations(files, capsys):
-    # two roots
-    assert main(["validate", files("bad.nwk", "((a,(b)#H1),#H1,c);")]) in (0, 3)
-    capsys.readouterr()
+    # a unary vertex tokenizes and parses, then fails validation
+    assert main(["validate", files("bad.nwk", "((a),b);")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "suppressible vertex" in err
 
 
 def test_missing_file_exit_3(capsys):

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from netdisplay.core import (
@@ -15,7 +16,30 @@ from netdisplay.errors import InvalidNetworkError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree
 
-from helpers import UNSTABLE_OVER_STABLE, NOT_NEARLY_STABLE, RUNNING
+from helpers import (
+    NOT_NEARLY_STABLE,
+    RUNNING,
+    UNSTABLE_OVER_STABLE,
+    deletion_stability,
+)
+
+
+def _networkx_witnesses(net):
+    """Smallest dominated leaf per vertex, from networkx's dominator tree."""
+    g = nx.DiGraph()
+    g.add_nodes_from(net.vertices)
+    g.add_edges_from(net.branches())
+    idom = nx.immediate_dominators(g, net.root)
+    witness = {v: None for v in net.vertices}
+    for leaf in net.leaves:
+        v = leaf
+        while True:
+            if witness[v] is None or leaf < witness[v]:
+                witness[v] = leaf
+            if v == net.root:
+                break
+            v = idom[v]
+    return witness
 
 
 def test_validate_running_example_binary_ok():
@@ -109,10 +133,11 @@ def test_stability_methods_agree_with_witnesses():
     for i in range(150):
         spec = GenSpec(rng.randint(2, 6), rng.randint(0, 4), "any", seed=i)
         net = generate(spec)
-        dom = stability(net, method="dominator")
-        dele = stability(net, method="deletion")
+        dom = stability(net)
+        dele = deletion_stability(net)
         assert dom.stable == dele.stable
         assert dom.witness == dele.witness
+        assert dom.witness == _networkx_witnesses(net)
 
 
 def test_stability_local_structure_invariants():

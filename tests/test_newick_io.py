@@ -1,10 +1,9 @@
-"""Extended Newick parsing, canonical serialization, DOT emission."""
+"""Extended Newick parsing and canonical serialization."""
 
 import random
 
 import pytest
 
-from netdisplay.core import stability
 from netdisplay.errors import NewickParseError
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import (
@@ -14,10 +13,9 @@ from netdisplay.newick_io import (
     parse_tree,
     parse_trees,
     serialize,
-    to_dot,
 )
 
-from helpers import CASE_FIXTURES, UNSTABLE_OVER_STABLE, RUNNING
+from helpers import CASE_FIXTURES, RUNNING
 
 
 def test_parse_running_example_shape():
@@ -153,20 +151,3 @@ def test_fuzz_lite_never_crashes():
             parse_network(text)
         except NewickParseError:
             pass
-
-
-def test_to_dot_mentions_reticulations():
-    net = parse_network(RUNNING)
-    dot = to_dot(net)
-    assert dot.startswith("digraph")
-    assert "->" in dot
-    assert "\\n[" not in dot
-    report = stability(net)
-    annotated = to_dot(net, report)
-    # every vertex carries its witness leaf, '-' when unstable
-    assert "\\n[" in annotated
-    assert annotated.count("shape=box") == 1
-
-
-def test_to_dot_multi_reticulation_runs():
-    assert "digraph" in to_dot(parse_network(UNSTABLE_OVER_STABLE))

@@ -7,13 +7,13 @@ from netdisplay.errors import PatternMismatchError
 from netdisplay.newick_io import canonical_equal, parse_network, parse_tree, serialize
 from netdisplay.reductions import (
     ReductionStep,
+    ReductionTrace,
+    _suppress_in_place,
     cherry_reduce,
     net_cherry,
     replay_trace,
-    suppress_degenerate,
-    uncle_nephew_reduce,
 )
-from netdisplay.tcp import oracle_displays
+from netdisplay.tcp import CaseMatch, oracle_displays, simplify_at_case
 
 from helpers import RUNNING
 
@@ -24,25 +24,35 @@ def _without_branch(text, tail, head):
     return ed.freeze()
 
 
+def _suppressed(net):
+    ed = NetworkEditor(net)
+    contracted = _suppress_in_place(ed)
+    return ed.freeze(), tuple(contracted)
+
+
 # ids in the running example: root 0, 1 -> {a=2, H1=3 -> b=4}, 5 -> {H1, c=6}
 
 
+def _uncle_nephew(net, tree, site):
+    """The uncle-nephew rule below `site`, as case C applies it."""
+    return simplify_at_case(net, tree, CaseMatch("C", {"u": site}))
+
+
 def test_suppress_after_left_in_branch_removed():
-    net, step = suppress_degenerate(_without_branch(RUNNING, 1, 3))
+    net, contracted = _suppressed(_without_branch(RUNNING, 1, 3))
     assert serialize(net) == "(a,(b,c));"
-    assert step.kind == "suppress"
-    assert set(step.contracted) == {1, 3}
+    assert set(contracted) == {1, 3}
 
 
 def test_suppress_after_right_in_branch_removed():
-    net, _ = suppress_degenerate(_without_branch(RUNNING, 5, 3))
+    net, _ = _suppressed(_without_branch(RUNNING, 5, 3))
     assert serialize(net) == "((a,b),c);"
 
 
 def test_suppress_idempotent():
-    net, _ = suppress_degenerate(_without_branch(RUNNING, 1, 3))
-    again, step = suppress_degenerate(net)
-    assert step.contracted == ()
+    net, _ = _suppressed(_without_branch(RUNNING, 1, 3))
+    again, contracted = _suppressed(net)
+    assert contracted == ()
     assert canonical_equal(net, again)
     assert [again.label(v) for v in again.vertices] == [
         net.label(v) for v in net.vertices
@@ -52,17 +62,17 @@ def test_suppress_idempotent():
 def test_suppress_dummy_cascade():
     # unlabeled outdegree-0 vertex disappears and takes its chain with it
     net = Network({0: [1, 4], 1: [2], 2: [3], 3: [], 4: []}, {4: "a"})
-    out, step = suppress_degenerate(net)
+    out, contracted = _suppressed(net)
     assert out.n_leaves == 1
     assert len(out.vertices) == 1
     assert out.label(out.root) == "a"
     # the chain contracts upward; the dummy 3 is deleted, not contracted
-    assert set(step.contracted) == {0, 1, 2}
+    assert set(contracted) == {0, 1, 2}
 
 
 def test_suppress_root_chain():
     net = Network({0: [1], 1: [2, 3], 2: [], 3: []}, {2: "a", 3: "b"})
-    out, _ = suppress_degenerate(net)
+    out, _ = _suppressed(net)
     assert serialize(out) == "(a,b);"
 
 
@@ -70,7 +80,7 @@ def test_suppress_merges_parallel_pair():
     # contracting 1 would duplicate the branch 0->2; the copies carry the
     # same resolutions so one of them goes instead
     net = Network({0: [1, 2], 1: [2], 2: [3], 3: []}, {3: "a"})
-    out, _ = suppress_degenerate(net)
+    out, _ = _suppressed(net)
     assert len(out.vertices) == 1
     assert out.label(out.root) == "a"
 
@@ -130,7 +140,7 @@ def test_uncle_nephew_nonsibling_removes_site_branch():
     net = parse_network(RUNNING)
     tree = parse_tree("((a,b),c);")
     # below 5: leaf c and reticulation 3 over leaf b; b,c not siblings
-    out, step = uncle_nephew_reduce(net, tree, 5)
+    out, step = _uncle_nephew(net, tree, 5)
     assert step.removed_branches == (Branch(5, 3),)
     assert serialize(out) == "((a,b),c);"
     assert oracle_displays(out, tree).displayed
@@ -139,7 +149,7 @@ def test_uncle_nephew_nonsibling_removes_site_branch():
 def test_uncle_nephew_sibling_removes_outside_branch():
     net = parse_network(RUNNING)
     tree = parse_tree("(a,(b,c));")
-    out, step = uncle_nephew_reduce(net, tree, 5)
+    out, step = _uncle_nephew(net, tree, 5)
     assert step.removed_branches == (Branch(1, 3),)
     assert serialize(out) == "(a,(b,c));"
     assert oracle_displays(out, tree).displayed
@@ -150,7 +160,7 @@ def test_uncle_nephew_preserves_the_verdict_both_ways():
     for text in ("((a,b),c);", "(a,(b,c));", "((a,c),b);"):
         tree = parse_tree(text)
         before = oracle_displays(net, tree).displayed
-        out, _ = uncle_nephew_reduce(net, tree, 5)
+        out, _ = _uncle_nephew(net, tree, 5)
         assert oracle_displays(out, tree).displayed == before
 
 
@@ -158,11 +168,11 @@ def test_uncle_nephew_rejects_bad_sites():
     net = parse_network(RUNNING)
     tree = parse_tree("((a,b),c);")
     with pytest.raises(PatternMismatchError):
-        uncle_nephew_reduce(net, tree, 0)  # root heads no such pattern
+        _uncle_nephew(net, tree, 0)  # root heads no such pattern
     with pytest.raises(PatternMismatchError):
-        uncle_nephew_reduce(net, tree, 2)  # a leaf
+        _uncle_nephew(net, tree, 2)  # a leaf
     with pytest.raises(PatternMismatchError):
-        uncle_nephew_reduce(net, tree, 99)  # not a vertex
+        _uncle_nephew(net, tree, 99)  # not a vertex
 
 
 def test_reduction_step_line_format():
@@ -170,8 +180,8 @@ def test_reduction_step_line_format():
         "cherry", (Branch(1, 2), Branch(1, 3)), (), (1, "__r0")
     )
     assert step.to_line() == "cherry removed=1->2,1->3 contracted= introduced=1:__r0"
-    bare = ReductionStep("suppress", (), (4, 5))
-    assert bare.to_line() == "suppress removed= contracted=4,5"
+    case = ReductionStep("case_C", (Branch(5, 3),), (4, 5))
+    assert case.to_line() == "case_C removed=5->3 contracted=4,5"
 
 
 def test_trace_text_one_line_per_step():
@@ -202,9 +212,7 @@ def test_replay_trace_reproduces_states():
 def test_replay_trace_covers_uncle_nephew():
     net = parse_network(RUNNING)
     tree = parse_tree("(a,(b,c));")
-    out, step = uncle_nephew_reduce(net, tree, 5)
-    from netdisplay.reductions import ReductionTrace
-
+    out, step = _uncle_nephew(net, tree, 5)
     trace = ReductionTrace([step])
     states = replay_trace(parse_network(RUNNING), tree, trace)
     assert serialize(states[-1][0]) == serialize(out)
