@@ -289,7 +289,8 @@ class NetworkEditor:
     surviving vertices are stable across a derivation and new ids never
     collide with deleted ones. freeze() builds the source's class, so an
     edited PhyloTree comes back as a PhyloTree (unvalidated, like any
-    frozen result).
+    frozen result). The read calls mirror Network's, so rules written
+    against a Network also run on an editor.
     """
 
     def __init__(self, net: Network):
@@ -299,6 +300,34 @@ class NetworkEditor:
         self.root = net._root
         self._next = net.next_id
         self._cls = type(net)
+
+    # -- read API, matching Network's, for rules that run on either --------
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.out
+
+    def children(self, v: int) -> tuple[int, ...]:
+        return tuple(self.out[v])
+
+    def parents(self, v: int) -> tuple[int, ...]:
+        return tuple(self.ins[v])
+
+    def out_degree(self, v: int) -> int:
+        return len(self.out[v])
+
+    def in_degree(self, v: int) -> int:
+        return len(self.ins[v])
+
+    def is_leaf(self, v: int) -> bool:
+        return not self.out[v]
+
+    def label(self, v: int) -> str | None:
+        return self.labels.get(v)
+
+    def has_branch(self, tail: int, head: int) -> bool:
+        return head in self.out.get(tail, ())
+
+    # -- edits ---------------------------------------------------------------
 
     def new_vertex(self) -> int:
         v = self._next
@@ -540,7 +569,9 @@ def _subphylogeny_free(net: Network) -> bool:
 
 def classify(net: Network) -> ClassFlags:
     """Class membership flags: binary, tree-child, reticulation-visible,
-    nearly stable, subphylogeny-free."""
+    nearly stable, subphylogeny-free. Memoized on the (immutable) network."""
+    if "class" in net._cache:
+        return net._cache["class"]
     net.require_valid()
     rep = stability(net)
     all_stable = all(rep.stable[v] for v in net.vertices)
@@ -549,10 +580,12 @@ def classify(net: Network) -> ClassFlags:
         rep.stable[v] or all(rep.stable[p] for p in net.parents(v))
         for v in net.vertices
     )
-    return ClassFlags(
+    flags = ClassFlags(
         binary=_is_binary(net),
         tree_child=all_stable,
         reticulation_visible=rv,
         nearly_stable=ns,
         subphylogeny_free=_subphylogeny_free(net),
     )
+    net._cache["class"] = flags
+    return flags

@@ -1,20 +1,28 @@
 """Verdict-free rewriting steps shared by the containment algorithm.
 
-Every public reduction returns the rewritten structure(s) plus a
-ReductionStep describing what happened; traces replay deterministically
-(see replay_trace). Vertex ids of surviving vertices are stable across a
-reduction, which is what makes the recorded branches meaningful later.
+The reduction loop edits one ReductionState in place from entry to
+verdict; the public functions take and return frozen structures and are
+thin wrappers over the same in-place code. Every reduction is recorded as
+a ReductionStep; traces replay deterministically (see replay_trace).
+Vertex ids of surviving vertices are stable across a reduction, which is
+what makes the recorded branches meaningful later.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
 
 from .core import Branch, Network, NetworkEditor, PhyloTree
-from .errors import InternalConsistencyError, LeafSetMismatchError, PatternMismatchError
+from .errors import (
+    InternalConsistencyError,
+    InvalidNetworkError,
+    LeafSetMismatchError,
+    PatternMismatchError,
+)
 
 _FRESH_RE = re.compile(r"^__r(\d+)$")
 
@@ -60,25 +68,52 @@ class ReductionTrace:
         return len(self.steps)
 
 
-def _suppress_in_place(ed: NetworkEditor) -> list[int]:
+def _suppress_in_place(
+    ed: NetworkEditor, touched: set[int] | None = None
+) -> list[int]:
     """Drive the editor to the suppression fixpoint.
 
     Removes unlabeled outdegree-0 vertices (and the dead-end paths above
     them), contracts (indegree 1, outdegree 1) vertices, and contracts
     outdegree-1 root chains. Returns contracted vertex ids in order.
+
+    Vertices are swept once in id order; a vertex an edit changes waits in
+    the sweep if the sweep has not reached it yet, else joins a FIFO tail
+    that runs after the sweep. Without `touched` every vertex is swept.
+    With it, the editor must have been at the fixpoint (a valid network is)
+    before edits that changed only the vertices in `touched`: every other
+    vertex is then a no-op until an edit queues it, so a heap of the queued
+    vertices ahead of the sweep visits the same vertices in the same order.
+    Each vertex the sweep queues is added to `touched`.
     """
     contracted: list[int] = []
-    queue = deque(sorted(ed.out))
-    queued = set(queue)
+    ahead = sorted(ed.out if touched is None else (v for v in touched if v in ed.out))
+    in_ahead = set(ahead)
+    tail: deque[int] = deque()
+    in_tail: set[int] = set()
+    swept = -math.inf
 
     def enqueue(v: int) -> None:
-        if v in ed.out and v not in queued:
-            queue.append(v)
-            queued.add(v)
+        if v not in ed.out:
+            return
+        if touched is not None:
+            touched.add(v)
+        if v > swept:
+            if v not in in_ahead:
+                heapq.heappush(ahead, v)
+                in_ahead.add(v)
+        elif v not in in_tail:
+            tail.append(v)
+            in_tail.add(v)
 
-    while queue:
-        v = queue.popleft()
-        queued.discard(v)
+    while ahead or tail:
+        if ahead:
+            v = swept = heapq.heappop(ahead)
+            in_ahead.discard(v)
+        else:
+            swept = math.inf
+            v = tail.popleft()
+            in_tail.discard(v)
         if v not in ed.out:
             continue
         ind, outd = len(ed.ins[v]), len(ed.out[v])
@@ -150,17 +185,125 @@ def net_cherry(net: Network):
     return None
 
 
+class _TreeEditor(NetworkEditor):
+    """A tree's editor that keeps its label -> parent map current and
+    answers the PhyloTree calls the case rules make (parent_of_label,
+    parent, root)."""
+
+    def __init__(self, tree: PhyloTree):
+        super().__init__(tree)
+        self.parent_of = {
+            lab: (self.ins[v] or [None])[0] for v, lab in self.labels.items()
+        }
+
+    def parent(self, v: int) -> int:
+        ps = self.ins[v]
+        if len(ps) != 1:
+            raise InvalidNetworkError(f"tree vertex {v} has {len(ps)} parents")
+        return ps[0]
+
+    def parent_of_label(self, label: str) -> int:
+        return self.parent_of[label]
+
+
 def _collapse_cherry(
-    ned: NetworkEditor, ted: NetworkEditor, l1: int, l2: int, p: int, q: int, lab: str
-) -> None:
-    """Replace the net cherry p -> {l1, l2} and the tree cherry under q,
-    which holds the same two labels, by one leaf labelled lab on each side."""
+    ned: NetworkEditor, ted: _TreeEditor, l1: int, l2: int, p: int, lab: str
+) -> ReductionStep:
+    """Replace the net cherry p -> {l1, l2} and the tree cherry holding the
+    same two labels by one leaf labelled lab on each side."""
+    q = ted.parent_of.pop(ned.labels[l1])
+    del ted.parent_of[ned.labels[l2]]
     ned.delete_vertex(l1)
     ned.delete_vertex(l2)
     ned.set_label(p, lab)
     for t in list(ted.out[q]):
         ted.delete_vertex(t)
     ted.set_label(q, lab)
+    ted.parent_of[lab] = (ted.ins[q] or [None])[0]
+    return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
+
+
+class ReductionState:
+    """The reduction loop's working state, edited in place.
+
+    `net` and `tree` are editors of the two sides; beside them it keeps the
+    reticulations of the net, its cherries split into a heap of the common
+    ones (l1, l2, p) and the set of parents of the one-sided ones, and the
+    number of the next fresh ``__r<k>`` label. Each edit re-checks these
+    only where it changed the net. The leaf label sets are checked once,
+    here.
+    """
+
+    def __init__(self, net: Network, tree: PhyloTree):
+        _check_same_leaves(net, tree)
+        self.net = NetworkEditor(net)
+        self.tree = _TreeEditor(tree)
+        self.rets = set(net.reticulations)
+        self.common: list[tuple[int, int, int]] = []
+        self.one_sided: set[int] = set()
+        for v in net.vertices:
+            self._note_cherry(v)
+        # each new label is the largest, and labelled leaves go only by collapse
+        labels = self.net.labels.values()
+        self.fresh = 1 + max(
+            (int(m.group(1)) for m in map(_FRESH_RE.match, labels) if m), default=-1
+        )
+
+    def _note_cherry(self, v: int) -> None:
+        """File the cherry under v, if any, as common or one-sided."""
+        ned = self.net
+        self.one_sided.discard(v)
+        found = _cherry_at(ned.out, ned.ins, v) if v in ned.out else None
+        if found is None:
+            return
+        parent_of = self.tree.parent_of
+        if parent_of[ned.labels[found[0]]] == parent_of[ned.labels[found[1]]]:
+            heapq.heappush(self.common, found)
+        else:
+            self.one_sided.add(v)
+
+    def collapse_cherries(self) -> ReductionTrace:
+        """Collapse common cherries, smallest first, until none remains.
+
+        Each replaces the cherry (l1, l2, p) by a fresh reserved leaf on
+        both sides, keeping the leaf label sets equal.
+        """
+        # A collapse deletes only l1 and l2 and relabels p (and t1, t2, q in
+        # the tree), so every other common cherry stays common, one-sided
+        # ones stay one-sided, and the only new candidate is the one holding
+        # p's new label, under p's parent. The heap therefore yields the
+        # same smallest cherry a full rescan would.
+        trace = ReductionTrace()
+        while self.common:
+            l1, l2, p = heapq.heappop(self.common)
+            lab = f"__r{self.fresh}"
+            self.fresh += 1
+            trace.append(_collapse_cherry(self.net, self.tree, l1, l2, p, lab))
+            self._note_cherry(self.net.ins[p][0])
+        return trace
+
+    def remove(self, branches) -> list[int]:
+        """Remove branches of the net and suppress from their ends; returns
+        the contracted vertices. The net must be valid beforehand (see
+        _suppress_in_place), and no common cherry may be pending."""
+        ned = self.net
+        touched: set[int] = set()
+        for tail, head in branches:
+            ned.remove_branch(tail, head)
+            touched.update((tail, head))
+        contracted = _suppress_in_place(ned, touched)
+        # a vertex's kind depends on its own degrees, a cherry also on its
+        # children's, so only touched vertices and their parents can change
+        around = set(touched)
+        for v in touched:
+            if v in ned.out and len(ned.ins[v]) >= 2 and ned.out[v]:
+                self.rets.add(v)
+            else:
+                self.rets.discard(v)
+            around.update(ned.ins.get(v, ()))
+        for v in around:
+            self._note_cherry(v)
+        return contracted
 
 
 def cherry_reduce(
@@ -171,50 +314,17 @@ def cherry_reduce(
     Each round replaces the smallest common cherry (l1, l2, parent) by a
     fresh reserved leaf (``__r<k>``) on both sides, keeping the leaf label
     sets equal. Cherries present only in one structure are left alone.
-    Both sides are edited in place and frozen once, at the end; the inputs
-    come back unchanged when no cherry is common.
+    Runs ReductionState.collapse_cherries and freezes the result; the
+    inputs come back unchanged when no cherry is common.
     """
-    _check_same_leaves(net, tree)
-    ned, ted = NetworkEditor(net), NetworkEditor(tree)
-    tree_parent = {lab: (ted.ins[v] or [None])[0] for v, lab in ted.labels.items()}
-
-    def common(found) -> bool:
-        return found is not None and (
-            tree_parent[ned.labels[found[0]]] == tree_parent[ned.labels[found[1]]]
-        )
-
-    # A collapse deletes only l1 and l2 and relabels p (and t1, t2, q in the
-    # tree), so every other common cherry stays common and the only new
-    # candidate is the one holding p's new label, under p's parent. The
-    # heap therefore yields the same smallest cherry a full rescan would.
-    heap = [c for c in (_cherry_at(ned.out, ned.ins, v) for v in ned.out) if common(c)]
-    heapq.heapify(heap)
-    # each new label is the largest, and labelled leaves go only by collapse
-    fresh = 1 + max(
-        (int(m.group(1)) for m in map(_FRESH_RE.match, ned.labels.values()) if m),
-        default=-1,
-    )
-    trace = ReductionTrace()
-    while heap:
-        l1, l2, p = heapq.heappop(heap)
-        lab = f"__r{fresh}"
-        fresh += 1
-        q = tree_parent.pop(ned.labels[l1])
-        del tree_parent[ned.labels[l2]]
-        _collapse_cherry(ned, ted, l1, l2, p, q, lab)
-        tree_parent[lab] = (ted.ins[q] or [None])[0]
-        trace.append(
-            ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
-        )
-        found = _cherry_at(ned.out, ned.ins, ned.ins[p][0])
-        if common(found):
-            heapq.heappush(heap, found)
+    state = ReductionState(net, tree)
+    trace = state.collapse_cherries()
     if not trace:
         return net, tree, trace
-    return ned.freeze(), ted.freeze(), trace
+    return state.net.freeze(), state.tree.freeze(), trace
 
 
-def _uncle_nephew_site(net: Network, site: int):
+def _uncle_nephew_site(net: Network | NetworkEditor, site: int):
     """Return (leaf, ret, ret_leaf) below the site or raise."""
     if site not in net:
         raise PatternMismatchError(f"unknown vertex {site}")
@@ -234,7 +344,9 @@ def _uncle_nephew_site(net: Network, site: int):
     )
 
 
-def _uncle_nephew_branch(net: Network, tree: PhyloTree, site: int) -> Branch:
+def _uncle_nephew_branch(
+    net: Network | NetworkEditor, tree, site: int
+) -> Branch:
     """Pick the branch the uncle-nephew rule removes below `site`."""
     leaf, ret, ret_leaf = _uncle_nephew_site(net, site)
     sib = tree.parent_of_label(net.label(leaf)) == tree.parent_of_label(
@@ -257,25 +369,22 @@ def replay_trace(
 
     Returns every intermediate state, starting with the inputs; the final
     pair reproduces the original run bit-for-bit under canonical
-    serialization.
+    serialization. One editor per side carries the steps; suppression
+    sweeps every vertex, so the inputs need not be valid.
     """
     states = [(net, tree)]
+    ned, ted = NetworkEditor(net), _TreeEditor(tree)
     for step in trace.steps:
-        ned = NetworkEditor(net)
         if step.kind == "cherry":
             b1, b2 = step.removed_branches
-            p, l1, l2 = b1.tail, b1.head, b2.head
             v, lab = step.introduced_leaf
-            if v != p:
+            if v != b1.tail:
                 raise InternalConsistencyError("cherry step names two parents")
-            ted = NetworkEditor(tree)
-            q = tree.parent_of_label(net.label(l1))
-            _collapse_cherry(ned, ted, l1, l2, p, q, lab)
+            _collapse_cherry(ned, ted, b1.head, b2.head, b1.tail, lab)
             tree = ted.freeze()
         else:
             for b in step.removed_branches:
                 ned.remove_branch(*b)
             _suppress_in_place(ned)
-        net = ned.freeze()
-        states.append((net, tree))
+        states.append((ned.freeze(), tree))
     return states

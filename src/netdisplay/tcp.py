@@ -20,15 +20,18 @@ from .errors import (
     PatternMismatchError,
 )
 from .reductions import (
+    ReductionState,
     ReductionStep,
     ReductionTrace,
     _check_same_leaves,
     _suppress_in_place,
     _uncle_nephew_branch,
     _uncle_nephew_site,
-    cherry_reduce,
-    net_cherry,
 )
+
+# The frozen-in, frozen-out loop steps stay importable from here, where
+# bench/tracing.py looks them up, although displays runs them in place.
+from .reductions import cherry_reduce, net_cherry  # noqa: F401
 
 DEFAULT_ORACLE_CAP = 20
 
@@ -158,29 +161,37 @@ def oracle_displays(
     return ContainmentVerdict(False, ReductionTrace(), None, 0, len(rets))
 
 
-def find_longest_root_leaf_path(net: Network) -> list:
+def find_longest_root_leaf_path(net: Network | NetworkEditor, order=None) -> list:
     """A maximum-vertex-count root-to-leaf path.
 
-    Dynamic program over a topological order; all ties break toward the
-    smallest vertex id so repeated runs trace identically.
+    Dynamic program over a topological order: `net` is a Network or a
+    NetworkEditor, and `order` defaults to the network's own. A caller
+    editing in place passes an order it keeps; vertices no longer present
+    are skipped, and removals and contractions keep the rest topological.
+    All ties break toward the smallest vertex id, so repeated runs trace
+    identically.
     """
+    if order is None:
+        order = net.topological_order()
+    if isinstance(net, NetworkEditor):
+        out, ins = net.out, net.ins
+    else:
+        out, ins = net._out, net._in
     dist: dict = {}
     pred: dict = {}
-    for v in net.topological_order():
+    leaf, leaf_d = None, -1
+    for v in order:
+        ps = ins.get(v)
+        if ps is None:
+            continue
         best_d, best_p = -1, None
-        for p in net.parents(v):
+        for p in ps:
             if dist[p] > best_d or (dist[p] == best_d and p < best_p):
                 best_d, best_p = dist[p], p
-        dist[v] = best_d + 1
+        d = dist[v] = best_d + 1
         pred[v] = best_p
-    leaf = None
-    for v in net.vertices:
-        if net.is_leaf(v) and (
-            leaf is None
-            or dist[v] > dist[leaf]
-            or (dist[v] == dist[leaf] and v < leaf)
-        ):
-            leaf = v
+        if not out[v] and (d > leaf_d or (d == leaf_d and v < leaf)):
+            leaf, leaf_d = v, d
     path = []
     cur = leaf
     while cur is not None:
@@ -190,7 +201,7 @@ def find_longest_root_leaf_path(net: Network) -> list:
     return path
 
 
-def _local_dump(net: Network, ids) -> str:
+def _local_dump(net: Network | NetworkEditor, ids) -> str:
     rows = []
     for x in sorted(set(ids)):
         if x not in net:
@@ -204,17 +215,17 @@ def _local_dump(net: Network, ids) -> str:
     return "\n".join(rows)
 
 
-def _fail_match(net: Network, msg: str, ids) -> None:
+def _fail_match(net: Network | NetworkEditor, msg: str, ids) -> None:
     raise InternalConsistencyError(
         f"{msg}; local structure:\n{_local_dump(net, ids)}"
     )
 
 
-def _is_ret(net: Network, x: int) -> bool:
+def _is_ret(net: Network | NetworkEditor, x: int) -> bool:
     return net.in_degree(x) == 2 and net.out_degree(x) == 1
 
 
-def _other_child(net: Network, parent: int, known: int) -> int:
+def _other_child(net: Network | NetworkEditor, parent: int, known: int) -> int:
     cs = [c for c in net.children(parent) if c != known]
     if len(cs) != 1:
         raise PatternMismatchError(
@@ -223,7 +234,7 @@ def _other_child(net: Network, parent: int, known: int) -> int:
     return cs[0]
 
 
-def _other_parent(net: Network, v: int, known: int) -> int:
+def _other_parent(net: Network | NetworkEditor, v: int, known: int) -> int:
     ps = [p for p in net.parents(v) if p != known]
     if len(ps) != 1:
         raise PatternMismatchError(
@@ -232,7 +243,7 @@ def _other_parent(net: Network, v: int, known: int) -> int:
     return ps[0]
 
 
-def match_case(net: Network, path: list) -> CaseMatch:
+def match_case(net: Network | NetworkEditor, path: list) -> CaseMatch:
     """Identify which of the ten tail patterns the network exhibits.
 
     `path` must come from find_longest_root_leaf_path and hold at least
@@ -330,23 +341,21 @@ def match_case(net: Network, path: list) -> CaseMatch:
     return CaseMatch("J", bindings)
 
 
-def _siblings(net: Network, tree: PhyloTree, x: int, y: int) -> bool:
+def _siblings(net: Network | NetworkEditor, tree, x: int, y: int) -> bool:
     """Do two net leaves sit under one parent in the reference tree?"""
     return tree.parent_of_label(net.label(x)) == tree.parent_of_label(
         net.label(y)
     )
 
 
-def simplify_at_case(
-    net: Network, tree: PhyloTree, m: CaseMatch
-) -> tuple[Network, ReductionStep]:
-    """Apply the branch removal the matched case prescribes, then suppress.
+def _case_removals(
+    net: Network | NetworkEditor, tree, m: CaseMatch
+) -> tuple[Branch, ...]:
+    """The branches the matched case removes.
 
-    Always removes at least one reticulation in-branch, so the reticulation
-    count strictly drops. The verdict is never decided here; the removals
-    preserve whether the tree is displayed.
+    Reads `net` (a Network or a NetworkEditor) through Network's read calls
+    and `tree` only through parent_of_label, parent and root.
     """
-    _check_same_leaves(net, tree)
     b = m.bindings
     case = m.case_id
     if case in ("B", "C", "G", "I", "J"):
@@ -386,15 +395,32 @@ def simplify_at_case(
             removed = (Branch(b["u"], on_g),)
     else:
         raise PatternMismatchError(f"unknown case id {case!r}")
-    ed = NetworkEditor(net)
     for br in removed:
         if not net.has_branch(*br):
             raise PatternMismatchError(f"bound branch {br} is absent")
-        ed.remove_branch(*br)
-    contracted = _suppress_in_place(ed)
-    return ed.freeze(), ReductionStep(
-        f"case_{case}", tuple(removed), tuple(contracted)
-    )
+    return removed
+
+
+def _simplify_in_place(state: ReductionState, m: CaseMatch) -> ReductionStep:
+    """simplify_at_case on the working state, edited in place."""
+    removed = _case_removals(state.net, state.tree, m)
+    return ReductionStep(f"case_{m.case_id}", removed, tuple(state.remove(removed)))
+
+
+def simplify_at_case(
+    net: Network, tree: PhyloTree, m: CaseMatch
+) -> tuple[Network, ReductionStep]:
+    """Apply the branch removal the matched case prescribes, then suppress.
+
+    Always removes at least one reticulation in-branch, so the reticulation
+    count strictly drops. The verdict is never decided here; the removals
+    preserve whether the tree is displayed. The network must be valid and
+    binary; the step runs on a ReductionState, as in displays.
+    """
+    net.require_valid(require_binary=True)
+    state = ReductionState(net, tree)
+    step = _simplify_in_place(state, m)
+    return state.net.freeze(), step
 
 
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
@@ -404,16 +430,18 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     network decides by tree equality; a remaining one-sided cherry decides
     negatively (it survives every resolution); tiny leftovers go to the
     oracle; otherwise one case match prunes at least one reticulation.
-    The trace replays to the same verdict at every step.
+    Every round edits one ReductionState, which is frozen only for the
+    oracle. The trace replays to the same verdict at every step.
     """
     net.require_valid(require_binary=True)
-    _check_same_leaves(net, tree)
+    state = ReductionState(net, tree)  # checks the leaf label sets
     if not classify(net).nearly_stable:
         raise ClassPreconditionError(
             "containment reduction requires a nearly stable network"
         )
     m0 = net.num_reticulations
     limit = m0 + net.n_leaves + 2
+    order = net.topological_order()
     trace = ReductionTrace()
     iterations = 0
     oracle_cert = None
@@ -423,31 +451,34 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             raise InternalConsistencyError(
                 "reduction loop exceeded its iteration bound"
             )
-        net, tree, cherry_steps = cherry_reduce(net, tree)
-        trace.extend(cherry_steps)
-        if net.num_reticulations == 0:
-            displayed = _canon_resolved(net, {}) == _canon_resolved(tree, {})
+        trace.extend(state.collapse_cherries())
+        if not state.rets:
+            displayed = _canon_resolved(state.net, {}) == _canon_resolved(
+                state.tree, {}
+            )
             break
-        if net_cherry(net) is not None:
+        if state.one_sided:
             # a cherry no common-cherry round removed survives every
             # resolution, and the tree has no matching sibling pair
             displayed = False
             break
-        path = find_longest_root_leaf_path(net)
-        if len(path) < 4 or net.num_reticulations < 3:
-            sub = oracle_displays(net, tree)
+        if len(order) > 2 * len(state.net.out):
+            # keep the path search linear in the live graph
+            order = [v for v in order if v in state.net.out]
+        path = find_longest_root_leaf_path(state.net, order)
+        if len(path) < 4 or len(state.rets) < 3:
+            sub = oracle_displays(state.net.freeze(), state.tree.freeze())
             displayed = sub.displayed
             if displayed and len(trace) == 0:
                 oracle_cert = sub.certificate
             break
-        matched = match_case(net, path)
-        reduced, step = simplify_at_case(net, tree, matched)
-        trace.append(step)
-        if reduced.num_reticulations >= net.num_reticulations:
+        matched = match_case(state.net, path)
+        before = len(state.rets)
+        trace.append(_simplify_in_place(state, matched))
+        if len(state.rets) >= before:
             raise InternalConsistencyError(
                 f"case {matched.case_id} removed no reticulation"
             )
-        net = reduced
     certificate = None
     if displayed:
         if oracle_cert is not None:

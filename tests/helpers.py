@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
-from netdisplay.core import Network, PhyloTree, StabilityReport
+from netdisplay.core import Network, NetworkEditor, PhyloTree, StabilityReport
+from netdisplay.errors import InternalConsistencyError
 
 # running example: one reticulation, three leaves, everything stable
 RUNNING = "((a,(b)#H1),(#H1,c));"
@@ -133,3 +135,117 @@ def deletion_stability(net: Network) -> StabilityReport:
         witness[v] = min(lost) if lost else None
     stable = {v: witness[v] is not None for v in net.vertices}
     return StabilityReport(stable, witness)
+
+
+def reference_suppress(ed: NetworkEditor) -> list[int]:
+    """Reference for reductions._suppress_in_place: the full sweep, which
+    queues every vertex in id order and re-queues each changed vertex at
+    the back."""
+    contracted: list[int] = []
+    queue = deque(sorted(ed.out))
+    queued = set(queue)
+
+    def enqueue(v: int) -> None:
+        if v in ed.out and v not in queued:
+            queue.append(v)
+            queued.add(v)
+
+    while queue:
+        v = queue.popleft()
+        queued.discard(v)
+        if v not in ed.out:
+            continue
+        ind, outd = len(ed.ins[v]), len(ed.out[v])
+        if ind == 0:
+            if v != ed.root:
+                raise InternalConsistencyError(
+                    f"vertex {v} lost all parents but is not the root"
+                )
+            if outd == 1:
+                child = ed.out[v][0]
+                if ed.ins[child] != [v]:
+                    raise InternalConsistencyError(
+                        f"root chain child {child} has extra parents"
+                    )
+                ed.delete_vertex(v)
+                contracted.append(v)
+                ed.root = child
+                enqueue(child)
+            elif outd == 0 and v not in ed.labels:
+                raise InternalConsistencyError("network degenerated to nothing")
+            continue
+        if outd == 0:
+            if v in ed.labels:
+                continue
+            parents = list(ed.ins[v])
+            ed.delete_vertex(v)
+            for p in parents:
+                enqueue(p)
+            continue
+        if ind == 1 and outd == 1:
+            p, c = ed.ins[v][0], ed.out[v][0]
+            if c in ed.out[p]:
+                ed.remove_branch(v, c)
+                enqueue(v)
+                enqueue(c)
+                continue
+            ed.contract(v)
+            contracted.append(v)
+            enqueue(p)
+            enqueue(c)
+    return contracted
+
+
+def reference_displays(net: Network, tree: PhyloTree):
+    """Reference for tcp.displays: the loop over frozen structures, which
+    rebuilds every cherry heap, reticulation set and topological order
+    from scratch each round."""
+    from netdisplay.core import classify
+    from netdisplay.errors import ClassPreconditionError
+    from netdisplay.reductions import ReductionTrace, cherry_reduce, net_cherry
+    from netdisplay.tcp import (
+        ContainmentVerdict,
+        Resolution,
+        find_longest_root_leaf_path,
+        match_case,
+        oracle_displays,
+        simplify_at_case,
+        trees_equal,
+    )
+
+    net.require_valid(require_binary=True)
+    if not classify(net).nearly_stable:
+        raise ClassPreconditionError("not nearly stable")
+    m0 = net.num_reticulations
+    trace = ReductionTrace()
+    iterations = 0
+    oracle_cert = None
+    while True:
+        iterations += 1
+        assert iterations <= m0 + net.n_leaves + 2
+        net, tree, cherry_steps = cherry_reduce(net, tree)
+        trace.extend(cherry_steps)
+        if net.num_reticulations == 0:
+            displayed = trees_equal(net, tree)
+            break
+        if net_cherry(net) is not None:
+            displayed = False
+            break
+        path = find_longest_root_leaf_path(net)
+        if len(path) < 4 or net.num_reticulations < 3:
+            sub = oracle_displays(net, tree)
+            displayed = sub.displayed
+            if displayed and len(trace) == 0:
+                oracle_cert = sub.certificate
+            break
+        reduced, step = simplify_at_case(net, tree, match_case(net, path))
+        trace.append(step)
+        assert reduced.num_reticulations < net.num_reticulations
+        net = reduced
+    certificate = None
+    if displayed:
+        if oracle_cert is not None:
+            certificate = oracle_cert
+        elif m0 == 0:
+            certificate = Resolution(())
+    return ContainmentVerdict(displayed, trace, certificate, iterations, m0)

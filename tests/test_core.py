@@ -203,6 +203,22 @@ def test_classify_single_vertex_counts_as_binary():
     assert flags.tree_child
 
 
+def test_classify_is_memoized_per_network(monkeypatch):
+    import netdisplay.core as core
+
+    calls = []
+    real = core.stability
+    monkeypatch.setattr(core, "stability", lambda net: calls.append(net) or real(net))
+    net = parse_network(RUNNING)
+    first = classify(net)
+    assert len(calls) == 1
+    assert classify(net) is first
+    assert len(calls) == 1
+    # a distinct object with the same structure is classified afresh
+    assert classify(parse_network(RUNNING)) == first
+    assert len(calls) == 2
+
+
 def test_classify_monotone_tree_child_implies_nearly_stable():
     rng = random.Random(42)
     hits = 0

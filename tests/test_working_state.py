@@ -1,0 +1,146 @@
+"""The in-place reduction loop against references that rebuild everything.
+
+`reference_suppress` is the full-sweep suppression and `reference_displays`
+the loop over frozen structures (both in helpers.py). The working state's
+seeded sweep, cherry heap, reticulation set, kept topological order and
+tree-parent map must reproduce them exactly.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from netdisplay.core import Branch, Network, NetworkEditor
+from netdisplay.generator import GenSpec, generate
+from netdisplay.newick_io import parse_network, parse_tree, serialize
+from netdisplay.reductions import _suppress_in_place, replay_trace
+from netdisplay.tcp import Resolution, apply_resolution, displays
+
+from helpers import reference_displays, reference_suppress, tree_from_shape
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_traces.json").read_text()
+)
+
+
+def _graph(ed: NetworkEditor):
+    return ed.out, ed.ins, ed.labels, ed.root
+
+
+def _check_seeded_suppress(net: Network, removed) -> list[int]:
+    """Remove branches from a valid network, suppress seeded from their
+    ends and by the full sweep, and compare; returns the contracted ids."""
+    seeded, full = NetworkEditor(net), NetworkEditor(net)
+    touched = set()
+    for b in removed:
+        seeded.remove_branch(*b)
+        full.remove_branch(*b)
+        touched.update(b)
+    contracted = _suppress_in_place(seeded, touched)
+    assert contracted == reference_suppress(full)
+    assert _graph(seeded) == _graph(full)
+    # every surviving vertex whose adjacency changed was reported touched
+    for v in seeded.out:
+        if (tuple(seeded.out[v]), sorted(seeded.ins[v])) != (
+            net.children(v),
+            sorted(net.parents(v)),
+        ):
+            assert v in touched
+    return contracted
+
+
+def test_seeded_suppress_matches_full_sweep_on_golden_case_steps():
+    steps = 0
+    for rec in GOLDEN:
+        net, tree = parse_network(rec["net"]), parse_tree(rec["tree"])
+        trace = displays(net, tree).trace
+        states = replay_trace(net, tree, trace)
+        for (before, _), step in zip(states, trace.steps):
+            if step.kind == "cherry":
+                continue
+            contracted = _check_seeded_suppress(before, step.removed_branches)
+            assert tuple(contracted) == step.contracted
+            steps += 1
+    assert steps > 100
+
+
+def test_seeded_suppress_parallel_merge():
+    # removing 2->4 leaves 2 with parent 1 and child 3, and 1->3 exists:
+    # the sweep drops 2->3 instead of contracting, and 2 dies as a dead end
+    net = Network(
+        {
+            0: [1, 6], 1: [2, 3], 2: [3, 4], 3: [5], 4: [7],
+            5: [], 6: [4, 8], 7: [], 8: [],
+        },
+        {5: "a", 7: "b", 8: "c"},
+    )
+    net.require_valid(require_binary=True)
+    contracted = _check_seeded_suppress(net, [Branch(2, 4)])
+    assert 2 not in contracted
+    ed = NetworkEditor(net)
+    ed.remove_branch(2, 4)
+    _suppress_in_place(ed, {2, 4})
+    assert 2 not in ed.out
+    assert serialize(ed.freeze()) == "(a,(b,c));"
+
+
+def test_seeded_suppress_root_chain():
+    # removing the root's branch into the reticulation leaves the root
+    # with one child, so the root itself is contracted away
+    net = Network({0: [1, 3], 1: [2, 3], 2: [], 3: [4], 4: []}, {2: "a", 4: "b"})
+    net.require_valid(require_binary=True)
+    assert _check_seeded_suppress(net, [Branch(0, 3)]) == [0, 3]
+    ed = NetworkEditor(net)
+    ed.remove_branch(0, 3)
+    _suppress_in_place(ed, {0, 3})
+    assert ed.root == 1
+
+
+def _assert_same_run(net, tree):
+    got = displays(net, tree)
+    ref = reference_displays(net, tree)
+    assert got.displayed == ref.displayed
+    assert got.iterations == ref.iterations
+    assert got.certificate == ref.certificate
+    assert got.trace.to_text() == ref.trace.to_text()
+    return got
+
+
+@pytest.mark.parametrize("rec", GOLDEN, ids=[r["name"] for r in GOLDEN])
+def test_displays_matches_frozen_loop_on_golden(rec):
+    _assert_same_run(parse_network(rec["net"]), parse_tree(rec["tree"]))
+
+
+def _swapped(tree, rng):
+    """The tree with two random leaf labels exchanged."""
+    labels = sorted(tree.label_set())
+    a, b = rng.sample(labels, 2)
+    swap = {a: b, b: a}
+
+    def shape(v):
+        if tree.is_leaf(v):
+            lab = tree.label(v)
+            return swap.get(lab, lab)
+        return tuple(shape(c) for c in tree.children(v))
+
+    return tree_from_shape(shape(tree.root))
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80, 200])
+def test_displays_matches_frozen_loop_on_generated(n):
+    rng = random.Random(n)
+    rounds = 0
+    for i in range(6 if n < 200 else 2):
+        net = generate(GenSpec(n, n // 4, "nearly_stable", seed=900 + i))
+        kept = tuple(
+            (r, Branch(rng.choice(sorted(net.parents(r))), r))
+            for r in net.reticulations
+        )
+        pos = apply_resolution(net, Resolution(kept))
+        got = _assert_same_run(net, pos)
+        assert got.displayed
+        rounds += got.iterations
+        _assert_same_run(net, _swapped(pos, rng))
+    assert rounds > n // 4
