@@ -421,14 +421,44 @@ def vertex_kind(net: Network, v: int) -> str:
 def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
     """Check the structural invariants; violations are data, not failures.
 
-    The outcome is memoized on the (immutable) network per flavour.
+    The outcome is memoized on the (immutable) network per flavour. The
+    binary flavour is the plain one's violations followed by the degree
+    checks, so it reuses the plain outcome, computing it first if need be.
     """
-    key = ("valid", require_binary)
+    plain = net._cache.get(("valid", False))
+    if plain is None:
+        vs = _structural_violations(net)
+        plain = net._cache[("valid", False)] = ValidationOutcome(not vs, tuple(vs))
+    if not require_binary:
+        return plain
+    key = ("valid", True)
     if key in net._cache:
         return net._cache[key]
+    vs = list(plain.violations)
+    if len(net) != 1:
+        for v in net.vertices:
+            ind, outd = net.in_degree(v), net.out_degree(v)
+            ok = (
+                (ind == 0 and outd == 2)
+                or (ind == 1 and outd == 0)
+                or (ind == 1 and outd == 2)
+                or (ind == 2 and outd == 1)
+            )
+            if not ok:
+                vs.append(
+                    Violation(
+                        f"not binary: indegree {ind}, outdegree {outd}", vertex=v
+                    )
+                )
+    outcome = net._cache[key] = ValidationOutcome(not vs, tuple(vs))
+    return outcome
+
+
+def _structural_violations(net: Network) -> list[Violation]:
+    """validate's checks short of binarity. An acyclic network keeps the
+    topological order found here, so later callers do not sort again."""
     vs: list[Violation] = []
     verts = net.vertices
-    single = len(verts) == 1
 
     roots = [v for v in verts if net.in_degree(v) == 0]
     if not roots:
@@ -440,11 +470,13 @@ def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
     order = net._try_topological_order()
     if order is None:
         vs.append(Violation("directed cycle present"))
-    elif roots and len(roots) == 1:
-        reached = net.reachable_from(roots[0])
-        for v in verts:
-            if v not in reached:
-                vs.append(Violation("unreachable from root", vertex=v))
+    else:
+        net._cache["topo"] = order
+        if len(roots) == 1:
+            reached = net.reachable_from(roots[0])
+            for v in verts:
+                if v not in reached:
+                    vs.append(Violation("unreachable from root", vertex=v))
 
     seen_labels: dict[str, int] = {}
     for v in verts:
@@ -472,26 +504,7 @@ def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
         if len(set(cs)) != len(cs):
             dup = next(c for c in cs if cs.count(c) > 1)
             vs.append(Violation("parallel branches", branch=Branch(v, dup)))
-
-    if require_binary and not single:
-        for v in verts:
-            ind, outd = net.in_degree(v), net.out_degree(v)
-            ok = (
-                (ind == 0 and outd == 2)
-                or (ind == 1 and outd == 0)
-                or (ind == 1 and outd == 2)
-                or (ind == 2 and outd == 1)
-            )
-            if not ok:
-                vs.append(
-                    Violation(
-                        f"not binary: indegree {ind}, outdegree {outd}", vertex=v
-                    )
-                )
-
-    outcome = ValidationOutcome(not vs, tuple(vs))
-    net._cache[key] = outcome
-    return outcome
+    return vs
 
 
 def stability(net: Network) -> StabilityReport:

@@ -230,8 +230,9 @@ class ReductionState:
     reticulations of the net, its cherries split into a heap of the common
     ones (l1, l2, p) and the set of parents of the one-sided ones, and the
     number of the next fresh ``__r<k>`` label. Each edit re-checks these
-    only where it changed the net. The leaf label sets are checked once,
-    here.
+    only where it changed the net, and adds to `changed` every net vertex
+    whose in-list or leafness it changed, for a reader to drain. The leaf
+    label sets are checked once, here.
     """
 
     def __init__(self, net: Network, tree: PhyloTree):
@@ -241,6 +242,7 @@ class ReductionState:
         self.rets = set(net.reticulations)
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
+        self.changed: set[int] = set()
         for v in net.vertices:
             self._note_cherry(v)
         # each new label is the largest, and labelled leaves go only by collapse
@@ -279,6 +281,7 @@ class ReductionState:
             lab = f"__r{self.fresh}"
             self.fresh += 1
             trace.append(_collapse_cherry(self.net, self.tree, l1, l2, p, lab))
+            self.changed.add(p)  # p became a leaf; l1, l2 are gone
             self._note_cherry(self.net.ins[p][0])
         return trace
 
@@ -292,6 +295,7 @@ class ReductionState:
             ned.remove_branch(tail, head)
             touched.update((tail, head))
         contracted = _suppress_in_place(ned, touched)
+        self.changed.update(touched)
         # a vertex's kind depends on its own degrees, a cherry also on its
         # children's, so only touched vertices and their parents can change
         around = set(touched)

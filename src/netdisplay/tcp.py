@@ -9,6 +9,7 @@ network to be nearly stable; the oracle only needs it to be binary.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -161,44 +162,98 @@ def oracle_displays(
     return ContainmentVerdict(False, ReductionTrace(), None, 0, len(rets))
 
 
-def find_longest_root_leaf_path(net: Network | NetworkEditor, order=None) -> list:
+class LongestPaths:
+    """The longest-path dynamic program over one graph, kept across edits.
+
+    `out` and `ins` are the graph's adjacency maps, read live, and `order`
+    is a topological order of it, which edits that only remove branches
+    and vertices or contract vertices keep topological. The editing side
+    adds to `changed` every vertex whose in-list or leafness it changed;
+    each path() call first re-relaxes those, in order position, then the
+    children of each vertex whose distance moved. The first call relaxes
+    every vertex.
+    """
+
+    def __init__(self, out: dict, ins: dict, order, changed: set):
+        self.out, self.ins, self.order, self.changed = out, ins, order, changed
+        self.pos: dict | None = None
+        self.dist: dict = {}
+        self.pred: dict = {}
+        # (-dist, leaf), invalidated lazily: an entry counts while its
+        # vertex is a live leaf at that distance
+        self.leaves: list = []
+
+    def _relax(self, ready: list) -> None:
+        """Recompute dist and pred at the queued order positions (a heap)."""
+        out, ins, order, pos = self.out, self.ins, self.order, self.pos
+        dist, pred, leaves = self.dist, self.pred, self.leaves
+        last = -1
+        while ready:
+            i = heapq.heappop(ready)
+            if i == last:  # queued twice; pushes only go forward
+                continue
+            last = i
+            v = order[i]
+            best_d, best_p = -1, None
+            for p in ins[v]:
+                d = dist[p]
+                if d > best_d or (d == best_d and p < best_p):
+                    best_d, best_p = d, p
+            d = best_d + 1
+            pred[v] = best_p
+            cs = out[v]
+            if not cs:
+                heapq.heappush(leaves, (-d, v))
+            old = dist.get(v)
+            if old != d:
+                dist[v] = d
+                # a vertex without a distance yet is part of the first
+                # relaxation, which queues every vertex already
+                if old is not None:
+                    for c in cs:
+                        heapq.heappush(ready, pos[c])
+
+    def path(self) -> list:
+        """A maximum-vertex-count root-to-leaf path of the graph as it is."""
+        ins = self.ins
+        if self.pos is None:
+            self.pos = {v: i for i, v in enumerate(self.order)}
+            # every live position, in increasing order, which is a heap
+            ready = [i for i, v in enumerate(self.order) if v in ins]
+        else:
+            ready = [self.pos[v] for v in self.changed if v in ins]
+            heapq.heapify(ready)
+        self.changed.clear()
+        self._relax(ready)
+        out, dist, leaves = self.out, self.dist, self.leaves
+        while leaves:
+            neg_d, leaf = leaves[0]
+            if leaf in out and not out[leaf] and dist[leaf] == -neg_d:
+                break
+            heapq.heappop(leaves)
+        else:
+            return []
+        path = []
+        cur = leaf
+        while cur is not None:
+            path.append(cur)
+            cur = self.pred[cur]
+        path.reverse()
+        return path
+
+
+def find_longest_root_leaf_path(net: Network | LongestPaths) -> list:
     """A maximum-vertex-count root-to-leaf path.
 
-    Dynamic program over a topological order: `net` is a Network or a
-    NetworkEditor, and `order` defaults to the network's own. A caller
-    editing in place passes an order it keeps; vertices no longer present
-    are skipped, and removals and contractions keep the rest topological.
-    All ties break toward the smallest vertex id, so repeated runs trace
-    identically.
+    On a Network this runs LongestPaths' dynamic program over its
+    topological order once; a caller editing in place passes the
+    LongestPaths it keeps, which re-relaxes only what changed since its
+    last query. All ties break toward the smallest vertex id, so repeated
+    runs trace identically.
     """
-    if order is None:
-        order = net.topological_order()
-    if isinstance(net, NetworkEditor):
-        out, ins = net.out, net.ins
-    else:
-        out, ins = net._out, net._in
-    dist: dict = {}
-    pred: dict = {}
-    leaf, leaf_d = None, -1
-    for v in order:
-        ps = ins.get(v)
-        if ps is None:
-            continue
-        best_d, best_p = -1, None
-        for p in ps:
-            if dist[p] > best_d or (dist[p] == best_d and p < best_p):
-                best_d, best_p = dist[p], p
-        d = dist[v] = best_d + 1
-        pred[v] = best_p
-        if not out[v] and (d > leaf_d or (d == leaf_d and v < leaf)):
-            leaf, leaf_d = v, d
-    path = []
-    cur = leaf
-    while cur is not None:
-        path.append(cur)
-        cur = pred[cur]
-    path.reverse()
-    return path
+    if isinstance(net, Network):
+        net = LongestPaths(net._out, net._in, net.topological_order(), set())
+    return net.path()
 
 
 def _local_dump(net: Network | NetworkEditor, ids) -> str:
@@ -431,7 +486,8 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     negatively (it survives every resolution); tiny leftovers go to the
     oracle; otherwise one case match prunes at least one reticulation.
     Every round edits one ReductionState, which is frozen only for the
-    oracle. The trace replays to the same verdict at every step.
+    oracle, and the longest-path search is kept across rounds. The trace
+    replays to the same verdict at every step.
     """
     net.require_valid(require_binary=True)
     state = ReductionState(net, tree)  # checks the leaf label sets
@@ -441,7 +497,9 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
         )
     m0 = net.num_reticulations
     limit = m0 + net.n_leaves + 2
-    order = net.topological_order()
+    paths = LongestPaths(
+        state.net.out, state.net.ins, net.topological_order(), state.changed
+    )
     trace = ReductionTrace()
     iterations = 0
     oracle_cert = None
@@ -462,10 +520,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             # resolution, and the tree has no matching sibling pair
             displayed = False
             break
-        if len(order) > 2 * len(state.net.out):
-            # keep the path search linear in the live graph
-            order = [v for v in order if v in state.net.out]
-        path = find_longest_root_leaf_path(state.net, order)
+        path = find_longest_root_leaf_path(paths)
         if len(path) < 4 or len(state.rets) < 3:
             sub = oracle_displays(state.net.freeze(), state.tree.freeze())
             displayed = sub.displayed

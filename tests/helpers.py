@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
+from pathlib import Path
 
-from netdisplay.core import Network, NetworkEditor, PhyloTree, StabilityReport
+from netdisplay.core import (
+    Branch,
+    Network,
+    NetworkEditor,
+    PhyloTree,
+    StabilityReport,
+    ValidationOutcome,
+    Violation,
+)
 from netdisplay.errors import InternalConsistencyError
 
 # running example: one reticulation, three leaves, everything stable
@@ -19,6 +29,12 @@ UNSTABLE_OVER_STABLE_RV = "((d,x1),(((lb)#H1,x3),#H1));"
 # a tree vertex with two escaping reticulation children is unstable and
 # parents an unstable reticulation, so the network is not nearly stable
 NOT_NEARLY_STABLE = "((((a)#H3)#H1,(b)#H2),(#H1,(#H2,(#H3,c))));"
+
+# (net, tree) eNewick pairs whose displays traces are pinned, see
+# test_golden_traces.py
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_traces.json").read_text()
+)
 
 # tail patterns for the ten case shapes; letter = expected match_case id.
 # F_triangle / H_triangle: w itself is the second parent of e resp. v.
@@ -196,17 +212,109 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
     return contracted
 
 
+def reference_validate(net: Network, require_binary: bool = False):
+    """Reference for core.validate: every check in one pass, with no memo,
+    so the binary flavour does not start from the plain one."""
+    vs: list[Violation] = []
+    verts = net.vertices
+    single = len(verts) == 1
+
+    roots = [v for v in verts if net.in_degree(v) == 0]
+    if not roots:
+        vs.append(Violation("no root: every vertex has a parent"))
+    elif len(roots) > 1:
+        for r in roots[1:]:
+            vs.append(Violation("multiple indegree-0 vertices", vertex=r))
+
+    order = net._try_topological_order()
+    if order is None:
+        vs.append(Violation("directed cycle present"))
+    elif roots and len(roots) == 1:
+        reached = net.reachable_from(roots[0])
+        for v in verts:
+            if v not in reached:
+                vs.append(Violation("unreachable from root", vertex=v))
+
+    seen_labels: dict[str, int] = {}
+    for v in verts:
+        ind, outd = net.in_degree(v), net.out_degree(v)
+        lab = net.label(v)
+        if outd == 0:
+            if lab is None:
+                vs.append(Violation("unlabeled leaf", vertex=v))
+            if ind >= 2:
+                vs.append(Violation("leaf with multiple parents", vertex=v))
+        else:
+            if lab is not None:
+                vs.append(Violation("label on a non-leaf vertex", vertex=v))
+        if ind == 1 and outd == 1:
+            vs.append(Violation("suppressible vertex (indegree 1, outdegree 1)", vertex=v))
+        if ind == 0 and outd == 1:
+            vs.append(Violation("degenerate root (outdegree 1)", vertex=v))
+        if ind >= 2 and outd >= 2:
+            vs.append(Violation("vertex fits no kind (indegree >= 2, outdegree >= 2)", vertex=v))
+        if lab is not None:
+            if lab in seen_labels:
+                vs.append(Violation(f"duplicate leaf label {lab!r}", vertex=v))
+            seen_labels[lab] = v
+        cs = net.children(v)
+        if len(set(cs)) != len(cs):
+            dup = next(c for c in cs if cs.count(c) > 1)
+            vs.append(Violation("parallel branches", branch=Branch(v, dup)))
+
+    if require_binary and not single:
+        for v in verts:
+            ind, outd = net.in_degree(v), net.out_degree(v)
+            ok = (
+                (ind == 0 and outd == 2)
+                or (ind == 1 and outd == 0)
+                or (ind == 1 and outd == 2)
+                or (ind == 2 and outd == 1)
+            )
+            if not ok:
+                vs.append(
+                    Violation(
+                        f"not binary: indegree {ind}, outdegree {outd}", vertex=v
+                    )
+                )
+    return ValidationOutcome(not vs, tuple(vs))
+
+
+def reference_longest_path(net: Network):
+    """Reference for tcp.LongestPaths: the whole dynamic program over the
+    network's topological order. Returns (path, dist, pred)."""
+    out, ins = net._out, net._in
+    dist: dict = {}
+    pred: dict = {}
+    leaf, leaf_d = None, -1
+    for v in net.topological_order():
+        best_d, best_p = -1, None
+        for p in ins[v]:
+            if dist[p] > best_d or (dist[p] == best_d and p < best_p):
+                best_d, best_p = dist[p], p
+        d = dist[v] = best_d + 1
+        pred[v] = best_p
+        if not out[v] and (d > leaf_d or (d == leaf_d and v < leaf)):
+            leaf, leaf_d = v, d
+    path = []
+    cur = leaf
+    while cur is not None:
+        path.append(cur)
+        cur = pred[cur]
+    path.reverse()
+    return path, dist, pred
+
+
 def reference_displays(net: Network, tree: PhyloTree):
     """Reference for tcp.displays: the loop over frozen structures, which
-    rebuilds every cherry heap, reticulation set and topological order
-    from scratch each round."""
+    rebuilds every cherry heap, reticulation set, topological order and
+    longest-path table from scratch each round."""
     from netdisplay.core import classify
     from netdisplay.errors import ClassPreconditionError
     from netdisplay.reductions import ReductionTrace, cherry_reduce, net_cherry
     from netdisplay.tcp import (
         ContainmentVerdict,
         Resolution,
-        find_longest_root_leaf_path,
         match_case,
         oracle_displays,
         simplify_at_case,
@@ -231,7 +339,7 @@ def reference_displays(net: Network, tree: PhyloTree):
         if net_cherry(net) is not None:
             displayed = False
             break
-        path = find_longest_root_leaf_path(net)
+        path = reference_longest_path(net)[0]
         if len(path) < 4 or net.num_reticulations < 3:
             sub = oracle_displays(net, tree)
             displayed = sub.displayed

@@ -7,6 +7,7 @@ import pytest
 
 from netdisplay.core import (
     Network,
+    NetworkEditor,
     classify,
     stability,
     validate,
@@ -15,13 +16,29 @@ from netdisplay.core import (
 from netdisplay.errors import InvalidNetworkError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree
+from netdisplay.tcp import displays
 
 from helpers import (
+    GOLDEN,
     NOT_NEARLY_STABLE,
     RUNNING,
     UNSTABLE_OVER_STABLE,
     deletion_stability,
+    reference_validate,
 )
+
+# the invalid networks validated here and in test_cli.py, as (out, labels)
+INVALID = [
+    ({0: [1], 1: [2], 2: []}, {2: "a"}),  # suppressible vertex
+    ({0: [1, 1], 1: [2], 2: []}, {2: "a"}),  # parallel branches
+    ({0: [1], 1: [2, 3], 2: [1], 3: []}, {3: "a"}),  # cycle
+    (
+        {0: [2, 3], 1: [2, 4], 2: [5], 3: [], 4: [], 5: []},
+        {3: "a", 4: "b", 5: "c"},
+    ),  # second root
+    ({0: [1, 2, 3], 1: [], 2: [], 3: []}, {1: "a", 2: "b", 3: "c"}),  # (a,b,c);
+    ({0: [1, 3], 1: [2], 2: [], 3: []}, {2: "a", 3: "b"}),  # ((a),b);
+]
 
 
 def _networkx_witnesses(net):
@@ -88,6 +105,50 @@ def test_validate_nonbinary_only_with_flag():
     assert validate(net).ok
     strict = validate(net, require_binary=True)
     assert not strict.ok
+
+
+def test_validate_flavours_match_uncached_reference():
+    graphs = list(INVALID)
+    for rec in GOLDEN:
+        for net in (parse_network(rec["net"]), parse_tree(rec["tree"])):
+            ed = NetworkEditor(net)
+            graphs.append((ed.out, ed.labels))
+    for out, labels in graphs:
+        want = {
+            flag: reference_validate(Network(out, labels), flag)
+            for flag in (False, True)
+        }
+        # either flavour may be asked for first
+        for flags in ((False, True), (True, False)):
+            net = Network(out, labels)
+            for flag in flags:
+                assert validate(net, require_binary=flag) == want[flag]
+                assert validate(net, require_binary=flag) is validate(net, flag)
+
+
+def test_validate_keeps_an_acyclic_order_only():
+    cyclic = Network(*INVALID[2])
+    validate(cyclic)
+    with pytest.raises(InvalidNetworkError):
+        cyclic.topological_order()
+    net = parse_network(RUNNING)
+    assert net.topological_order() == net._try_topological_order()
+
+
+def test_one_topological_sort_per_network_through_displays(monkeypatch):
+    sorts = {}
+    real = Network._try_topological_order
+
+    def counting(self):
+        # the network stays referenced, so its id is not reused
+        sorts.setdefault(id(self), [self, 0])[1] += 1
+        return real(self)
+
+    monkeypatch.setattr(Network, "_try_topological_order", counting)
+    for rec in GOLDEN:
+        displays(parse_network(rec["net"]), parse_tree(rec["tree"]))
+    assert len(sorts) >= 2 * len(GOLDEN)  # each net, and each tree as parsed
+    assert {n for _, n in sorts.values()} == {1}
 
 
 def test_require_valid_raises():

@@ -1,27 +1,29 @@
 """The in-place reduction loop against references that rebuild everything.
 
-`reference_suppress` is the full-sweep suppression and `reference_displays`
-the loop over frozen structures (both in helpers.py). The working state's
-seeded sweep, cherry heap, reticulation set, kept topological order and
+`reference_suppress` is the full-sweep suppression, `reference_longest_path`
+the whole longest-path dynamic program and `reference_displays` the loop
+over frozen structures (all in helpers.py). The working state's seeded
+sweep, cherry heap, reticulation set, kept longest-path table and
 tree-parent map must reproduce them exactly.
 """
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
+from netdisplay import tcp
 from netdisplay.core import Branch, Network, NetworkEditor
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import parse_network, parse_tree, serialize
 from netdisplay.reductions import _suppress_in_place, replay_trace
-from netdisplay.tcp import Resolution, apply_resolution, displays
+from netdisplay.tcp import LongestPaths, Resolution, apply_resolution, displays
 
-from helpers import reference_displays, reference_suppress, tree_from_shape
-
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_traces.json").read_text()
+from helpers import (
+    GOLDEN,
+    reference_displays,
+    reference_longest_path,
+    reference_suppress,
+    tree_from_shape,
 )
 
 
@@ -49,6 +51,47 @@ def _check_seeded_suppress(net: Network, removed) -> list[int]:
         ):
             assert v in touched
     return contracted
+
+
+def _assert_kept_paths(paths: LongestPaths, path: list) -> None:
+    """The kept table agrees with a fresh run over the live graph on the
+    path and on dist and pred of every live vertex."""
+    live = paths.out
+    ref_path, ref_dist, ref_pred = reference_longest_path(Network(live, {}))
+    assert path == ref_path
+    assert {v: paths.dist[v] for v in live} == ref_dist
+    assert {v: paths.pred[v] for v in live} == ref_pred
+
+
+def _check_kept_paths_after_removal(net: Network, removed) -> None:
+    """Query a kept table, remove branches and suppress as a case round
+    does, then query it again."""
+    ed = NetworkEditor(net)
+    changed: set = set()
+    paths = LongestPaths(ed.out, ed.ins, net.topological_order(), changed)
+    _assert_kept_paths(paths, paths.path())
+    for b in removed:
+        ed.remove_branch(*b)
+        changed.update(b)
+    _suppress_in_place(ed, changed)
+    _assert_kept_paths(paths, paths.path())
+
+
+@pytest.fixture
+def path_queries(monkeypatch):
+    """Check the kept table at every path query displays makes; the
+    queried paths are collected in the returned list."""
+    real = tcp.find_longest_root_leaf_path
+    queries = []
+
+    def checked(paths):
+        path = real(paths)
+        _assert_kept_paths(paths, path)
+        queries.append(path)
+        return path
+
+    monkeypatch.setattr(tcp, "find_longest_root_leaf_path", checked)
+    return queries
 
 
 def test_seeded_suppress_matches_full_sweep_on_golden_case_steps():
@@ -79,6 +122,7 @@ def test_seeded_suppress_parallel_merge():
     net.require_valid(require_binary=True)
     contracted = _check_seeded_suppress(net, [Branch(2, 4)])
     assert 2 not in contracted
+    _check_kept_paths_after_removal(net, [Branch(2, 4)])
     ed = NetworkEditor(net)
     ed.remove_branch(2, 4)
     _suppress_in_place(ed, {2, 4})
@@ -92,6 +136,8 @@ def test_seeded_suppress_root_chain():
     net = Network({0: [1, 3], 1: [2, 3], 2: [], 3: [4], 4: []}, {2: "a", 4: "b"})
     net.require_valid(require_binary=True)
     assert _check_seeded_suppress(net, [Branch(0, 3)]) == [0, 3]
+    # the new root's distance drops to 0, and so does every one below it
+    _check_kept_paths_after_removal(net, [Branch(0, 3)])
     ed = NetworkEditor(net)
     ed.remove_branch(0, 3)
     _suppress_in_place(ed, {0, 3})
@@ -109,7 +155,7 @@ def _assert_same_run(net, tree):
 
 
 @pytest.mark.parametrize("rec", GOLDEN, ids=[r["name"] for r in GOLDEN])
-def test_displays_matches_frozen_loop_on_golden(rec):
+def test_displays_matches_frozen_loop_on_golden(rec, path_queries):
     _assert_same_run(parse_network(rec["net"]), parse_tree(rec["tree"]))
 
 
@@ -129,7 +175,7 @@ def _swapped(tree, rng):
 
 
 @pytest.mark.parametrize("n", [10, 20, 40, 80, 200])
-def test_displays_matches_frozen_loop_on_generated(n):
+def test_displays_matches_frozen_loop_on_generated(n, path_queries):
     rng = random.Random(n)
     rounds = 0
     for i in range(6 if n < 200 else 2):
@@ -144,3 +190,4 @@ def test_displays_matches_frozen_loop_on_generated(n):
         rounds += got.iterations
         _assert_same_run(net, _swapped(pos, rng))
     assert rounds > n // 4
+    assert path_queries
