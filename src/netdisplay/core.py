@@ -61,9 +61,6 @@ class StabilityReport:
     stable: Mapping[int, bool]
     witness: Mapping[int, int | None]
 
-    def stable_vertices(self) -> list[int]:
-        return sorted(v for v, s in self.stable.items() if s)
-
     def unstable_vertices(self) -> list[int]:
         return sorted(v for v, s in self.stable.items() if not s)
 
@@ -580,6 +577,14 @@ def _subphylogeny_free(net: Network) -> bool:
     return ok
 
 
+def _nearly_stable(net: Network, rep: StabilityReport) -> bool:
+    """Is every vertex stable or a child of stable parents only?"""
+    return all(
+        rep.stable[v] or all(rep.stable[p] for p in net.parents(v))
+        for v in net.vertices
+    )
+
+
 def classify(net: Network) -> ClassFlags:
     """Class membership flags: binary, tree-child, reticulation-visible,
     nearly stable, subphylogeny-free. Memoized on the (immutable) network."""
@@ -589,15 +594,11 @@ def classify(net: Network) -> ClassFlags:
     rep = stability(net)
     all_stable = all(rep.stable[v] for v in net.vertices)
     rv = all(rep.stable[r] for r in net.reticulations)
-    ns = all(
-        rep.stable[v] or all(rep.stable[p] for p in net.parents(v))
-        for v in net.vertices
-    )
     flags = ClassFlags(
         binary=_is_binary(net),
         tree_child=all_stable,
         reticulation_visible=rv,
-        nearly_stable=ns,
+        nearly_stable=_nearly_stable(net, rep),
         subphylogeny_free=_subphylogeny_free(net),
     )
     net._cache["class"] = flags

@@ -169,7 +169,9 @@ def _parse_statement(tokens, pos: int, end_offset: int, diags):
                 _fail(diags, off, f"expected ',', ')' or ';', found {val!r}")
 
 
-def _assemble(syn_root: _SynNode, statement_offset: int, diags) -> Network:
+def _assemble(
+    syn_root: _SynNode, statement_offset: int, diags, cls: type[Network]
+) -> Network:
     out_adj: dict[int, list[int]] = {}
     labels: dict[int, str] = {}
     label_offsets: dict[str, int] = {}
@@ -235,7 +237,7 @@ def _assemble(syn_root: _SynNode, statement_offset: int, diags) -> Network:
                 f"hybrid tag #H{tag} has no child subtree at any occurrence",
             )
 
-    net = Network(out_adj, labels)
+    net = cls(out_adj, labels)
     outcome = validate(net)
     if not outcome.ok:
         for viol in outcome.violations:
@@ -281,14 +283,15 @@ def _statements(text: str, diags):
 def _parse(text: str, as_tree: bool, single: bool) -> list:
     diags: list[ParseDiagnostic] = []
     parsed = []
+    cls = PhyloTree if as_tree else Network
     for syn, start, after in _statements(text, diags):
         if single and after is not None:
             _fail(diags, after, "trailing content after ';'")
         if as_tree:
+            # a tree that passes both checks is binary and reticulation-free
             _reject_hybrids(syn, diags)
             _check_tree_arity(syn, diags)
-        net = _assemble(syn, start, diags)
-        parsed.append(PhyloTree.from_network(net) if as_tree else net)
+        parsed.append(_assemble(syn, start, diags, cls))
         if single:
             break
     return parsed

@@ -1,9 +1,8 @@
 """Verdict-free rewriting steps shared by the containment algorithm.
 
 The reduction loop edits one ReductionState in place from entry to
-verdict; the public functions take and return frozen structures and are
-thin wrappers over the same in-place code. Every reduction is recorded as
-a ReductionStep; traces replay deterministically (see replay_trace).
+verdict. Every reduction is recorded as a ReductionStep; traces replay
+deterministically on frozen structures (see replay_trace).
 Vertex ids of surviving vertices are stable across a reduction, which is
 what makes the recorded branches meaningful later.
 """
@@ -21,7 +20,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidNetworkError,
     LeafSetMismatchError,
-    PatternMismatchError,
 )
 
 _FRESH_RE = re.compile(r"^__r(\d+)$")
@@ -176,15 +174,6 @@ def _cherry_at(out, ins, v: int):
     return None
 
 
-def net_cherry(net: Network):
-    """The cherry under the smallest-id cherry parent, or None."""
-    for v in net.vertices:
-        found = _cherry_at(net._out, net._in, v)
-        if found is not None:
-            return found
-    return None
-
-
 class _TreeEditor(NetworkEditor):
     """A tree's editor that keeps its label -> parent map current and
     answers the PhyloTree calls the case rules make (parent_of_label,
@@ -308,62 +297,6 @@ class ReductionState:
         for v in around:
             self._note_cherry(v)
         return contracted
-
-
-def cherry_reduce(
-    net: Network, tree: PhyloTree
-) -> tuple[Network, PhyloTree, ReductionTrace]:
-    """Collapse cherries common to net and tree until none remains.
-
-    Each round replaces the smallest common cherry (l1, l2, parent) by a
-    fresh reserved leaf (``__r<k>``) on both sides, keeping the leaf label
-    sets equal. Cherries present only in one structure are left alone.
-    Runs ReductionState.collapse_cherries and freezes the result; the
-    inputs come back unchanged when no cherry is common.
-    """
-    state = ReductionState(net, tree)
-    trace = state.collapse_cherries()
-    if not trace:
-        return net, tree, trace
-    return state.net.freeze(), state.tree.freeze(), trace
-
-
-def _uncle_nephew_site(net: Network | NetworkEditor, site: int):
-    """Return (leaf, ret, ret_leaf) below the site or raise."""
-    if site not in net:
-        raise PatternMismatchError(f"unknown vertex {site}")
-    if net.in_degree(site) < 1 or net.out_degree(site) != 2:
-        raise PatternMismatchError(f"vertex {site} is not a binary tree vertex")
-    c1, c2 = net.children(site)
-    for leaf, ret in ((c1, c2), (c2, c1)):
-        if (
-            net.is_leaf(leaf)
-            and net.in_degree(ret) == 2
-            and net.out_degree(ret) == 1
-            and net.is_leaf(net.children(ret)[0])
-        ):
-            return leaf, ret, net.children(ret)[0]
-    raise PatternMismatchError(
-        f"vertex {site} does not head an uncle-nephew pattern"
-    )
-
-
-def _uncle_nephew_branch(
-    net: Network | NetworkEditor, tree, site: int
-) -> Branch:
-    """Pick the branch the uncle-nephew rule removes below `site`."""
-    leaf, ret, ret_leaf = _uncle_nephew_site(net, site)
-    sib = tree.parent_of_label(net.label(leaf)) == tree.parent_of_label(
-        net.label(ret_leaf)
-    )
-    if not sib:
-        return Branch(site, ret)
-    others = [p for p in net.parents(ret) if p != site]
-    if len(others) != 1:
-        raise PatternMismatchError(
-            f"reticulation {ret} lacks a unique outside parent"
-        )
-    return Branch(others[0], ret)
 
 
 def replay_trace(

@@ -13,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Branch, Network, NetworkEditor, PhyloTree, classify
+from .core import Branch, Network, NetworkEditor, PhyloTree, _nearly_stable, stability
 from .errors import (
     ClassPreconditionError,
     InternalConsistencyError,
@@ -26,13 +26,7 @@ from .reductions import (
     ReductionTrace,
     _check_same_leaves,
     _suppress_in_place,
-    _uncle_nephew_branch,
-    _uncle_nephew_site,
 )
-
-# The frozen-in, frozen-out loop steps stay importable from here, where
-# bench/tracing.py looks them up, although displays runs them in place.
-from .reductions import cherry_reduce, net_cherry  # noqa: F401
 
 DEFAULT_ORACLE_CAP = 20
 
@@ -298,6 +292,26 @@ def _other_parent(net: Network | NetworkEditor, v: int, known: int) -> int:
     return ps[0]
 
 
+def _uncle_nephew_site(net: Network | NetworkEditor, site: int):
+    """Return (leaf, ret, ret_leaf) below the site or raise."""
+    if site not in net:
+        raise PatternMismatchError(f"unknown vertex {site}")
+    if net.in_degree(site) < 1 or net.out_degree(site) != 2:
+        raise PatternMismatchError(f"vertex {site} is not a binary tree vertex")
+    c1, c2 = net.children(site)
+    for leaf, ret in ((c1, c2), (c2, c1)):
+        if (
+            net.is_leaf(leaf)
+            and net.in_degree(ret) == 2
+            and net.out_degree(ret) == 1
+            and net.is_leaf(net.children(ret)[0])
+        ):
+            return leaf, ret, net.children(ret)[0]
+    raise PatternMismatchError(
+        f"vertex {site} does not head an uncle-nephew pattern"
+    )
+
+
 def match_case(net: Network | NetworkEditor, path: list) -> CaseMatch:
     """Identify which of the ten tail patterns the network exhibits.
 
@@ -403,6 +417,21 @@ def _siblings(net: Network | NetworkEditor, tree, x: int, y: int) -> bool:
     )
 
 
+def _uncle_nephew_branch(
+    net: Network | NetworkEditor, tree, site: int
+) -> Branch:
+    """Pick the branch the uncle-nephew rule removes below `site`."""
+    leaf, ret, ret_leaf = _uncle_nephew_site(net, site)
+    if not _siblings(net, tree, leaf, ret_leaf):
+        return Branch(site, ret)
+    others = [p for p in net.parents(ret) if p != site]
+    if len(others) != 1:
+        raise PatternMismatchError(
+            f"reticulation {ret} lacks a unique outside parent"
+        )
+    return Branch(others[0], ret)
+
+
 def _case_removals(
     net: Network | NetworkEditor, tree, m: CaseMatch
 ) -> tuple[Branch, ...]:
@@ -457,25 +486,11 @@ def _case_removals(
 
 
 def _simplify_in_place(state: ReductionState, m: CaseMatch) -> ReductionStep:
-    """simplify_at_case on the working state, edited in place."""
+    """Remove the branches the matched case prescribes from the working state
+    and suppress. The reticulation count strictly drops, and whether the
+    tree is displayed does not change."""
     removed = _case_removals(state.net, state.tree, m)
     return ReductionStep(f"case_{m.case_id}", removed, tuple(state.remove(removed)))
-
-
-def simplify_at_case(
-    net: Network, tree: PhyloTree, m: CaseMatch
-) -> tuple[Network, ReductionStep]:
-    """Apply the branch removal the matched case prescribes, then suppress.
-
-    Always removes at least one reticulation in-branch, so the reticulation
-    count strictly drops. The verdict is never decided here; the removals
-    preserve whether the tree is displayed. The network must be valid and
-    binary; the step runs on a ReductionState, as in displays.
-    """
-    net.require_valid(require_binary=True)
-    state = ReductionState(net, tree)
-    step = _simplify_in_place(state, m)
-    return state.net.freeze(), step
 
 
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
@@ -491,7 +506,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     """
     net.require_valid(require_binary=True)
     state = ReductionState(net, tree)  # checks the leaf label sets
-    if not classify(net).nearly_stable:
+    if not _nearly_stable(net, stability(net)):
         raise ClassPreconditionError(
             "containment reduction requires a nearly stable network"
         )

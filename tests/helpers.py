@@ -307,17 +307,18 @@ def reference_longest_path(net: Network):
 
 def reference_displays(net: Network, tree: PhyloTree):
     """Reference for tcp.displays: the loop over frozen structures, which
-    rebuilds every cherry heap, reticulation set, topological order and
-    longest-path table from scratch each round."""
+    builds a fresh ReductionState (cherry heap, reticulations) and a fresh
+    topological order and longest-path table every round, and validates
+    every intermediate network."""
     from netdisplay.core import classify
     from netdisplay.errors import ClassPreconditionError
-    from netdisplay.reductions import ReductionTrace, cherry_reduce, net_cherry
+    from netdisplay.reductions import ReductionState, ReductionTrace, _cherry_at
     from netdisplay.tcp import (
         ContainmentVerdict,
         Resolution,
+        _simplify_in_place,
         match_case,
         oracle_displays,
-        simplify_at_case,
         trees_equal,
     )
 
@@ -331,12 +332,15 @@ def reference_displays(net: Network, tree: PhyloTree):
     while True:
         iterations += 1
         assert iterations <= m0 + net.n_leaves + 2
-        net, tree, cherry_steps = cherry_reduce(net, tree)
-        trace.extend(cherry_steps)
+        state = ReductionState(net, tree)
+        trace.extend(state.collapse_cherries())
+        net, tree = state.net.freeze(), state.tree.freeze()
+        net.require_valid(require_binary=True)
+        tree.require_valid(require_binary=True)
         if net.num_reticulations == 0:
             displayed = trees_equal(net, tree)
             break
-        if net_cherry(net) is not None:
+        if any(_cherry_at(net._out, net._in, v) for v in net.vertices):
             displayed = False
             break
         path = reference_longest_path(net)[0]
@@ -346,8 +350,9 @@ def reference_displays(net: Network, tree: PhyloTree):
             if displayed and len(trace) == 0:
                 oracle_cert = sub.certificate
             break
-        reduced, step = simplify_at_case(net, tree, match_case(net, path))
-        trace.append(step)
+        state = ReductionState(net, tree)
+        trace.append(_simplify_in_place(state, match_case(net, path)))
+        reduced = state.net.freeze()
         assert reduced.num_reticulations < net.num_reticulations
         net = reduced
     certificate = None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from netdisplay.core import Network, PhyloTree, validate
 from netdisplay.errors import NewickParseError
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import (
@@ -15,7 +16,7 @@ from netdisplay.newick_io import (
     serialize,
 )
 
-from helpers import CASE_FIXTURES, RUNNING
+from helpers import CASE_FIXTURES, GOLDEN, RUNNING, reference_validate
 
 
 def test_parse_running_example_shape():
@@ -112,6 +113,33 @@ def test_serialize_renumbers_hybrid_tags():
     net = parse_network("((a,(b)#H7),(#H7,c));")
     assert "#H1" in serialize(net)
     assert "#H7" not in serialize(net)
+
+
+def test_parse_tree_builds_each_tree_once(monkeypatch):
+    built = []
+    real = Network.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", counting)
+    for rec in GOLDEN:
+        built.clear()
+        tree = parse_tree(rec["tree"])
+        assert built == [tree]
+    built.clear()
+    trees = parse_trees("\n".join(rec["tree"] for rec in GOLDEN))
+    assert built == trees
+
+
+def test_parsed_trees_are_binary_and_reticulation_free():
+    for rec in GOLDEN:
+        tree = parse_tree(rec["tree"])
+        assert type(tree) is PhyloTree
+        assert tree.num_reticulations == 0
+        assert validate(tree, require_binary=True).ok
+        assert reference_validate(tree, require_binary=True).ok
 
 
 def test_serialize_is_canonical_under_child_order():

@@ -6,14 +6,14 @@ from netdisplay.core import Branch, Network, NetworkEditor, PhyloTree
 from netdisplay.errors import PatternMismatchError
 from netdisplay.newick_io import canonical_equal, parse_network, parse_tree, serialize
 from netdisplay.reductions import (
+    ReductionState,
     ReductionStep,
     ReductionTrace,
+    _cherry_at,
     _suppress_in_place,
-    cherry_reduce,
-    net_cherry,
     replay_trace,
 )
-from netdisplay.tcp import CaseMatch, oracle_displays, simplify_at_case
+from netdisplay.tcp import CaseMatch, _simplify_in_place, oracle_displays
 
 from helpers import RUNNING
 
@@ -34,8 +34,13 @@ def _suppressed(net):
 
 
 def _uncle_nephew(net, tree, site):
-    """The uncle-nephew rule below `site`, as case C applies it."""
-    return simplify_at_case(net, tree, CaseMatch("C", {"u": site}))
+    """The uncle-nephew rule below `site`, as case C applies it, on a fresh
+    working state; returns the frozen, validated net and the step."""
+    state = ReductionState(net, tree)
+    step = _simplify_in_place(state, CaseMatch("C", {"u": site}))
+    reduced = state.net.freeze()
+    reduced.require_valid(require_binary=True)
+    return reduced, step
 
 
 def test_suppress_after_left_in_branch_removed():
@@ -85,30 +90,43 @@ def test_suppress_merges_parallel_pair():
     assert out.label(out.root) == "a"
 
 
+def _net_cherries(net):
+    return [c for v in net.vertices if (c := _cherry_at(net._out, net._in, v))]
+
+
 def test_net_cherry_detection():
-    assert net_cherry(parse_network(RUNNING)) is None
-    found = net_cherry(parse_network("((a,b),c);"))
-    assert found is not None
-    l1, l2, p = found
+    # a reticulation parent does not make a cherry
+    assert _net_cherries(parse_network(RUNNING)) == []
+    [(l1, l2, p)] = _net_cherries(parse_network("((a,b),c);"))
     assert l1 < l2
     assert {l1, l2} == {2, 3} and p == 1
-    assert net_cherry(parse_network("(a,(b,c));")) is not None
-    # a reticulation parent does not make a cherry
-    assert net_cherry(parse_network(RUNNING)) is None
+    assert _net_cherries(parse_network("(a,(b,c));")) != []
+    # the working state files a net cherry as common or one-sided
+    net = parse_network("((a,b),c);")
+    common = ReductionState(net, parse_tree("((a,b),c);"))
+    assert common.common == [(2, 3, 1)] and common.one_sided == set()
+    one_sided = ReductionState(net, parse_tree("(a,(b,c));"))
+    assert one_sided.common == [] and one_sided.one_sided == {1}
+    running = ReductionState(parse_network(RUNNING), parse_tree("((a,b),c);"))
+    assert running.common == [] and running.one_sided == set()
 
 
 def test_cherry_reduce_no_common_cherry_is_noop():
     net = parse_network(RUNNING)
     tree = parse_tree("((a,b),c);")
-    out_net, out_tree, trace = cherry_reduce(net, tree)
+    state = ReductionState(net, tree)
+    trace = state.collapse_cherries()
     assert len(trace) == 0
-    assert canonical_equal(out_net, net)
+    assert canonical_equal(state.net.freeze(), net)
+    assert canonical_equal(state.tree.freeze(), tree)
 
 
 def test_cherry_reduce_collapses_both_cherries():
     net = parse_network("((a,b),(c,d));")
     tree = parse_tree("((a,b),(c,d));")
-    out_net, out_tree, trace = cherry_reduce(net, tree)
+    state = ReductionState(net, tree)
+    trace = state.collapse_cherries()
+    out_net, out_tree = state.net.freeze(), state.tree.freeze()
     # the root is not a strict tree vertex, so (__r0,__r1) stays put
     assert len(trace) == 2
     assert len(out_net.vertices) == 3
@@ -121,7 +139,9 @@ def test_cherry_reduce_collapses_both_cherries():
 def test_cherry_reduce_keeps_leaf_sets_aligned():
     net = parse_network("(((a,b),(c)#H1),(#H1,d));")
     tree = parse_tree("(((a,b),c),d);")
-    out_net, out_tree, trace = cherry_reduce(net, tree)
+    state = ReductionState(net, tree)
+    trace = state.collapse_cherries()
+    out_net, out_tree = state.net.freeze(), state.tree.freeze()
     assert len(trace) == 1
     assert out_net.label_set() == out_tree.label_set()
     assert out_net.num_reticulations == 1
@@ -132,7 +152,7 @@ def test_cherry_reduce_keeps_leaf_sets_aligned():
 def test_cherry_reduce_ignores_one_sided_cherries():
     net = parse_network("((a,b),c);")
     tree = parse_tree("(a,(b,c));")
-    _, _, trace = cherry_reduce(net, tree)
+    trace = ReductionState(net, tree).collapse_cherries()
     assert len(trace) == 0
 
 
@@ -187,7 +207,7 @@ def test_reduction_step_line_format():
 def test_trace_text_one_line_per_step():
     net = parse_network("((a,b),(c,d));")
     tree = parse_tree("((a,b),(c,d));")
-    _, _, trace = cherry_reduce(net, tree)
+    trace = ReductionState(net, tree).collapse_cherries()
     text = trace.to_text()
     assert len(text.splitlines()) == len(trace)
     assert all(line.startswith("cherry") for line in text.splitlines())
@@ -196,7 +216,9 @@ def test_trace_text_one_line_per_step():
 def test_replay_trace_reproduces_states():
     net = parse_network("((a,b),(c,d));")
     tree = parse_tree("((a,b),(c,d));")
-    out_net, out_tree, trace = cherry_reduce(net, tree)
+    state = ReductionState(net, tree)
+    trace = state.collapse_cherries()
+    out_net, out_tree = state.net.freeze(), state.tree.freeze()
     states = replay_trace(
         parse_network("((a,b),(c,d));"), parse_tree("((a,b),(c,d));"), trace
     )

@@ -13,19 +13,21 @@ from netdisplay.errors import (
 )
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import parse_network, parse_tree, serialize
+from netdisplay.reductions import ReductionState
 from netdisplay.tcp import (
     Resolution,
+    _simplify_in_place,
     apply_resolution,
     displays,
     find_longest_root_leaf_path,
     match_case,
     oracle_displays,
-    simplify_at_case,
     trees_equal,
 )
 
 from helpers import (
     CASE_FIXTURES,
+    GOLDEN,
     NOT_NEARLY_STABLE,
     RUNNING,
     all_trees,
@@ -162,7 +164,10 @@ def test_simplify_preserves_verdict(name):
     m = match_case(net, path)
     for tree in trees:
         before = oracle_displays(net, tree).displayed
-        reduced, step = simplify_at_case(net, tree, m)
+        state = ReductionState(net, tree)
+        step = _simplify_in_place(state, m)
+        reduced = state.net.freeze()
+        reduced.require_valid(require_binary=True)
         assert reduced.num_reticulations < net.num_reticulations
         assert oracle_displays(reduced, tree).displayed == before
         assert step.kind == f"case_{m.case_id}"
@@ -176,8 +181,12 @@ def test_simplify_case_a_variants():
     labels = sorted(net.label_set())
     sib = tree_from_shape((("l", "lp"), "z"))
     non = tree_from_shape((("l", "z"), "lp"))
-    _, step_sib = simplify_at_case(net, sib, m)
-    _, step_non = simplify_at_case(net, non, m)
+    steps = []
+    for tree in (sib, non):
+        state = ReductionState(net, tree)
+        steps.append(_simplify_in_place(state, m))
+        state.net.freeze().require_valid(require_binary=True)
+    step_sib, step_non = steps
     assert len(step_sib.removed_branches) == 2
     assert step_non.removed_branches == (Branch(m.bindings["w"], m.bindings["u"]),)
     assert set(labels) == {"l", "lp", "z"}
@@ -212,6 +221,23 @@ def test_displays_rejects_not_nearly_stable():
     tree = _random_tree(sorted(net.label_set()), random.Random(0))
     with pytest.raises(ClassPreconditionError):
         displays(net, tree)
+
+
+def test_displays_asks_only_for_near_stability(monkeypatch):
+    import netdisplay.core as core
+
+    calls = []
+    real = core._subphylogeny_free
+    monkeypatch.setattr(
+        core, "_subphylogeny_free", lambda net: calls.append(net) or real(net)
+    )
+    for rec in GOLDEN:
+        net = parse_network(rec["net"])
+        displays(net, parse_tree(rec["tree"]))
+    assert calls == []
+    # classify still folds every class flag of the same network
+    assert classify(net).nearly_stable
+    assert calls == [net]
 
 
 def test_displays_rejects_nonbinary():
