@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Branch, Network, NetworkEditor, classify, stability
+from .core import Branch, Network, NetworkEditor, _nearly_stable, classify, stability
 from .errors import ClassPreconditionError, InternalConsistencyError
 from .reductions import _suppress_in_place
 from .tcp import Resolution
@@ -211,42 +211,42 @@ def select_dummy_free_removal(net: Network) -> Resolution:
 def ns_to_rv_transform(net: Network) -> tuple[Network, ClassStats, ClassStats]:
     """Rewire a nearly stable network until every reticulation is stable.
 
-    Each round takes the topologically first unstable reticulation; its
-    child is necessarily a stable reticulation and both its parents are
-    stable tree vertices. Cutting the smaller-id parent's branch leaves
-    two degree-two chains that contract away, dropping the reticulation
-    count by one. The stable-reticulation count never decreases and never
-    exceeds its old value plus the old unstable count.
+    An unstable reticulation r has a stable reticulation child and two
+    stable tree-vertex parents; cutting the smaller-id parent's branch
+    leaves two degree-two vertices that contract away. The input's
+    stability fixes every cut, so one walk over one editor makes them all:
+    1. A cut and its suppression only remove or shorten root-to-leaf
+       paths, so every surviving stable vertex stays stable.
+    2. Another unstable reticulation u stays unstable: a path that avoided
+       u through the cut branch reroutes via r's kept parent p2, which
+       some root path reaches without u (else u dominates p2's leaf).
+    3. No tree vertex t parents two unstable reticulations r1, r2: both
+       reach t's witness leaf, so t dominates their other parents q1, q2,
+       which lie below r2 and r1, closing a cycle r1 q2 r2 q1. So no cut
+       touches another target's parents, and any walk makes the same cuts.
     """
     net.require_valid(require_binary=True)
-    if not classify(net).nearly_stable:
+    rep = stability(net)
+    if not _nearly_stable(net, rep):
         raise ClassPreconditionError(
             "the rewiring requires a nearly stable network"
         )
     before = class_stats(net)
-    cur = net
-    while True:
-        rep = stability(cur)
-        rets = set(cur.reticulations)
-        target = None
-        for v in cur.topological_order():
-            if v in rets and not rep.stable[v]:
-                target = v
-                break
-        if target is None:
-            break
-        child = cur.children(target)[0]
-        if not (cur.in_degree(child) >= 2 and cur.out_degree(child) == 1):
+    ed = NetworkEditor(net)
+    for r in net.topological_order():
+        if rep.stable[r] or net.in_degree(r) < 2:
+            continue
+        child = ed.out[r][0]
+        if not (len(ed.ins[child]) >= 2 and len(ed.out[child]) == 1):
             raise InternalConsistencyError(
-                f"unstable reticulation {target} lacks a reticulation child"
+                f"unstable reticulation {r} lacks a reticulation child"
             )
-        cut_parent = min(cur.parents(target))
-        ed = NetworkEditor(cur)
-        ed.remove_branch(cut_parent, target)
-        _suppress_in_place(ed)
-        cur = ed.freeze()
-    after = class_stats(cur)
-    if not classify(cur).reticulation_visible:
+        cut = min(ed.ins[r])
+        ed.remove_branch(cut, r)
+        _suppress_in_place(ed, {cut, r})
+    out = ed.freeze()
+    after = class_stats(out)
+    if after.u_ret != 0:
         raise InternalConsistencyError(
             "rewiring finished without reaching reticulation visibility"
         )
@@ -254,4 +254,4 @@ def ns_to_rv_transform(net: Network) -> tuple[Network, ClassStats, ClassStats]:
         raise InternalConsistencyError(
             "stable reticulation count moved outside its promised range"
         )
-    return cur, before, after
+    return out, before, after

@@ -19,7 +19,7 @@ import time
 
 from . import __version__
 from .bounds import class_stats, ns_to_rv_transform, verify_bounds
-from .core import Branch, Network, classify, validate
+from .core import Branch, Network, _nearly_stable, classify, stability, validate
 from .errors import (
     ClassPreconditionError,
     GenerationExhaustedError,
@@ -99,7 +99,7 @@ def cmd_contains(args) -> int:
     elif args.algo == "oracle":
         verdict = oracle_displays(net, tree, cap=cap)
     else:
-        if classify(net).nearly_stable:
+        if _nearly_stable(net, stability(net)):
             verdict = displays(net, tree)
         elif net.num_reticulations <= cap:
             verdict = oracle_displays(net, tree, cap=cap)
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         if not exc.diagnostics:
             _diag(exc)
         return 3
-    except (InvalidNetworkError, LeafSetMismatchError, OSError) as exc:
+    except (InvalidNetworkError, LeafSetMismatchError, OSError, UnicodeDecodeError) as exc:
         _diag(exc)
         return 3
     except (ClassPreconditionError, GenerationExhaustedError) as exc:

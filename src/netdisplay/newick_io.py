@@ -77,7 +77,7 @@ def _tokenize(text: str, diags: list[ParseDiagnostic]):
                 _fail(diags, i, "invalid hybrid tag: expected '#H<k>'")
             j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k] in string.digits:
                 k += 1
             if k == j:
                 _fail(diags, i, "invalid hybrid tag: expected digits after '#H'")

@@ -362,3 +362,62 @@ def reference_displays(net: Network, tree: PhyloTree):
         elif m0 == 0:
             certificate = Resolution(())
     return ContainmentVerdict(displayed, trace, certificate, iterations, m0)
+
+
+def reference_transform(net: Network):
+    """Reference for bounds.ns_to_rv_transform: one round per unstable
+    reticulation, each on a fresh editor with the full suppression sweep,
+    a freeze and a fresh stability computation."""
+    from netdisplay.bounds import class_stats
+    from netdisplay.core import classify, stability
+    from netdisplay.errors import ClassPreconditionError
+    from netdisplay.reductions import _suppress_in_place
+
+    net.require_valid(require_binary=True)
+    if not classify(net).nearly_stable:
+        raise ClassPreconditionError(
+            "the rewiring requires a nearly stable network"
+        )
+    before = class_stats(net)
+    cur = net
+    while True:
+        rep = stability(cur)
+        rets = set(cur.reticulations)
+        target = None
+        for v in cur.topological_order():
+            if v in rets and not rep.stable[v]:
+                target = v
+                break
+        if target is None:
+            break
+        child = cur.children(target)[0]
+        if not (cur.in_degree(child) >= 2 and cur.out_degree(child) == 1):
+            raise InternalConsistencyError(
+                f"unstable reticulation {target} lacks a reticulation child"
+            )
+        cut_parent = min(cur.parents(target))
+        ed = NetworkEditor(cur)
+        ed.remove_branch(cut_parent, target)
+        _suppress_in_place(ed)
+        cur = ed.freeze()
+    after = class_stats(cur)
+    if not classify(cur).reticulation_visible:
+        raise InternalConsistencyError(
+            "rewiring finished without reaching reticulation visibility"
+        )
+    if not (before.s_ret <= after.s_ret <= before.s_ret + before.u_ret):
+        raise InternalConsistencyError(
+            "stable reticulation count moved outside its promised range"
+        )
+    return cur, before, after
+
+
+def same_network(a: Network, b: Network) -> bool:
+    """Same vertex ids, root, leaf labels and branches; the order in which
+    a vertex lists its children is ignored."""
+    return (
+        a.vertices == b.vertices
+        and a.root == b.root
+        and a.leaf_labels == b.leaf_labels
+        and all(sorted(a.children(v)) == sorted(b.children(v)) for v in a.vertices)
+    )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from netdisplay import bounds, core
 from netdisplay.bounds import (
     class_stats,
     ns_to_rv_transform,
@@ -16,7 +17,21 @@ from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import canonical_equal, parse_network, serialize
 from netdisplay.tcp import apply_resolution
 
-from helpers import UNSTABLE_OVER_STABLE, UNSTABLE_OVER_STABLE_RV, NOT_NEARLY_STABLE, RUNNING, gen_with_fallback
+from helpers import (
+    NOT_NEARLY_STABLE,
+    RUNNING,
+    UNSTABLE_OVER_STABLE,
+    UNSTABLE_OVER_STABLE_RV,
+    gen_with_fallback,
+    reference_transform,
+    same_network,
+)
+
+# two unstable-over-stable blocks under one root
+TWO_BLOCKS = (
+    "((((((lb)#H2)#H1,d),x1),(#H1,(#H2,x3))),"
+    "(((((mb)#H4)#H3,e),y1),(#H3,(#H4,y3))));"
+)
 
 
 def test_stats_running_example():
@@ -156,11 +171,7 @@ def test_transform_keeps_visible_networks_unchanged():
 
 
 def test_transform_handles_independent_unstable_reticulations():
-    # two unstable-over-stable blocks under one root
-    net = parse_network(
-        "((((((lb)#H2)#H1,d),x1),(#H1,(#H2,x3))),"
-        "(((((mb)#H4)#H3,e),y1),(#H3,(#H4,y3))));"
-    )
+    net = parse_network(TWO_BLOCKS)
     assert classify(net).nearly_stable
     assert class_stats(net).u_ret == 2
     out, before, after = ns_to_rv_transform(net)
@@ -168,6 +179,77 @@ def test_transform_handles_independent_unstable_reticulations():
     assert out.label_set() == net.label_set()
     assert after.u_ret == 0
     assert before.s_ret <= after.s_ret <= before.s_ret + before.u_ret
+
+
+def test_transform_freezes_once_and_computes_stability_on_input_and_output(
+    monkeypatch,
+):
+    net = parse_network(TWO_BLOCKS)
+    freezes = []
+    seen = []  # keeps every network alive, so ids are not reused
+    real_freeze = NetworkEditor.freeze
+    real_stability = core.stability
+
+    def counting_freeze(ed):
+        freezes.append(ed)
+        return real_freeze(ed)
+
+    def counting_stability(n):
+        seen.append(n)
+        return real_stability(n)
+
+    monkeypatch.setattr(NetworkEditor, "freeze", counting_freeze)
+    monkeypatch.setattr(core, "stability", counting_stability)
+    monkeypatch.setattr(bounds, "stability", counting_stability)
+    out, before, after = ns_to_rv_transform(net)
+    assert (before.u_ret, after.u_ret) == (2, 0)
+    assert len(freezes) == 1
+    assert {id(n) for n in seen} == {id(net), id(out)}
+
+
+def _assert_transform_matches_reference(net):
+    out, before, after = ns_to_rv_transform(net)
+    ref_out, ref_before, ref_after = reference_transform(net)
+    assert same_network(out, ref_out)
+    assert serialize(out) == serialize(ref_out)
+    assert (before, after) == (ref_before, ref_after)
+    return before.u_ret
+
+
+def test_transform_matches_reference_up_to_child_order():
+    # The reference cuts in the order of each intermediate network's
+    # topological sort, the one pass in the input's. Both make the same
+    # cuts and contractions, but a vertex whose two children are both
+    # replaced by contractions lists them in the order the contractions
+    # ran. Here that order differs at one vertex, and serialize breaks the
+    # tie between two children with the same smallest leaf by child order.
+    net = gen_with_fallback(19, 33, "nearly_stable", 90_283)
+    out, before, after = ns_to_rv_transform(net)
+    ref_out, ref_before, ref_after = reference_transform(net)
+    assert same_network(out, ref_out)
+    assert (before, after) == (ref_before, ref_after)
+
+
+def test_transform_matches_reference_on_small_draws():
+    # drawn like criterion 5's corpus, from other seeds
+    rng = random.Random(405)
+    changed = 0
+    for i in range(150):
+        n = rng.randint(3, 8)
+        net = gen_with_fallback(
+            n, rng.randint(2, min(8, 2 * (n - 1))), "nearly_stable", 60_000 + i
+        )
+        changed += _assert_transform_matches_reference(net) > 0
+    assert changed >= 30
+
+
+def test_transform_matches_reference_up_to_200_leaves():
+    changed = 0
+    for n in (10, 20, 40, 80, 120, 200):
+        for seed in range(2):
+            net = gen_with_fallback(n, n // 2, "nearly_stable", 70_000 + 10 * n + seed)
+            changed += _assert_transform_matches_reference(net) > 0
+    assert changed >= 8
 
 
 def test_transform_rejects_not_nearly_stable():

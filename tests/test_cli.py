@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from netdisplay import core
 from netdisplay.cli import main
 
-from helpers import UNSTABLE_OVER_STABLE, UNSTABLE_OVER_STABLE_RV, NOT_NEARLY_STABLE, RUNNING
+from helpers import GOLDEN, UNSTABLE_OVER_STABLE, UNSTABLE_OVER_STABLE_RV, NOT_NEARLY_STABLE, RUNNING
 
 
 @pytest.fixture
@@ -42,6 +43,29 @@ def test_validate_structural_violations(files, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "suppressible vertex" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "classify", "stats", "contains", "transform"]
+)
+@pytest.mark.parametrize(
+    "text",
+    ["((a,(b)#H\u00b9),(#H\u00b9,c));".encode(), b"((a,(b)#H\xb9),(#H\xb9,c));"],
+    ids=["utf8-superscript", "latin1-byte"],
+)
+def test_non_ascii_hybrid_digits_exit_3_without_traceback(
+    files, tmp_path, capsys, command, text
+):
+    bad = tmp_path / "bad.nwk"
+    bad.write_bytes(text + b"\n")
+    argv = {
+        "contains": ["contains", str(bad), files("tree.nwk", "((a,b),c);")],
+        "transform": ["transform", "--to", "rv", str(bad)],
+    }.get(command, [command, str(bad)])
+    assert main(argv) == 3  # an uncaught exception would be a traceback
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("netdisplay:")
 
 
 def test_missing_file_exit_3(capsys):
@@ -185,6 +209,23 @@ def test_contains_bad_cap_env_is_usage_error(files, capsys, monkeypatch):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_contains_auto_asks_only_for_near_stability(files, capsys, monkeypatch):
+    calls = []
+    real = core._subphylogeny_free
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(core, "_subphylogeny_free", counting)
+    for rec in GOLDEN:
+        argv = ["contains", files("net.nwk", rec["net"]), files("tree.nwk", rec["tree"])]
+        assert main(argv) == (0 if rec["displayed"] else 1)
+        (payload,) = _json_lines(capsys)
+        assert payload["iterations"] == rec["iterations"]
+    assert calls == []
 
 
 def test_transform_frozen_output(files, capsys):

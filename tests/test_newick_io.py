@@ -38,6 +38,19 @@ def test_parse_unmatched_hybrid_tag():
     assert "hybrid tag" in str(err.value)
 
 
+@pytest.mark.parametrize("digit", ["\u00b9", "\u00b2", "\u00b3", "\u0661"])
+def test_hybrid_tag_takes_ascii_digits_only(digit):
+    # superscripts pass str.isdigit but not int(); Arabic-Indic digits pass
+    # both, so they used to alias #H1
+    with pytest.raises(NewickParseError) as err:
+        parse_network(f"((a,(b)#H{digit}),(#H{digit},c));")
+    (diag,) = err.value.diagnostics
+    assert (diag.offset, diag.message) == (
+        7,
+        "invalid hybrid tag: expected digits after '#H'",
+    )
+
+
 def test_parse_hybrid_with_two_subtrees_rejected():
     with pytest.raises(NewickParseError):
         parse_network("(((a)#H1,b),((c)#H1,d));")
