@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .core import Branch, Network, NetworkEditor, _nearly_stable, classify, stability
 from .errors import ClassPreconditionError, InternalConsistencyError
-from .reductions import _suppress_in_place
 from .tcp import Resolution
 
 
@@ -241,9 +240,7 @@ def ns_to_rv_transform(net: Network) -> tuple[Network, ClassStats, ClassStats]:
             raise InternalConsistencyError(
                 f"unstable reticulation {r} lacks a reticulation child"
             )
-        cut = min(ed.ins[r])
-        ed.remove_branch(cut, r)
-        _suppress_in_place(ed, {cut, r})
+        ed.prune([Branch(min(ed.ins[r]), r)])
     out = ed.freeze()
     after = class_stats(out)
     if after.u_ret != 0:

@@ -9,6 +9,8 @@ on every root-to-leaf path for at least one leaf, i.e. it dominates that leaf.
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -380,6 +382,104 @@ class NetworkEditor:
         self.add_branch(s, head)
         return s
 
+    def prune(self, branches: Iterable[Branch]) -> tuple[list[int], set[int]]:
+        """Remove branches and suppress from their ends; returns the
+        contracted vertex ids in order and every vertex touched. The editor
+        must be at the suppression fixpoint beforehand, as a valid network is."""
+        touched: set[int] = set()
+        for tail, head in branches:
+            self.remove_branch(tail, head)
+            touched.update((tail, head))
+        return self.suppress(touched), touched
+
+    def suppress(self, touched: set[int]) -> list[int]:
+        """Drive the editor to the suppression fixpoint from `touched`.
+
+        Removes unlabeled outdegree-0 vertices (and the dead-end paths above
+        them), contracts (indegree 1, outdegree 1) vertices, and contracts
+        outdegree-1 root chains. Returns contracted vertex ids in order.
+
+        The editor must have been at the fixpoint before edits that changed
+        only the vertices in `touched` (passing every vertex lifts this).
+        Those are swept in id order; a vertex an edit changes waits in the
+        sweep if the sweep has not reached it yet, else joins a FIFO tail
+        that runs after the sweep. Every other vertex is a no-op until an
+        edit queues it, so this visits the same vertices in the same order
+        as a sweep over every vertex. Each vertex queued is added to
+        `touched`.
+        """
+        out, ins = self.out, self.ins
+        contracted: list[int] = []
+        ahead = sorted(v for v in touched if v in out)
+        in_ahead = set(ahead)
+        tail: deque[int] = deque()
+        in_tail: set[int] = set()
+        swept = -math.inf
+
+        def enqueue(v: int) -> None:
+            if v not in out:
+                return
+            touched.add(v)
+            if v > swept:
+                if v not in in_ahead:
+                    heapq.heappush(ahead, v)
+                    in_ahead.add(v)
+            elif v not in in_tail:
+                tail.append(v)
+                in_tail.add(v)
+
+        while ahead or tail:
+            if ahead:
+                v = swept = heapq.heappop(ahead)
+                in_ahead.discard(v)
+            else:
+                swept = math.inf
+                v = tail.popleft()
+                in_tail.discard(v)
+            if v not in out:
+                continue
+            ind, outd = len(ins[v]), len(out[v])
+            if ind == 0:
+                if v != self.root:
+                    raise InternalConsistencyError(
+                        f"vertex {v} lost all parents but is not the root"
+                    )
+                if outd == 1:
+                    child = out[v][0]
+                    if ins[child] != [v]:
+                        raise InternalConsistencyError(
+                            f"root chain child {child} has extra parents"
+                        )
+                    self.delete_vertex(v)
+                    contracted.append(v)
+                    self.root = child
+                    enqueue(child)
+                elif outd == 0 and v not in self.labels:
+                    raise InternalConsistencyError("network degenerated to nothing")
+                continue
+            if outd == 0:
+                if v in self.labels:
+                    continue
+                parents = list(ins[v])
+                self.delete_vertex(v)
+                for p in parents:
+                    enqueue(p)
+                continue
+            if ind == 1 and outd == 1:
+                p, c = ins[v][0], out[v][0]
+                if c in out[p]:
+                    # contracting would create a parallel pair p->c; both
+                    # copies carry the same resolutions, so merge them
+                    self.remove_branch(v, c)
+                    enqueue(v)
+                    enqueue(c)
+                    continue
+                self.contract(v)
+                contracted.append(v)
+                enqueue(p)
+                enqueue(c)
+        return contracted
+
     def set_label(self, v: int, label: str | None) -> None:
         if label is None:
             self.labels.pop(v, None)
@@ -418,43 +518,27 @@ def vertex_kind(net: Network, v: int) -> str:
 def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
     """Check the structural invariants; violations are data, not failures.
 
-    The outcome is memoized on the (immutable) network per flavour. The
-    binary flavour is the plain one's violations followed by the degree
-    checks, so it reuses the plain outcome, computing it first if need be.
+    Both flavours come from one pass and are memoized together on the
+    (immutable) network. The binary flavour is the plain one's violations
+    followed by the degree checks.
     """
-    plain = net._cache.get(("valid", False))
-    if plain is None:
-        vs = _structural_violations(net)
-        plain = net._cache[("valid", False)] = ValidationOutcome(not vs, tuple(vs))
-    if not require_binary:
-        return plain
-    key = ("valid", True)
-    if key in net._cache:
-        return net._cache[key]
-    vs = list(plain.violations)
-    if len(net) != 1:
-        for v in net.vertices:
-            ind, outd = net.in_degree(v), net.out_degree(v)
-            ok = (
-                (ind == 0 and outd == 2)
-                or (ind == 1 and outd == 0)
-                or (ind == 1 and outd == 2)
-                or (ind == 2 and outd == 1)
-            )
-            if not ok:
-                vs.append(
-                    Violation(
-                        f"not binary: indegree {ind}, outdegree {outd}", vertex=v
-                    )
-                )
-    outcome = net._cache[key] = ValidationOutcome(not vs, tuple(vs))
-    return outcome
+    found = net._cache.get("valid")
+    if found is None:
+        plain, degree = _violations(net)
+        found = net._cache["valid"] = tuple(
+            ValidationOutcome(not vs, tuple(vs)) for vs in (plain, plain + degree)
+        )
+    return found[require_binary]
 
 
-def _structural_violations(net: Network) -> list[Violation]:
-    """validate's checks short of binarity. An acyclic network keeps the
-    topological order found here, so later callers do not sort again."""
+def _violations(net: Network) -> tuple[list[Violation], list[Violation]]:
+    """validate's checks in one pass over the vertices: the structural
+    violations and, apart, the binary-degree ones. An acyclic network keeps
+    the topological order found here, so later callers do not sort again.
+    Reachability needs no check: in an acyclic graph with one indegree-0
+    vertex, walking up parents from any vertex ends there."""
     vs: list[Violation] = []
+    degree: list[Violation] = []
     verts = net.vertices
 
     roots = [v for v in verts if net.in_degree(v) == 0]
@@ -469,12 +553,8 @@ def _structural_violations(net: Network) -> list[Violation]:
         vs.append(Violation("directed cycle present"))
     else:
         net._cache["topo"] = order
-        if len(roots) == 1:
-            reached = net.reachable_from(roots[0])
-            for v in verts:
-                if v not in reached:
-                    vs.append(Violation("unreachable from root", vertex=v))
 
+    check_degrees = len(verts) != 1
     seen_labels: dict[str, int] = {}
     for v in verts:
         ind, outd = net.in_degree(v), net.out_degree(v)
@@ -501,7 +581,11 @@ def _structural_violations(net: Network) -> list[Violation]:
         if len(set(cs)) != len(cs):
             dup = next(c for c in cs if cs.count(c) > 1)
             vs.append(Violation("parallel branches", branch=Branch(v, dup)))
-    return vs
+        if check_degrees and (ind, outd) not in ((0, 2), (1, 0), (1, 2), (2, 1)):
+            degree.append(
+                Violation(f"not binary: indegree {ind}, outdegree {outd}", vertex=v)
+            )
+    return vs, degree
 
 
 def stability(net: Network) -> StabilityReport:
@@ -552,10 +636,6 @@ def stability(net: Network) -> StabilityReport:
     return rep
 
 
-def _is_binary(net: Network) -> bool:
-    return validate(net, require_binary=True).ok
-
-
 def _subphylogeny_free(net: Network) -> bool:
     # A vertex roots a subphylogeny when no reticulation occurs among its
     # descendants; such a descendant set is a pendant subtree, so leaf
@@ -595,7 +675,7 @@ def classify(net: Network) -> ClassFlags:
     all_stable = all(rep.stable[v] for v in net.vertices)
     rv = all(rep.stable[r] for r in net.reticulations)
     flags = ClassFlags(
-        binary=_is_binary(net),
+        binary=validate(net, require_binary=True).ok,
         tree_child=all_stable,
         reticulation_visible=rv,
         nearly_stable=_nearly_stable(net, rep),

@@ -2,7 +2,10 @@
 
 The reduction loop edits one ReductionState in place from entry to
 verdict. Every reduction is recorded as a ReductionStep; traces replay
-deterministically on frozen structures (see replay_trace).
+deterministically on frozen structures (see replay_trace), which checks
+each step's contracted vertices against the record. Branch removals go
+through NetworkEditor.prune, which suppresses from the removed branches'
+ends back to a valid network.
 Vertex ids of surviving vertices are stable across a reduction, which is
 what makes the recorded branches meaningful later.
 """
@@ -10,9 +13,7 @@ what makes the recorded branches meaningful later.
 from __future__ import annotations
 
 import heapq
-import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import Branch, Network, NetworkEditor, PhyloTree
@@ -64,97 +65,6 @@ class ReductionTrace:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def _suppress_in_place(
-    ed: NetworkEditor, touched: set[int] | None = None
-) -> list[int]:
-    """Drive the editor to the suppression fixpoint.
-
-    Removes unlabeled outdegree-0 vertices (and the dead-end paths above
-    them), contracts (indegree 1, outdegree 1) vertices, and contracts
-    outdegree-1 root chains. Returns contracted vertex ids in order.
-
-    Vertices are swept once in id order; a vertex an edit changes waits in
-    the sweep if the sweep has not reached it yet, else joins a FIFO tail
-    that runs after the sweep. Without `touched` every vertex is swept.
-    With it, the editor must have been at the fixpoint (a valid network is)
-    before edits that changed only the vertices in `touched`: every other
-    vertex is then a no-op until an edit queues it, so a heap of the queued
-    vertices ahead of the sweep visits the same vertices in the same order.
-    Each vertex the sweep queues is added to `touched`.
-    """
-    contracted: list[int] = []
-    ahead = sorted(ed.out if touched is None else (v for v in touched if v in ed.out))
-    in_ahead = set(ahead)
-    tail: deque[int] = deque()
-    in_tail: set[int] = set()
-    swept = -math.inf
-
-    def enqueue(v: int) -> None:
-        if v not in ed.out:
-            return
-        if touched is not None:
-            touched.add(v)
-        if v > swept:
-            if v not in in_ahead:
-                heapq.heappush(ahead, v)
-                in_ahead.add(v)
-        elif v not in in_tail:
-            tail.append(v)
-            in_tail.add(v)
-
-    while ahead or tail:
-        if ahead:
-            v = swept = heapq.heappop(ahead)
-            in_ahead.discard(v)
-        else:
-            swept = math.inf
-            v = tail.popleft()
-            in_tail.discard(v)
-        if v not in ed.out:
-            continue
-        ind, outd = len(ed.ins[v]), len(ed.out[v])
-        if ind == 0:
-            if v != ed.root:
-                raise InternalConsistencyError(
-                    f"vertex {v} lost all parents but is not the root"
-                )
-            if outd == 1:
-                child = ed.out[v][0]
-                if ed.ins[child] != [v]:
-                    raise InternalConsistencyError(
-                        f"root chain child {child} has extra parents"
-                    )
-                ed.delete_vertex(v)
-                contracted.append(v)
-                ed.root = child
-                enqueue(child)
-            elif outd == 0 and v not in ed.labels:
-                raise InternalConsistencyError("network degenerated to nothing")
-            continue
-        if outd == 0:
-            if v in ed.labels:
-                continue
-            parents = list(ed.ins[v])
-            ed.delete_vertex(v)
-            for p in parents:
-                enqueue(p)
-            continue
-        if ind == 1 and outd == 1:
-            p, c = ed.ins[v][0], ed.out[v][0]
-            if c in ed.out[p]:
-                # contracting would create a parallel pair p->c; both
-                # copies carry the same resolutions, so merge them
-                ed.remove_branch(v, c)
-                enqueue(v)
-                enqueue(c)
-                continue
-            ed.contract(v)
-            contracted.append(v)
-            enqueue(p)
-            enqueue(c)
-    return contracted
 
 
 def _check_same_leaves(net: Network, tree: Network) -> None:
@@ -275,15 +185,11 @@ class ReductionState:
         return trace
 
     def remove(self, branches) -> list[int]:
-        """Remove branches of the net and suppress from their ends; returns
-        the contracted vertices. The net must be valid beforehand (see
-        _suppress_in_place), and no common cherry may be pending."""
+        """Remove branches of the net and suppress from their ends
+        (NetworkEditor.prune); returns the contracted vertices. The net
+        must be valid beforehand, and no common cherry may be pending."""
         ned = self.net
-        touched: set[int] = set()
-        for tail, head in branches:
-            ned.remove_branch(tail, head)
-            touched.update((tail, head))
-        contracted = _suppress_in_place(ned, touched)
+        contracted, touched = ned.prune(branches)
         self.changed.update(touched)
         # a vertex's kind depends on its own degrees, a cherry also on its
         # children's, so only touched vertices and their parents can change
@@ -306,9 +212,10 @@ def replay_trace(
 
     Returns every intermediate state, starting with the inputs; the final
     pair reproduces the original run bit-for-bit under canonical
-    serialization. One editor per side carries the steps; suppression
-    sweeps every vertex, so the inputs need not be valid.
+    serialization. One editor per side carries the steps, and each case
+    step must contract exactly the vertices it recorded.
     """
+    net.require_valid()
     states = [(net, tree)]
     ned, ted = NetworkEditor(net), _TreeEditor(tree)
     for step in trace.steps:
@@ -320,8 +227,11 @@ def replay_trace(
             _collapse_cherry(ned, ted, b1.head, b2.head, b1.tail, lab)
             tree = ted.freeze()
         else:
-            for b in step.removed_branches:
-                ned.remove_branch(*b)
-            _suppress_in_place(ned)
+            contracted, _ = ned.prune(step.removed_branches)
+            if tuple(contracted) != step.contracted:
+                raise InternalConsistencyError(
+                    f"{step.kind} contracted {contracted}, trace recorded"
+                    f" {list(step.contracted)}"
+                )
         states.append((ned.freeze(), tree))
     return states

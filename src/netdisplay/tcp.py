@@ -25,7 +25,6 @@ from .reductions import (
     ReductionStep,
     ReductionTrace,
     _check_same_leaves,
-    _suppress_in_place,
 )
 
 DEFAULT_ORACLE_CAP = 20
@@ -62,19 +61,19 @@ class ContainmentVerdict:
 
 def apply_resolution(net: Network, res: Resolution) -> PhyloTree:
     """Keep one in-branch per reticulation, drop the rest, suppress."""
+    net.require_valid()
     rets = net.reticulations
     kept = res.as_dict()
     if len(kept) != len(res.kept_in_branch) or set(kept) != set(rets):
         raise ValueError("resolution must cover each reticulation exactly once")
-    ed = NetworkEditor(net)
+    dropped = []
     for r in rets:
         b = kept[r]
         if b.head != r or not net.has_branch(b.tail, b.head):
             raise ValueError(f"kept branch {b} is not an in-branch of {r}")
-        for p in net.parents(r):
-            if p != b.tail:
-                ed.remove_branch(p, r)
-    _suppress_in_place(ed)
+        dropped.extend(Branch(p, r) for p in net.parents(r) if p != b.tail)
+    ed = NetworkEditor(net)
+    ed.prune(dropped)
     return PhyloTree.from_network(ed.freeze())
 
 

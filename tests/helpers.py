@@ -154,7 +154,7 @@ def deletion_stability(net: Network) -> StabilityReport:
 
 
 def reference_suppress(ed: NetworkEditor) -> list[int]:
-    """Reference for reductions._suppress_in_place: the full sweep, which
+    """Reference for NetworkEditor.suppress: the full sweep, which
     queues every vertex in id order and re-queues each changed vertex at
     the back."""
     contracted: list[int] = []
@@ -371,7 +371,6 @@ def reference_transform(net: Network):
     from netdisplay.bounds import class_stats
     from netdisplay.core import classify, stability
     from netdisplay.errors import ClassPreconditionError
-    from netdisplay.reductions import _suppress_in_place
 
     net.require_valid(require_binary=True)
     if not classify(net).nearly_stable:
@@ -398,7 +397,7 @@ def reference_transform(net: Network):
         cut_parent = min(cur.parents(target))
         ed = NetworkEditor(cur)
         ed.remove_branch(cut_parent, target)
-        _suppress_in_place(ed)
+        reference_suppress(ed)
         cur = ed.freeze()
     after = class_stats(cur)
     if not classify(cur).reticulation_visible:

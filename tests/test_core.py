@@ -107,12 +107,42 @@ def test_validate_nonbinary_only_with_flag():
     assert not strict.ok
 
 
+def _random_digraphs(count, seed):
+    """Small random digraphs as (out, labels): cycles, self-loops, several
+    roots, parallel branches, unlabeled and duplicate-labelled vertices
+    and every degree pattern all occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        out = {}
+        for v in range(n):
+            k = rng.choice((0, 0, 1, 2, 2, 3))
+            out[v] = [rng.randrange(n) for _ in range(k)]
+        labels = {v: rng.choice("abcd") for v in range(n) if rng.random() < 0.6}
+        yield out, labels
+
+
 def test_validate_flavours_match_uncached_reference():
     graphs = list(INVALID)
     for rec in GOLDEN:
         for net in (parse_network(rec["net"]), parse_tree(rec["tree"])):
             ed = NetworkEditor(net)
             graphs.append((ed.out, ed.labels))
+    sample = list(_random_digraphs(3000, seed=7))
+    kinds = set()
+    for out, labels in sample:
+        outcome = reference_validate(Network(out, labels), True)
+        kinds.update(v.message.split(":")[0] for v in outcome.violations)
+        kinds.add("ok" if outcome.ok else "invalid")
+    assert {
+        "directed cycle present",
+        "multiple indegree-0 vertices",
+        "unlabeled leaf",
+        "parallel branches",
+        "not binary",
+        "ok",
+    } <= kinds
+    graphs += sample
     for out, labels in graphs:
         want = {
             flag: reference_validate(Network(out, labels), flag)
@@ -149,6 +179,30 @@ def test_one_topological_sort_per_network_through_displays(monkeypatch):
         displays(parse_network(rec["net"]), parse_tree(rec["tree"]))
     assert len(sorts) >= 2 * len(GOLDEN)  # each net, and each tree as parsed
     assert {n for _, n in sorts.values()} == {1}
+
+
+def test_one_validation_pass_per_network_through_displays(monkeypatch):
+    import netdisplay.core as core
+
+    passes = {}
+    real = core._violations
+
+    def counting(net):
+        passes.setdefault(id(net), [net, 0])[1] += 1
+        return real(net)
+
+    def unused(self, start):
+        raise AssertionError("validation walked reachability")
+
+    monkeypatch.setattr(core, "_violations", counting)
+    monkeypatch.setattr(Network, "reachable_from", unused)
+    for rec in GOLDEN:
+        net, tree = parse_network(rec["net"]), parse_tree(rec["tree"])
+        displays(net, tree)
+        for flag in (False, True):
+            assert validate(net, flag).ok and validate(tree, flag).ok
+    assert len(passes) >= 2 * len(GOLDEN)
+    assert {n for _, n in passes.values()} == {1}
 
 
 def test_require_valid_raises():

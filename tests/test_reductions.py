@@ -1,21 +1,23 @@
 """Suppression, cherry and uncle-nephew rewriting, trace replay."""
 
+import dataclasses
+import re
+
 import pytest
 
 from netdisplay.core import Branch, Network, NetworkEditor, PhyloTree
-from netdisplay.errors import PatternMismatchError
+from netdisplay.errors import InternalConsistencyError, PatternMismatchError
 from netdisplay.newick_io import canonical_equal, parse_network, parse_tree, serialize
 from netdisplay.reductions import (
     ReductionState,
     ReductionStep,
     ReductionTrace,
     _cherry_at,
-    _suppress_in_place,
     replay_trace,
 )
-from netdisplay.tcp import CaseMatch, _simplify_in_place, oracle_displays
+from netdisplay.tcp import CaseMatch, _simplify_in_place, displays, oracle_displays
 
-from helpers import RUNNING
+from helpers import GOLDEN, RUNNING
 
 
 def _without_branch(text, tail, head):
@@ -26,7 +28,7 @@ def _without_branch(text, tail, head):
 
 def _suppressed(net):
     ed = NetworkEditor(net)
-    contracted = _suppress_in_place(ed)
+    contracted = ed.suppress(set(ed.out))
     return ed.freeze(), tuple(contracted)
 
 
@@ -238,3 +240,18 @@ def test_replay_trace_covers_uncle_nephew():
     trace = ReductionTrace([step])
     states = replay_trace(parse_network(RUNNING), tree, trace)
     assert serialize(states[-1][0]) == serialize(out)
+
+
+def test_replay_trace_rejects_altered_contractions():
+    rec = next(r for r in GOLDEN if re.search(r"^case_.* contracted=\d", r["trace"], re.M))
+    net, tree = parse_network(rec["net"]), parse_tree(rec["tree"])
+    trace = displays(net, tree).trace
+    assert len(replay_trace(net, tree, trace)) == len(trace) + 1
+    i, step = next(
+        (i, s) for i, s in enumerate(trace.steps) if s.kind != "cherry" and s.contracted
+    )
+    altered = (step.contracted[0] + 1000,) + step.contracted[1:]
+    steps = list(trace.steps)
+    steps[i] = dataclasses.replace(step, contracted=altered)
+    with pytest.raises(InternalConsistencyError):
+        replay_trace(net, tree, ReductionTrace(steps))

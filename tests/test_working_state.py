@@ -15,7 +15,7 @@ from netdisplay import tcp
 from netdisplay.core import Branch, Network, NetworkEditor
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import parse_network, parse_tree, serialize
-from netdisplay.reductions import _suppress_in_place, replay_trace
+from netdisplay.reductions import replay_trace
 from netdisplay.tcp import LongestPaths, Resolution, apply_resolution, displays
 
 from helpers import (
@@ -35,12 +35,9 @@ def _check_seeded_suppress(net: Network, removed) -> list[int]:
     """Remove branches from a valid network, suppress seeded from their
     ends and by the full sweep, and compare; returns the contracted ids."""
     seeded, full = NetworkEditor(net), NetworkEditor(net)
-    touched = set()
     for b in removed:
-        seeded.remove_branch(*b)
         full.remove_branch(*b)
-        touched.update(b)
-    contracted = _suppress_in_place(seeded, touched)
+    contracted, touched = seeded.prune(removed)
     assert contracted == reference_suppress(full)
     assert _graph(seeded) == _graph(full)
     # every surviving vertex whose adjacency changed was reported touched
@@ -70,10 +67,7 @@ def _check_kept_paths_after_removal(net: Network, removed) -> None:
     changed: set = set()
     paths = LongestPaths(ed.out, ed.ins, net.topological_order(), changed)
     _assert_kept_paths(paths, paths.path())
-    for b in removed:
-        ed.remove_branch(*b)
-        changed.update(b)
-    _suppress_in_place(ed, changed)
+    changed.update(ed.prune(removed)[1])
     _assert_kept_paths(paths, paths.path())
 
 
@@ -124,8 +118,7 @@ def test_seeded_suppress_parallel_merge():
     assert 2 not in contracted
     _check_kept_paths_after_removal(net, [Branch(2, 4)])
     ed = NetworkEditor(net)
-    ed.remove_branch(2, 4)
-    _suppress_in_place(ed, {2, 4})
+    ed.prune([Branch(2, 4)])
     assert 2 not in ed.out
     assert serialize(ed.freeze()) == "(a,(b,c));"
 
@@ -139,8 +132,7 @@ def test_seeded_suppress_root_chain():
     # the new root's distance drops to 0, and so does every one below it
     _check_kept_paths_after_removal(net, [Branch(0, 3)])
     ed = NetworkEditor(net)
-    ed.remove_branch(0, 3)
-    _suppress_in_place(ed, {0, 3})
+    ed.prune([Branch(0, 3)])
     assert ed.root == 1
 
 
