@@ -9,7 +9,7 @@ one without touching the leaf set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .core import Branch, Network, NetworkEditor, _nearly_stable, classify, stability
@@ -34,14 +34,7 @@ class ClassStats:
     branches: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_leaves": self.n_leaves,
-            "m_reticulations": self.m_reticulations,
-            "s_ret": self.s_ret,
-            "u_ret": self.u_ret,
-            "tree_vertices": self.tree_vertices,
-            "branches": self.branches,
-        }
+        return asdict(self)
 
 
 class BoundCheck(NamedTuple):
@@ -148,30 +141,29 @@ def verify_bounds(net: Network) -> BoundReport:
     return BoundReport(tuple(checks))
 
 
-def _try_augment(net: Network, start: int, match_of_tail: dict) -> bool:
-    """Grow the tail matching by one reticulation via alternating paths."""
-    visited = set()
-    stack = [[start, sorted(net.parents(start)), 0]]
-    while stack:
-        frame = stack[-1]
-        _, tails, i = frame
-        if i >= len(tails):
-            stack.pop()
-            if stack:
-                stack[-1][2] += 1
-            continue
-        t = tails[i]
-        if t in visited:
-            frame[2] += 1
-            continue
-        visited.add(t)
+def _try_augment(net: Network, start: int, match_of_tail: dict) -> None:
+    """Grow the tail matching by one reticulation along its alternating path.
+
+    In a binary network each tail parents at most two reticulations and
+    each reticulation has two tails, so the conflicts form paths and
+    cycles. The walk gives `start` its smaller-id tail and moves that
+    tail's holder to its other tail, and so on; no tail comes up twice and
+    the walk ends at a free tail: the end of a path, or on a cycle of k
+    tails the one the k - 1 matched reticulations leave over.
+    """
+    r, t = start, min(net.parents(start))
+    seen = set()
+    while t not in seen:
+        seen.add(t)
         holder = match_of_tail.get(t)
+        match_of_tail[t] = r
         if holder is None:
-            for f in reversed(stack):
-                match_of_tail[f[1][f[2]]] = f[0]
-            return True
-        stack.append([holder, sorted(net.parents(holder)), 0])
-    return False
+            return
+        a, b = net.parents(holder)
+        r, t = holder, (b if a == t else a)
+    raise InternalConsistencyError(
+        f"no removal matching covers reticulation {start}"
+    )
 
 
 def select_dummy_free_removal(net: Network) -> Resolution:
@@ -191,10 +183,7 @@ def select_dummy_free_removal(net: Network) -> Resolution:
         )
     match_of_tail: dict = {}
     for r in net.reticulations:
-        if not _try_augment(net, r, match_of_tail):
-            raise InternalConsistencyError(
-                f"no removal matching covers reticulation {r}"
-            )
+        _try_augment(net, r, match_of_tail)
     removed_tail = {r: t for t, r in match_of_tail.items()}
     kept = []
     for r in net.reticulations:

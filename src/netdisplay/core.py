@@ -9,9 +9,9 @@ on every root-to-leaf path for at least one leaf, i.e. it dominates that leaf.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InternalConsistencyError, InvalidNetworkError
@@ -76,13 +76,7 @@ class ClassFlags:
     subphylogeny_free: bool
 
     def to_dict(self) -> dict[str, bool]:
-        return {
-            "binary": self.binary,
-            "tree_child": self.tree_child,
-            "reticulation_visible": self.reticulation_visible,
-            "nearly_stable": self.nearly_stable,
-            "subphylogeny_free": self.subphylogeny_free,
-        }
+        return asdict(self)
 
 
 class Network:
@@ -403,39 +397,32 @@ class NetworkEditor:
         only the vertices in `touched` (passing every vertex lifts this).
         Those are swept in id order; a vertex an edit changes waits in the
         sweep if the sweep has not reached it yet, else joins a FIFO tail
-        that runs after the sweep. Every other vertex is a no-op until an
-        edit queues it, so this visits the same vertices in the same order
-        as a sweep over every vertex. Each vertex queued is added to
-        `touched`.
+        that runs after the sweep. One heap holds both: `(0, id)` entries
+        are the sweep, `(1, arrival, id)` ones the tail. Every other vertex
+        is a no-op until an edit queues it, so this visits the same
+        vertices in the same order as a sweep over every vertex. Each
+        vertex queued is added to `touched`.
         """
         out, ins = self.out, self.ins
         contracted: list[int] = []
-        ahead = sorted(v for v in touched if v in out)
-        in_ahead = set(ahead)
-        tail: deque[int] = deque()
-        in_tail: set[int] = set()
+        queue: list[tuple] = [(0, v) for v in sorted(touched) if v in out]
+        queued = {entry[1] for entry in queue}
+        arrivals = itertools.count()
         swept = -math.inf
 
         def enqueue(v: int) -> None:
-            if v not in out:
+            if v not in out or v in queued:
                 return
             touched.add(v)
-            if v > swept:
-                if v not in in_ahead:
-                    heapq.heappush(ahead, v)
-                    in_ahead.add(v)
-            elif v not in in_tail:
-                tail.append(v)
-                in_tail.add(v)
+            queued.add(v)
+            entry = (0, v) if v > swept else (1, next(arrivals), v)
+            heapq.heappush(queue, entry)
 
-        while ahead or tail:
-            if ahead:
-                v = swept = heapq.heappop(ahead)
-                in_ahead.discard(v)
-            else:
-                swept = math.inf
-                v = tail.popleft()
-                in_tail.discard(v)
+        while queue:
+            entry = heapq.heappop(queue)
+            v = entry[-1]
+            queued.discard(v)
+            swept = v if entry[0] == 0 else math.inf
             if v not in out:
                 continue
             ind, outd = len(ins[v]), len(out[v])
@@ -619,11 +606,13 @@ def stability(net: Network) -> StabilityReport:
         idom[v] = d
         depth[v] = depth[d] + 1
 
-    # smallest dominated leaf, folded bottom-up along the dominator tree
+    # smallest dominated leaf, folded bottom-up along the dominator tree;
+    # an immediate dominator precedes its vertex in every topological
+    # order, so the reversed order folds each vertex before its dominator
     witness: dict[int, int | None] = {
         v: (v if net.is_leaf(v) else None) for v in order
     }
-    for v in sorted(order[1:], key=lambda u: -depth[u]):
+    for v in reversed(order[1:]):
         w = witness[v]
         if w is None:
             continue

@@ -83,38 +83,26 @@ def _canon_resolved(net: Network, kept: dict) -> str:
     `kept` maps every reticulation to its kept parent (empty for trees).
     Branches into a reticulation from any other parent are ignored; dead
     ends and degree-two chains vanish by construction, matching the
-    suppress rules.
+    suppress rules. One fold over the frozen network's reversed
+    topological order: every child's form is final before its parent's.
     """
     memo: dict = {}
-    stack = [(net.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            if net.is_leaf(v):
-                memo[v] = net.label(v)
-                continue
-            forms = []
-            for c in net.children(v):
-                if c in kept and kept[c] != v:
-                    continue
-                f = memo[c]
-                if f is not None:
-                    forms.append(f)
-            if not forms:
-                memo[v] = None
-            elif len(forms) == 1:
-                memo[v] = forms[0]
-            else:
-                memo[v] = "(" + ",".join(sorted(forms)) + ")"
+    for v in reversed(net.topological_order()):
+        cs = net.children(v)
+        if not cs:
+            memo[v] = net.label(v)
             continue
-        if v in memo:
-            continue
-        stack.append((v, True))
-        for c in net.children(v):
-            if c in kept and kept[c] != v:
-                continue
-            if c not in memo:
-                stack.append((c, False))
+        forms = [
+            memo[c]
+            for c in cs
+            if (c not in kept or kept[c] == v) and memo[c] is not None
+        ]
+        if not forms:
+            memo[v] = None
+        elif len(forms) == 1:
+            memo[v] = forms[0]
+        else:
+            memo[v] = "(" + ",".join(sorted(forms)) + ")"
     form = memo[net.root]
     if form is None:
         raise InternalConsistencyError("resolution stranded every leaf")
@@ -495,10 +483,11 @@ def _simplify_in_place(state: ReductionState, m: CaseMatch) -> ReductionStep:
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     """Decide whether the network displays the tree, in quadratic time.
 
-    Loop: collapse cherries common to both sides; a reticulation-free
-    network decides by tree equality; a remaining one-sided cherry decides
-    negatively (it survives every resolution); tiny leftovers go to the
-    oracle; otherwise one case match prunes at least one reticulation.
+    Loop: collapse cherries common to both sides; a remaining one-sided
+    cherry decides negatively (it survives every resolution); a
+    reticulation-free network without one is displayed; tiny leftovers go
+    to the oracle; otherwise one case match prunes at least one
+    reticulation.
     Every round edits one ReductionState, which is frozen only for the
     oracle, and the longest-path search is kept across rounds. The trace
     replays to the same verdict at every step.
@@ -524,15 +513,20 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
                 "reduction loop exceeded its iteration bound"
             )
         trace.extend(state.collapse_cherries())
-        if not state.rets:
-            displayed = _canon_resolved(state.net, {}) == _canon_resolved(
-                state.tree, {}
-            )
-            break
         if state.one_sided:
             # a cherry no common-cherry round removed survives every
             # resolution, and the tree has no matching sibling pair
             displayed = False
+            break
+        if not state.rets:
+            # a binary tree with three or more leaves has a cherry below
+            # its root, and every such cherry was common and collapsed, so
+            # each side is one leaf or one root cherry over the same labels
+            if len(state.net.out) > 3:
+                raise InternalConsistencyError(
+                    "a reticulation-free network kept a cherry"
+                )
+            displayed = True
             break
         path = find_longest_root_leaf_path(paths)
         if len(path) < 4 or len(state.rets) < 3:

@@ -1,5 +1,6 @@
 """Census, per-class size bounds, dummy-free removals, the NS-to-RV rewiring."""
 
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from netdisplay.bounds import (
     verify_bounds,
 )
 from netdisplay.core import NetworkEditor, classify
-from netdisplay.errors import ClassPreconditionError
+from netdisplay.errors import ClassPreconditionError, InternalConsistencyError
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import canonical_equal, parse_network, serialize
 from netdisplay.tcp import apply_resolution
@@ -153,6 +154,48 @@ def test_dummy_free_removal_on_random_visible_networks():
         tails = _removal_tails(net, res)
         assert len(tails) == len(set(tails))
         assert not _has_dummy_before_suppression(net, res)
+
+
+def _valid_removal_choices(net, rets):
+    """Every choice of one removed in-branch tail per reticulation, by brute
+    force, that gives each reticulation a distinct tail."""
+    return {
+        tails
+        for tails in itertools.product(*(net.parents(r) for r in rets))
+        if len(set(tails)) == len(tails)
+    }
+
+
+def test_try_augment_matches_brute_force_on_small_visible_networks():
+    rng = random.Random(23)
+    moved = 0
+    for i in range(150):
+        n = rng.randint(2, 6)
+        net = gen_with_fallback(
+            n, rng.randint(1, min(6, 3 * (n - 1))), "reticulation_visible", 500 + i
+        )
+        rets = net.reticulations
+        match_of_tail: dict = {}
+        for k, r in enumerate(rets):
+            before = {h: t for t, h in match_of_tail.items()}
+            bounds._try_augment(net, r, match_of_tail)
+            tail_of = {h: t for t, h in match_of_tail.items()}
+            done = rets[: k + 1]
+            assert len(match_of_tail) == len(done)
+            assert tuple(map(tail_of.get, done)) in _valid_removal_choices(net, done)
+            assert tail_of[r] == min(net.parents(r))
+            moved += sum(tail_of[h] != t for h, t in before.items())
+    assert moved > 0  # some walks moved a holder to its other tail
+
+
+def test_try_augment_raises_on_a_cycle_without_free_tail():
+    # both reticulations have the same two tails; passing r1 in as
+    # unmatched while it still holds t2 leaves the cycle no free tail
+    net = parse_network("(((a)#H1,(b)#H2),(#H1,#H2));")
+    r1, r2 = net.reticulations
+    t1, t2 = sorted(net.parents(r1))
+    with pytest.raises(InternalConsistencyError, match="no removal matching"):
+        bounds._try_augment(net, r1, {t1: r2, t2: r1})
 
 
 def test_transform_stabilizes_frozen_example():

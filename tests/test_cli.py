@@ -6,6 +6,7 @@ import pytest
 
 from netdisplay import core
 from netdisplay.cli import main
+from netdisplay.errors import InternalConsistencyError
 
 from helpers import GOLDEN, UNSTABLE_OVER_STABLE, UNSTABLE_OVER_STABLE_RV, NOT_NEARLY_STABLE, RUNNING
 
@@ -198,8 +199,9 @@ def test_contains_oracle_cap_env(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_contains_bad_cap_env_is_usage_error(files, capsys, monkeypatch):
-    monkeypatch.setenv("NETDISPLAY_ORACLE_CAP", "many")
+@pytest.mark.parametrize("raw", ["many", "-1"])
+def test_contains_bad_cap_env_is_usage_error(raw, files, capsys, monkeypatch):
+    monkeypatch.setenv("NETDISPLAY_ORACLE_CAP", raw)
     code = main(
         [
             "contains",
@@ -209,6 +211,33 @@ def test_contains_bad_cap_env_is_usage_error(files, capsys, monkeypatch):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_contains_auto_refuses_beyond_the_oracle_cap(files, capsys, monkeypatch):
+    monkeypatch.setenv("NETDISPLAY_ORACLE_CAP", "0")
+    code = main(
+        [
+            "contains",
+            files("net.nwk", NOT_NEARLY_STABLE),
+            files("tree.nwk", "((a,b),c);"),
+        ]
+    )
+    assert code == 4
+    assert "exceeds the oracle cap" in capsys.readouterr().err
+
+
+def test_internal_consistency_error_exit_5(files, capsys, monkeypatch):
+    def broken(net, tree):
+        raise InternalConsistencyError("reduction loop lost its invariant")
+
+    monkeypatch.setattr("netdisplay.cli.displays", broken)
+    code = main(
+        ["contains", files("net.nwk", RUNNING), files("tree.nwk", "((a,b),c);")]
+    )
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reduction loop lost its invariant" in captured.err
 
 
 def test_contains_auto_asks_only_for_near_stability(files, capsys, monkeypatch):

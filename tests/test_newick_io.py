@@ -64,6 +64,26 @@ def test_parse_diagnostics_carry_offsets():
     assert all(d.offset >= 0 for d in diags)
 
 
+@pytest.mark.parametrize(
+    "parse, text, offset, message",
+    [
+        (parse_network, "(#H1,(a)#H1);", 7, "parallel branches"),
+        (parse_network, "((a,#H1),#H1);", 0, "no child subtree at any occurrence"),
+        (parse_tree, "((a),b);", 3, "unary internal vertex"),
+    ],
+)
+def test_parse_structural_diagnostics(parse, text, offset, message):
+    with pytest.raises(NewickParseError) as err:
+        parse(text)
+    (diag,) = err.value.diagnostics
+    assert diag.offset == offset
+    assert message in diag.message
+
+
+def test_internal_labels_are_dropped():
+    assert serialize(parse_network("((a,b)x,c);")) == "((a,b),c);"
+
+
 def test_parse_trailing_content_rejected():
     with pytest.raises(NewickParseError):
         parse_network("(a,b);(c,d);")

@@ -7,6 +7,7 @@ import pytest
 from netdisplay.core import Branch, PhyloTree, classify
 from netdisplay.errors import (
     ClassPreconditionError,
+    InternalConsistencyError,
     InvalidNetworkError,
     LeafSetMismatchError,
     OracleCapExceededError,
@@ -151,6 +152,13 @@ def test_match_case_needs_long_path():
         match_case(net, find_longest_root_leaf_path(net))
 
 
+def test_match_case_dumps_local_structure_on_failure():
+    net = parse_network("(((a,b),c),d);")
+    with pytest.raises(InternalConsistencyError, match="local structure") as err:
+        match_case(net, find_longest_root_leaf_path(net))
+    assert "is not a reticulation" in str(err.value)
+
+
 @pytest.mark.parametrize("name", sorted(CASE_FIXTURES))
 def test_simplify_preserves_verdict(name):
     net = parse_network(CASE_FIXTURES[name])
@@ -209,6 +217,19 @@ def test_displays_tree_against_itself():
     assert verdict.displayed
     assert verdict.certificate == Resolution(())
     assert all(s.kind == "cherry" for s in verdict.trace.steps)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_displays_matches_tree_equality_on_every_tree_pair(k):
+    # m = 0: the loop decides without comparing trees
+    trees = all_trees([chr(ord("a") + i) for i in range(k)])
+    for net in trees:
+        for tree in trees:
+            verdict = displays(net, tree)
+            assert verdict.displayed == trees_equal(net, tree)
+            assert verdict.certificate == (
+                Resolution(()) if verdict.displayed else None
+            )
 
 
 def test_displays_rejects_leaf_mismatch():
