@@ -52,8 +52,13 @@ class InternalConsistencyError(NetworkError):
 
 
 class GenerationExhaustedError(NetworkError):
-    """Rejection sampling hit its rejection budget without succeeding."""
+    """Rejection sampling hit its rejection budget without succeeding.
 
-    def __init__(self, message, rejections=0):
+    Carries the rejections counted and the reticulations placed when the
+    generator gave up.
+    """
+
+    def __init__(self, message, rejections=0, placed=0):
         super().__init__(message)
         self.rejections = rejections
+        self.placed = placed

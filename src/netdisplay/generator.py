@@ -5,6 +5,13 @@ attaching leaves to random branches, then add reticulations one at a
 time by subdividing two branches and joining the subdivision points;
 candidates that violate acyclicity or leave the requested class are
 discarded and retried. Every draw is a pure function of the seed.
+
+The network being grown is immutable between two acceptances, so the
+verdict on a drawn branch pair is fixed until the next acceptance: a pair
+drawn again is rejected without building its candidate, and once every
+ordered pair has been rejected no later draw can succeed, so the budget
+is known to run out and the generator gives up at once, with the error it
+would have raised after drawing out the rest of the budget.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Network, NetworkEditor, PhyloTree, classify
+from .core import Network, NetworkEditor, PhyloTree, _nearly_stable, stability
 from .errors import GenerationExhaustedError
 
 RNG_NAME = "mt19937"
@@ -71,8 +78,12 @@ def random_tree(labels, seed: int = 0) -> PhyloTree:
 def _accepts(net: Network, constraint: str) -> bool:
     if constraint == "any":
         return True
-    flags = classify(net)
-    return getattr(flags, constraint)
+    rep = stability(net)
+    if constraint == "tree_child":
+        return all(rep.stable[v] for v in net.vertices)
+    if constraint == "reticulation_visible":
+        return all(rep.stable[r] for r in net.reticulations)
+    return _nearly_stable(net, rep)
 
 
 def generate(spec: GenSpec) -> Network:
@@ -84,29 +95,43 @@ def generate(spec: GenSpec) -> Network:
     branch between the subdivision points, making the second one a
     reticulation. The candidate survives only if the class predicate
     still holds.
+
+    Between two acceptances the current network does not change, so
+    neither does its branch list, the reachability from a head or the
+    verdict on an ordered pair: a pair rejected once is rejected again
+    without building its candidate, and every turn still draws twice from
+    the RNG, so each draw and each error is the same as when every pair is
+    tested afresh. When all len(branches)**2 ordered pairs are rejected,
+    every remaining turn of the budget would be a rejection too, so the
+    generator raises at once with rejections == max_rejections; a single
+    leaf has no branch and so no pair, and raises before any draw (a
+    binary network never has exactly one branch).
     """
     rng = random.Random(spec.seed)
     labels = [f"t{i}" for i in range(1, spec.n_leaves + 1)]
     cur = _grow_tree(labels, rng)
+    branches = list(cur.branches())
+    reach: dict[int, set[int]] = {}
+    rejected: set = set()
     added = 0
     rejections = 0
     while added < spec.target_reticulations:
-        if rejections >= spec.max_rejections:
+        if rejections >= spec.max_rejections or len(rejected) == len(branches) ** 2:
             raise GenerationExhaustedError(
-                f"gave up after {rejections} rejected tanglings with "
+                f"gave up after {spec.max_rejections} rejected tanglings with "
                 f"{added} of {spec.target_reticulations} reticulations placed",
-                rejections=rejections,
+                rejections=spec.max_rejections,
+                placed=added,
             )
-        branches = list(cur.branches())
-        if len(branches) < 2:
+        pair = (rng.choice(branches), rng.choice(branches))
+        if pair in rejected:
             rejections += 1
             continue
-        t1, h1 = rng.choice(branches)
-        t2, h2 = rng.choice(branches)
-        if (t1, h1) == (t2, h2):
-            rejections += 1
-            continue
-        if t1 in cur.reachable_from(h2):
+        (t1, h1), (t2, h2) = pair
+        if h2 not in reach:
+            reach[h2] = cur.reachable_from(h2)
+        if (t1, h1) == (t2, h2) or t1 in reach[h2]:
+            rejected.add(pair)
             rejections += 1
             continue
         ed = NetworkEditor(cur)
@@ -115,9 +140,13 @@ def generate(spec: GenSpec) -> Network:
         ed.add_branch(s1, s2)
         cand = ed.freeze()
         if not _accepts(cand, spec.class_constraint):
+            rejected.add(pair)
             rejections += 1
             continue
         cur = cand
+        branches = list(cur.branches())
+        reach.clear()
+        rejected.clear()
         added += 1
     if not _accepts(cur, spec.class_constraint):
         # only reachable for target 0, where the tree qualifies everywhere

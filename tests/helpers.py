@@ -118,16 +118,81 @@ def non_sibling_tree(first: str, second: str, labels) -> PhyloTree:
 
 def gen_with_fallback(n, rets, constraint, seed):
     """Generate, stepping the reticulation target down when tangling
-    saturates (small leaf counts cannot absorb every request)."""
+    saturates (small leaf counts cannot absorb every request).
+
+    A draw that gives up with `placed` reticulations replays, for every
+    target from `placed` up, the same RNG stream to the same point, so
+    each target above `placed` gives up too and target `placed` returns
+    the network the failed draw had built by then: the step goes straight
+    there."""
     from netdisplay.errors import GenerationExhaustedError
     from netdisplay.generator import GenSpec, generate
 
-    for m in range(rets, -1, -1):
+    m = rets
+    while True:
         try:
             return generate(GenSpec(n, m, constraint, seed=seed, max_rejections=2500))
-        except GenerationExhaustedError:
+        except GenerationExhaustedError as exc:
+            if m == 0:
+                raise AssertionError("unreachable: a plain tree always generates") from exc
+            m = exc.placed
+
+
+def reference_generate(spec):
+    """Reference for generator.generate: every turn lists the branches,
+    walks reachability from the second head and builds, freezes and fully
+    classifies its candidate, with no memory of pairs already rejected."""
+    import random
+
+    from netdisplay.core import classify
+    from netdisplay.errors import GenerationExhaustedError
+    from netdisplay.generator import _grow_tree
+
+    def _accepts(net, constraint):
+        if constraint == "any":
+            return True
+        flags = classify(net)
+        return getattr(flags, constraint)
+
+    rng = random.Random(spec.seed)
+    labels = [f"t{i}" for i in range(1, spec.n_leaves + 1)]
+    cur = _grow_tree(labels, rng)
+    added = 0
+    rejections = 0
+    while added < spec.target_reticulations:
+        if rejections >= spec.max_rejections:
+            raise GenerationExhaustedError(
+                f"gave up after {rejections} rejected tanglings with "
+                f"{added} of {spec.target_reticulations} reticulations placed",
+                rejections=rejections,
+            )
+        branches = list(cur.branches())
+        if len(branches) < 2:
+            rejections += 1
             continue
-    raise AssertionError("unreachable: a plain tree always generates")
+        t1, h1 = rng.choice(branches)
+        t2, h2 = rng.choice(branches)
+        if (t1, h1) == (t2, h2):
+            rejections += 1
+            continue
+        if t1 in cur.reachable_from(h2):
+            rejections += 1
+            continue
+        ed = NetworkEditor(cur)
+        s1 = ed.subdivide(t1, h1)
+        s2 = ed.subdivide(t2, h2)
+        ed.add_branch(s1, s2)
+        cand = ed.freeze()
+        if not _accepts(cand, spec.class_constraint):
+            rejections += 1
+            continue
+        cur = cand
+        added += 1
+    if not _accepts(cur, spec.class_constraint):
+        # only reachable for target 0, where the tree qualifies everywhere
+        raise GenerationExhaustedError("tree draw failed the class predicate")
+    cur.require_valid(require_binary=True)
+    return cur
 
 
 def deletion_stability(net: Network) -> StabilityReport:

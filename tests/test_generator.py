@@ -1,6 +1,7 @@
 """Seeded generation: determinism, class soundness, exhaustion behavior."""
 
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from netdisplay.newick_io import serialize
 from netdisplay.tcp import displays, find_longest_root_leaf_path, match_case
 from netdisplay.reductions import _cherry_at
 
-from helpers import gen_with_fallback
+from helpers import gen_with_fallback, reference_generate
 
 
 def test_rng_name_is_pinned():
@@ -45,6 +46,72 @@ def test_generate_single_leaf_cannot_take_reticulations():
     with pytest.raises(GenerationExhaustedError) as err:
         generate(GenSpec(1, 1, seed=0, max_rejections=50))
     assert err.value.rejections == 50
+
+
+def test_proven_exhaustion_raises_without_drawing_out_the_budget():
+    # one leaf has no branch to tangle; two leaves take one tree-child
+    # reticulation at most (a tree-child network has at most n - 1)
+    for spec, placed in (
+        (GenSpec(1, 1, max_rejections=10**9), 0),
+        (GenSpec(2, 2, "tree_child", max_rejections=10**9), 1),
+        (GenSpec(3, 3, "tree_child", seed=5, max_rejections=10**9), 2),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(GenerationExhaustedError) as err:
+            generate(spec)
+        assert time.perf_counter() - t0 < 10
+        assert err.value.rejections == 10**9
+        assert err.value.placed == placed
+        assert str(err.value) == (
+            f"gave up after {10**9} rejected tanglings with "
+            f"{placed} of {spec.target_reticulations} reticulations placed"
+        )
+
+
+def _outcome(gen, spec):
+    try:
+        return serialize(gen(spec))
+    except GenerationExhaustedError as exc:
+        return (str(exc), exc.rejections)
+
+
+def test_generate_matches_reference_generator():
+    # every draw, every network and every error as when each turn builds
+    # and classifies its candidate afresh
+    rng = random.Random(4242)
+    exhausted = 0
+    for i in range(240):
+        n = rng.randint(1, 10)
+        spec = GenSpec(
+            n,
+            rng.randint(0, 3 * n),
+            ("any", "tree_child", "reticulation_visible", "nearly_stable")[i % 4],
+            seed=rng.randrange(10**6),
+            max_rejections=rng.choice((50, 200)),
+        )
+        got = _outcome(generate, spec)
+        assert got == _outcome(reference_generate, spec), spec
+        exhausted += isinstance(got, tuple)
+    assert 40 <= exhausted <= 200
+
+
+def test_fallback_to_placed_matches_stepping_down_one_at_a_time():
+    def step_by_one(n, rets, constraint, seed):
+        for m in range(rets, -1, -1):
+            try:
+                return generate(GenSpec(n, m, constraint, seed=seed, max_rejections=2500))
+            except GenerationExhaustedError:
+                continue
+
+    rng = random.Random(31)
+    stepped = 0
+    for i in range(30):
+        n = rng.randint(2, 4)
+        args = (n, rng.randint(n, 3 * n), ("reticulation_visible", "nearly_stable")[i % 2], i)
+        net = gen_with_fallback(*args)
+        assert serialize(net) == serialize(step_by_one(*args))
+        stepped += net.num_reticulations < args[1] - 1
+    assert stepped >= 5
 
 
 def test_spec_validation():
