@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .core import Branch, Network, NetworkEditor, _nearly_stable, classify, stability
+from .core import Branch, Network, NetworkEditor, in_class, stability
 from .errors import ClassPreconditionError, InternalConsistencyError
 from .tcp import Resolution
 
@@ -84,6 +84,16 @@ def class_stats(net: Network) -> ClassStats:
     )
 
 
+# (class, check name, factor, census field): every network of the class
+# has census field <= factor * (n - 1)
+_BOUNDS = (
+    ("reticulation_visible", "reticulations<=4(n-1)", 4, "m_reticulations"),
+    ("nearly_stable", "reticulations<=12(n-1)", 12, "m_reticulations"),
+    ("nearly_stable", "tree_vertices<=13(n-1)", 13, "tree_vertices"),
+    ("nearly_stable", "branches<=38(n-1)", 38, "branches"),
+)
+
+
 def verify_bounds(net: Network) -> BoundReport:
     """Evaluate every size bound the network's class entitles it to.
 
@@ -92,53 +102,21 @@ def verify_bounds(net: Network) -> BoundReport:
     reticulation inequality. Networks in neither class yield an empty
     report.
     """
-    flags = classify(net)
+    # the class tests validate plainly, so they raise before class_stats
+    # raises for a non-binary network
+    member = {cls: in_class(net, cls) for cls in dict.fromkeys(b[0] for b in _BOUNDS)}
     stats = class_stats(net)
     n1 = stats.n_leaves - 1
-    checks = []
-    if flags.reticulation_visible:
-        checks.append(
-            BoundCheck(
-                "reticulations<=4(n-1)",
-                4 * n1,
-                stats.m_reticulations,
-                stats.m_reticulations <= 4 * n1,
-            )
-        )
-    if flags.nearly_stable:
-        checks.append(
-            BoundCheck(
-                "reticulations<=12(n-1)",
-                12 * n1,
-                stats.m_reticulations,
-                stats.m_reticulations <= 12 * n1,
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "tree_vertices<=13(n-1)",
-                13 * n1,
-                stats.tree_vertices,
-                stats.tree_vertices <= 13 * n1,
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "branches<=38(n-1)",
-                38 * n1,
-                stats.branches,
-                stats.branches <= 38 * n1,
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "unstable<=2*stable",
-                2 * stats.s_ret,
-                stats.u_ret,
-                stats.u_ret <= 2 * stats.s_ret,
-            )
-        )
-    return BoundReport(tuple(checks))
+    rows = [
+        (name, factor * n1, getattr(stats, field))
+        for cls, name, factor, field in _BOUNDS
+        if member[cls]
+    ]
+    if member["nearly_stable"]:
+        rows.append(("unstable<=2*stable", 2 * stats.s_ret, stats.u_ret))
+    return BoundReport(
+        tuple(BoundCheck(name, limit, seen, seen <= limit) for name, limit, seen in rows)
+    )
 
 
 def _try_augment(net: Network, start: int, match_of_tail: dict) -> None:
@@ -177,7 +155,7 @@ def select_dummy_free_removal(net: Network) -> Resolution:
     smaller-id parent, so the output is deterministic.
     """
     net.require_valid(require_binary=True)
-    if not classify(net).reticulation_visible:
+    if not in_class(net, "reticulation_visible"):
         raise ClassPreconditionError(
             "dummy-free removal requires every reticulation to be stable"
         )
@@ -214,15 +192,15 @@ def ns_to_rv_transform(net: Network) -> tuple[Network, ClassStats, ClassStats]:
        touches another target's parents, and any walk makes the same cuts.
     """
     net.require_valid(require_binary=True)
-    rep = stability(net)
-    if not _nearly_stable(net, rep):
+    if not in_class(net, "nearly_stable"):
         raise ClassPreconditionError(
             "the rewiring requires a nearly stable network"
         )
     before = class_stats(net)
+    stable = stability(net).stable
     ed = NetworkEditor(net)
     for r in net.topological_order():
-        if rep.stable[r] or net.in_degree(r) < 2:
+        if stable[r] or net.in_degree(r) < 2:
             continue
         child = ed.out[r][0]
         if not (len(ed.ins[child]) >= 2 and len(ed.out[child]) == 1):

@@ -19,7 +19,7 @@ import time
 
 from . import __version__
 from .bounds import class_stats, ns_to_rv_transform, verify_bounds
-from .core import Branch, Network, _nearly_stable, classify, stability, validate
+from .core import Branch, Network, classify, in_class, validate
 from .errors import (
     ClassPreconditionError,
     GenerationExhaustedError,
@@ -29,7 +29,7 @@ from .errors import (
     NewickParseError,
     PatternMismatchError,
 )
-from .generator import _CLASSES, RNG_NAME, GenSpec, generate
+from .generator import _CONSTRAINTS, RNG_NAME, GenSpec, generate
 from .newick_io import parse_network, parse_tree, serialize
 from .tcp import DEFAULT_ORACLE_CAP, Resolution, apply_resolution, displays, oracle_displays
 
@@ -99,7 +99,7 @@ def cmd_contains(args) -> int:
     elif args.algo == "oracle":
         verdict = oracle_displays(net, tree, cap=cap)
     else:
-        if _nearly_stable(net, stability(net)):
+        if in_class(net, "nearly_stable"):
             verdict = displays(net, tree)
         elif net.num_reticulations <= cap:
             verdict = oracle_displays(net, tree, cap=cap)
@@ -143,6 +143,8 @@ def _gen_spec(args, seed: int) -> GenSpec:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise _UsageError("--count must be nonnegative")
     for i in range(args.count):
         spec = _gen_spec(args, args.seed + i)
         net = generate(spec)
@@ -227,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit seeded random networks")
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--rets", type=int, default=0)
-    p.add_argument("--class", dest="class_constraint", choices=_CLASSES, default="any")
+    p.add_argument("--class", dest="class_constraint", choices=_CONSTRAINTS, default="any")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(func=cmd_gen)
@@ -235,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time containment across sizes, CSV output")
     p.add_argument("--sizes", default="50,100,200,400")
     p.add_argument("--class", dest="class_constraint", default="nearly_stable",
-                   choices=_CLASSES)
+                   choices=_CONSTRAINTS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

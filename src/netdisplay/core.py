@@ -63,9 +63,6 @@ class StabilityReport:
     stable: Mapping[int, bool]
     witness: Mapping[int, int | None]
 
-    def unstable_vertices(self) -> list[int]:
-        return sorted(v for v, s in self.stable.items() if not s)
-
 
 @dataclass(frozen=True)
 class ClassFlags:
@@ -255,14 +252,21 @@ class Network:
             )
 
 
+def require_tree(net: Network) -> None:
+    """Raise InvalidNetworkError unless the network has the shape of a
+    phylogenetic tree: no reticulation, valid and binary. Checks structure,
+    not type, so a reticulation-free binary Network passes."""
+    if net.num_reticulations:
+        raise InvalidNetworkError("network has reticulations; not a tree")
+    net.require_valid(require_binary=True)
+
+
 class PhyloTree(Network):
     """A network with zero reticulations and binary internal vertices."""
 
     @classmethod
     def from_network(cls, net: Network) -> "PhyloTree":
-        if net.num_reticulations:
-            raise InvalidNetworkError("network has reticulations; not a tree")
-        net.require_valid(require_binary=True)
+        require_tree(net)
         return cls(net._out, net._labels, next_id=net.next_id)
 
     def parent(self, v: int) -> int:
@@ -646,12 +650,28 @@ def _subphylogeny_free(net: Network) -> bool:
     return ok
 
 
-def _nearly_stable(net: Network, rep: StabilityReport) -> bool:
-    """Is every vertex stable or a child of stable parents only?"""
-    return all(
-        rep.stable[v] or all(rep.stable[p] for p in net.parents(v))
-        for v in net.vertices
-    )
+# The network classes of the paper, each read off one stability report:
+# tree-child (every vertex stable), reticulation-visible (every
+# reticulation stable) and nearly stable (every vertex stable or all its
+# parents stable).
+_CLASS_TESTS = {
+    "tree_child": lambda net, stable: all(stable.values()),
+    "reticulation_visible": lambda net, stable: all(
+        stable[r] for r in net.reticulations
+    ),
+    "nearly_stable": lambda net, stable: all(
+        stable[v] or all(stable[p] for p in net.parents(v)) for v in net.vertices
+    ),
+}
+CLASSES = tuple(_CLASS_TESTS)
+
+
+def in_class(net: Network, name: str) -> bool:
+    """Does the network belong to the named class of CLASSES? Raises
+    InvalidNetworkError on an invalid network."""
+    if name not in _CLASS_TESTS:
+        raise ValueError(f"unknown network class {name!r}")
+    return _CLASS_TESTS[name](net, stability(net).stable)
 
 
 def classify(net: Network) -> ClassFlags:
@@ -659,16 +679,11 @@ def classify(net: Network) -> ClassFlags:
     nearly stable, subphylogeny-free. Memoized on the (immutable) network."""
     if "class" in net._cache:
         return net._cache["class"]
-    net.require_valid()
-    rep = stability(net)
-    all_stable = all(rep.stable[v] for v in net.vertices)
-    rv = all(rep.stable[r] for r in net.reticulations)
+    stable = stability(net).stable
     flags = ClassFlags(
         binary=validate(net, require_binary=True).ok,
-        tree_child=all_stable,
-        reticulation_visible=rv,
-        nearly_stable=_nearly_stable(net, rep),
         subphylogeny_free=_subphylogeny_free(net),
+        **{name: test(net, stable) for name, test in _CLASS_TESTS.items()},
     )
     net._cache["class"] = flags
     return flags

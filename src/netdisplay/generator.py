@@ -19,12 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Network, NetworkEditor, PhyloTree, _nearly_stable, stability
+from .core import CLASSES, Network, NetworkEditor, PhyloTree, in_class
 from .errors import GenerationExhaustedError
 
 RNG_NAME = "mt19937"
 
-_CLASSES = ("any", "tree_child", "reticulation_visible", "nearly_stable")
+_CONSTRAINTS = ("any",) + CLASSES
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class GenSpec:
             raise ValueError("n_leaves must be at least 1")
         if self.target_reticulations < 0:
             raise ValueError("target_reticulations must be nonnegative")
-        if self.class_constraint not in _CLASSES:
+        if self.class_constraint not in _CONSTRAINTS:
             raise ValueError(
-                f"class_constraint must be one of {', '.join(_CLASSES)}"
+                f"class_constraint must be one of {', '.join(_CONSTRAINTS)}"
             )
         if self.max_rejections < 0:
             raise ValueError("max_rejections must be nonnegative")
@@ -76,14 +76,7 @@ def random_tree(labels, seed: int = 0) -> PhyloTree:
 
 
 def _accepts(net: Network, constraint: str) -> bool:
-    if constraint == "any":
-        return True
-    rep = stability(net)
-    if constraint == "tree_child":
-        return all(rep.stable[v] for v in net.vertices)
-    if constraint == "reticulation_visible":
-        return all(rep.stable[r] for r in net.reticulations)
-    return _nearly_stable(net, rep)
+    return constraint == "any" or in_class(net, constraint)
 
 
 def generate(spec: GenSpec) -> Network:

@@ -13,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Branch, Network, NetworkEditor, PhyloTree, _nearly_stable, stability
+from .core import Branch, Network, NetworkEditor, PhyloTree, in_class, require_tree
 from .errors import (
     ClassPreconditionError,
     InternalConsistencyError,
@@ -123,6 +123,7 @@ def oracle_displays(
     networks), so the reticulation count is capped.
     """
     net.require_valid(require_binary=True)
+    require_tree(tree)
     _check_same_leaves(net, tree)
     rets = net.reticulations
     if len(rets) > cap:
@@ -493,8 +494,9 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     replays to the same verdict at every step.
     """
     net.require_valid(require_binary=True)
+    require_tree(tree)
     state = ReductionState(net, tree)  # checks the leaf label sets
-    if not _nearly_stable(net, stability(net)):
+    if not in_class(net, "nearly_stable"):
         raise ClassPreconditionError(
             "containment reduction requires a nearly stable network"
         )

@@ -218,6 +218,36 @@ def deletion_stability(net: Network) -> StabilityReport:
     return StabilityReport(stable, witness)
 
 
+def reference_in_class(net: Network, name: str) -> bool:
+    """Reference for core.in_class: the three class definitions over
+    deletion_stability's flags, which use no dominators."""
+    stable = deletion_stability(net).stable
+    if name == "tree_child":
+        return all(stable[v] for v in net.vertices)
+    if name == "reticulation_visible":
+        return all(stable[r] for r in net.reticulations)
+    if name == "nearly_stable":
+        return all(
+            stable[v] or all(stable[p] for p in net.parents(v)) for v in net.vertices
+        )
+    raise ValueError(name)
+
+
+def class_sample(count: int, seed: int) -> list[Network]:
+    """Generated networks, `count` per class constraint ("any" and each
+    class), on 2 to 7 leaves with up to twice as many reticulations."""
+    import random
+
+    from netdisplay.generator import _CONSTRAINTS
+
+    rng = random.Random(seed)
+    return [
+        gen_with_fallback(n := rng.randint(2, 7), rng.randint(0, 2 * n), c, seed + i)
+        for c in _CONSTRAINTS
+        for i in range(count)
+    ]
+
+
 def reference_suppress(ed: NetworkEditor) -> list[int]:
     """Reference for NetworkEditor.suppress: the full sweep, which
     queues every vertex in id order and re-queues each changed vertex at
@@ -474,6 +504,61 @@ def reference_transform(net: Network):
             "stable reticulation count moved outside its promised range"
         )
     return cur, before, after
+
+
+def reference_verify_bounds(net: Network):
+    """Reference for bounds.verify_bounds: the hand-written check per bound
+    over the full classify flags."""
+    from netdisplay.bounds import BoundCheck, BoundReport, class_stats
+    from netdisplay.core import classify
+
+    flags = classify(net)
+    stats = class_stats(net)
+    n1 = stats.n_leaves - 1
+    checks = []
+    if flags.reticulation_visible:
+        checks.append(
+            BoundCheck(
+                "reticulations<=4(n-1)",
+                4 * n1,
+                stats.m_reticulations,
+                stats.m_reticulations <= 4 * n1,
+            )
+        )
+    if flags.nearly_stable:
+        checks.append(
+            BoundCheck(
+                "reticulations<=12(n-1)",
+                12 * n1,
+                stats.m_reticulations,
+                stats.m_reticulations <= 12 * n1,
+            )
+        )
+        checks.append(
+            BoundCheck(
+                "tree_vertices<=13(n-1)",
+                13 * n1,
+                stats.tree_vertices,
+                stats.tree_vertices <= 13 * n1,
+            )
+        )
+        checks.append(
+            BoundCheck(
+                "branches<=38(n-1)",
+                38 * n1,
+                stats.branches,
+                stats.branches <= 38 * n1,
+            )
+        )
+        checks.append(
+            BoundCheck(
+                "unstable<=2*stable",
+                2 * stats.s_ret,
+                stats.u_ret,
+                stats.u_ret <= 2 * stats.s_ret,
+            )
+        )
+    return BoundReport(tuple(checks))
 
 
 def same_network(a: Network, b: Network) -> bool:

@@ -12,8 +12,12 @@ from netdisplay.bounds import (
     select_dummy_free_removal,
     verify_bounds,
 )
-from netdisplay.core import NetworkEditor, classify
-from netdisplay.errors import ClassPreconditionError, InternalConsistencyError
+from netdisplay.core import Network, NetworkEditor, classify
+from netdisplay.errors import (
+    ClassPreconditionError,
+    InternalConsistencyError,
+    InvalidNetworkError,
+)
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import canonical_equal, parse_network, serialize
 from netdisplay.tcp import apply_resolution
@@ -23,7 +27,9 @@ from helpers import (
     RUNNING,
     UNSTABLE_OVER_STABLE,
     UNSTABLE_OVER_STABLE_RV,
+    class_sample,
     gen_with_fallback,
+    reference_verify_bounds,
     reference_transform,
     same_network,
 )
@@ -98,6 +104,51 @@ def test_verify_bounds_nearly_stable_only():
     assert "reticulations<=4(n-1)" not in names
     assert "unstable<=2*stable" in names
     assert report.ok
+
+
+def _bound_rows(net):
+    """verify_bounds' rows, or the type and message of what it raised."""
+    try:
+        return verify_bounds(net).to_rows()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_bound_rows(net):
+    try:
+        return reference_verify_bounds(net).to_rows()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _variants(net):
+    """The network, a non-binary copy with an extra leaf under the root, and
+    that copy with its smallest leaf unlabeled: invalid both plainly and as
+    a binary network, with a different message for each."""
+    ed = NetworkEditor(net)
+    leaf = ed.new_vertex()
+    ed.add_branch(net.root, leaf)
+    ed.set_label(leaf, "extra")
+    wide = ed.freeze()
+    ed.set_label(min(net.leaves), None)
+    return net, wide, ed.freeze()
+
+
+def test_verify_bounds_matches_reference():
+    sample = class_sample(40, 600) + [
+        parse_network(text)
+        for text in (RUNNING, UNSTABLE_OVER_STABLE, NOT_NEARLY_STABLE, "(a,b,c);")
+    ]
+    outcomes = set()
+    for base in sample:
+        for net in _variants(base):
+            # fresh copies, so neither side reads the other's memo
+            rows = _bound_rows(Network(net._out, net._labels))
+            assert rows == _reference_bound_rows(Network(net._out, net._labels))
+            outcomes.add(rows[0] if isinstance(rows, tuple) else len(rows))
+    # empty, visible-only, nearly-stable-only and both; non-binary and
+    # invalid inputs raise
+    assert outcomes >= {0, 1, 4, 5, InvalidNetworkError}
 
 
 def _removal_tails(net, res):

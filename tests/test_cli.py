@@ -289,6 +289,15 @@ def test_gen_rejects_bad_spec(capsys):
     assert "netdisplay:" in capsys.readouterr().err
 
 
+def test_gen_negative_count_is_a_usage_error(capsys):
+    assert main(["gen", "--leaves", "3", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("netdisplay:")
+    assert main(["gen", "--leaves", "3", "--count", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_gen_exhaustion_exit_4(capsys):
     assert main(["gen", "--leaves", "1", "--rets", "5"]) == 4
     capsys.readouterr()

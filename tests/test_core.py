@@ -6,9 +6,11 @@ import networkx as nx
 import pytest
 
 from netdisplay.core import (
+    CLASSES,
     Network,
     NetworkEditor,
     classify,
+    in_class,
     stability,
     validate,
     vertex_kind,
@@ -23,7 +25,9 @@ from helpers import (
     NOT_NEARLY_STABLE,
     RUNNING,
     UNSTABLE_OVER_STABLE,
+    class_sample,
     deletion_stability,
+    reference_in_class,
     reference_validate,
 )
 
@@ -228,7 +232,7 @@ def test_stability_running_example_witness():
     (h1,) = net.reticulations
     assert report.stable[h1]
     assert net.leaf_labels[report.witness[h1]] == "b"
-    assert report.unstable_vertices() == []
+    assert all(report.stable.values())
 
 
 def test_stability_tree_all_stable():
@@ -345,6 +349,35 @@ def test_classify_monotone_tree_child_implies_nearly_stable():
             assert flags.reticulation_visible
             assert flags.nearly_stable
     assert hits > 50
+
+
+def test_in_class_matches_reference_and_classify():
+    sample = class_sample(40, 500)
+    seen = set()
+    for net in sample:
+        flags = classify(net).to_dict()
+        member = tuple(in_class(net, name) for name in CLASSES)
+        assert member == tuple(reference_in_class(net, name) for name in CLASSES)
+        assert member == tuple(flags[name] for name in CLASSES)
+        seen.add(member)
+    # tree-child, visible but not tree-child, nearly stable only, neither,
+    # and visible but not nearly stable all occur
+    assert seen >= {
+        (True, True, True),
+        (False, True, True),
+        (False, False, True),
+        (False, False, False),
+        (False, True, False),
+    }
+
+
+def test_in_class_names_and_errors():
+    assert CLASSES == ("tree_child", "reticulation_visible", "nearly_stable")
+    net = parse_network(RUNNING)
+    with pytest.raises(ValueError, match="unknown network class"):
+        in_class(net, "any")
+    with pytest.raises(InvalidNetworkError):
+        in_class(Network(*INVALID[0]), "nearly_stable")
 
 
 def test_topological_order_respects_branches():

@@ -244,6 +244,25 @@ def test_displays_rejects_not_nearly_stable():
         displays(net, tree)
 
 
+def test_deciders_reject_a_tree_argument_that_is_not_a_tree():
+    net = parse_network(RUNNING)
+    polytomy = PhyloTree({0: [1, 2, 3], 1: [], 2: [], 3: []}, {1: "a", 2: "b", 3: "c"})
+    for decide in (displays, oracle_displays):
+        with pytest.raises(InvalidNetworkError, match="reticulations"):
+            decide(net, net)
+        with pytest.raises(InvalidNetworkError, match="not binary"):
+            decide(net, polytomy)
+
+
+def test_deciders_take_a_reticulation_free_binary_network_as_tree():
+    net = parse_network(RUNNING)
+    for text, expect in (("((a,b),c);", True), ("((a,c),b);", False)):
+        plain = parse_network(text)  # a Network, not a PhyloTree
+        for decide in (displays, oracle_displays):
+            assert decide(net, plain).displayed is expect
+            assert decide(net, parse_tree(text)).displayed is expect
+
+
 def test_displays_asks_only_for_near_stability(monkeypatch):
     import netdisplay.core as core
 
