@@ -668,10 +668,13 @@ CLASSES = tuple(_CLASS_TESTS)
 
 def in_class(net: Network, name: str) -> bool:
     """Does the network belong to the named class of CLASSES? Raises
-    InvalidNetworkError on an invalid network."""
-    if name not in _CLASS_TESTS:
-        raise ValueError(f"unknown network class {name!r}")
-    return _CLASS_TESTS[name](net, stability(net).stable)
+    InvalidNetworkError on an invalid network. Memoized on the network."""
+    key = ("in_class", name)
+    if key not in net._cache:
+        if name not in _CLASS_TESTS:
+            raise ValueError(f"unknown network class {name!r}")
+        net._cache[key] = _CLASS_TESTS[name](net, stability(net).stable)
+    return net._cache[key]
 
 
 def classify(net: Network) -> ClassFlags:

@@ -77,41 +77,54 @@ def apply_resolution(net: Network, res: Resolution) -> PhyloTree:
     return PhyloTree.from_network(ed.freeze())
 
 
-def _canon_resolved(net: Network, kept: dict) -> str:
-    """Canonical form of the tree a resolution induces, without building it.
+def _fold_order(net: Network) -> tuple:
+    """(vertex, children, leaf bit) in reversed topological order, one bit
+    per leaf label in sorted label order (0 on an unlabeled leaf)."""
+    bits = {lab: 1 << i for i, lab in enumerate(sorted(net.label_set()))}
+    order = reversed(net.topological_order())
+    return tuple((v, net.children(v), bits.get(net.label(v), 0)) for v in order)
 
-    `kept` maps every reticulation to its kept parent (empty for trees).
-    Branches into a reticulation from any other parent are ignored; dead
-    ends and degree-two chains vanish by construction, matching the
-    suppress rules. One fold over the frozen network's reversed
-    topological order: every child's form is final before its parent's.
+
+def _branching_clusters(order: tuple, kept: dict, clusters=None) -> frozenset | None:
+    """Leaf-set bitmasks of a resolution's branching vertices, those with
+    two or more kept children of non-empty mask, folded over `order` from
+    _fold_order. `kept` maps every reticulation to its kept parent (empty
+    for trees). Given `clusters`, None at the first mask outside it.
+
+    For a binary network and a tree on the same n leaves, no mask outside
+    the tree's clusters means the resolution is the tree. Each non-root
+    vertex keeps one in-branch, so the kept branches span a tree; pruning
+    its dead ends (mask 0) and suppressing leaves the branching vertices
+    as the n - 1 internal vertices of a binary tree, masks as clusters.
+    The clusters of a tree's vertices are pairwise distinct (nested
+    strictly or disjoint), so n - 1 masks within the tree's n - 1 clusters
+    are all of them, and a rooted phylogenetic tree is determined by its
+    clusters (Semple and Steel, Phylogenetics, 2003).
     """
-    memo: dict = {}
-    for v in reversed(net.topological_order()):
-        cs = net.children(v)
+    mask: dict = {}
+    found = set()
+    for v, cs, bit in order:
         if not cs:
-            memo[v] = net.label(v)
+            mask[v] = bit
             continue
-        forms = [
-            memo[c]
-            for c in cs
-            if (c not in kept or kept[c] == v) and memo[c] is not None
-        ]
-        if not forms:
-            memo[v] = None
-        elif len(forms) == 1:
-            memo[v] = forms[0]
-        else:
-            memo[v] = "(" + ",".join(sorted(forms)) + ")"
-    form = memo[net.root]
-    if form is None:
-        raise InternalConsistencyError("resolution stranded every leaf")
-    return form
+        m = parts = 0
+        for c in cs:
+            if kept.get(c, v) == v and mask[c]:
+                m |= mask[c]
+                parts += 1
+        mask[v] = m
+        if parts > 1:
+            if clusters is not None and m not in clusters:
+                return None
+            found.add(m)
+    return frozenset(found)
 
 
 def trees_equal(t1: PhyloTree, t2: PhyloTree) -> bool:
-    """Rooted isomorphism respecting leaf labels."""
-    return _canon_resolved(t1, {}) == _canon_resolved(t2, {})
+    """Rooted isomorphism respecting leaf labels: equal label sets and
+    equal cluster sets."""
+    c1, c2 = (_branching_clusters(_fold_order(t), {}) for t in (t1, t2))
+    return t1.label_set() == t2.label_set() and c1 == c2
 
 
 def oracle_displays(
@@ -120,7 +133,9 @@ def oracle_displays(
     """Exhaustive containment check over all resolutions.
 
     Work grows with the product of reticulation in-degrees (2^m on binary
-    networks), so the reticulation count is capped.
+    networks), so the reticulation count is capped. Resolutions go in
+    itertools.product order, each rejected at its first cluster the tree
+    lacks; the certificate is the first that displays the tree.
     """
     net.require_valid(require_binary=True)
     require_tree(tree)
@@ -130,11 +145,11 @@ def oracle_displays(
         raise OracleCapExceededError(
             f"{len(rets)} reticulations exceed the oracle cap of {cap}"
         )
-    target = _canon_resolved(tree, {})
+    target = _branching_clusters(_fold_order(tree), {})
+    order = _fold_order(net)
     parent_lists = [sorted(net.parents(r)) for r in rets]
     for choice in itertools.product(*parent_lists):
-        kept = dict(zip(rets, choice))
-        if _canon_resolved(net, kept) == target:
+        if _branching_clusters(order, dict(zip(rets, choice)), target) is not None:
             cert = Resolution(
                 tuple((r, Branch(p, r)) for r, p in zip(rets, choice))
             )
@@ -238,8 +253,9 @@ def find_longest_root_leaf_path(net: Network | LongestPaths) -> list:
     return net.path()
 
 
-def _local_dump(net: Network | NetworkEditor, ids) -> str:
-    rows = []
+def _fail_match(net: Network | NetworkEditor, msg: str, ids) -> None:
+    """Raise with the adjacency of the vertices around a failed match."""
+    rows = [f"{msg}; local structure:"]
     for x in sorted(set(ids)):
         if x not in net:
             rows.append(f"  {x}: <absent>")
@@ -249,13 +265,7 @@ def _local_dump(net: Network | NetworkEditor, ids) -> str:
         if lab is not None:
             row += f" label={lab}"
         rows.append(row)
-    return "\n".join(rows)
-
-
-def _fail_match(net: Network | NetworkEditor, msg: str, ids) -> None:
-    raise InternalConsistencyError(
-        f"{msg}; local structure:\n{_local_dump(net, ids)}"
-    )
+    raise InternalConsistencyError("\n".join(rows))
 
 
 def _is_ret(net: Network | NetworkEditor, x: int) -> bool:
@@ -288,12 +298,7 @@ def _uncle_nephew_site(net: Network | NetworkEditor, site: int):
         raise PatternMismatchError(f"vertex {site} is not a binary tree vertex")
     c1, c2 = net.children(site)
     for leaf, ret in ((c1, c2), (c2, c1)):
-        if (
-            net.is_leaf(leaf)
-            and net.in_degree(ret) == 2
-            and net.out_degree(ret) == 1
-            and net.is_leaf(net.children(ret)[0])
-        ):
+        if net.is_leaf(leaf) and _is_ret(net, ret) and net.is_leaf(net.children(ret)[0]):
             return leaf, ret, net.children(ret)[0]
     raise PatternMismatchError(
         f"vertex {site} does not head an uncle-nephew pattern"
@@ -412,12 +417,7 @@ def _uncle_nephew_branch(
     leaf, ret, ret_leaf = _uncle_nephew_site(net, site)
     if not _siblings(net, tree, leaf, ret_leaf):
         return Branch(site, ret)
-    others = [p for p in net.parents(ret) if p != site]
-    if len(others) != 1:
-        raise PatternMismatchError(
-            f"reticulation {ret} lacks a unique outside parent"
-        )
-    return Branch(others[0], ret)
+    return Branch(_other_parent(net, ret, site), ret)
 
 
 def _case_removals(
@@ -507,7 +507,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     )
     trace = ReductionTrace()
     iterations = 0
-    oracle_cert = None
+    certificate = None
     while True:
         iterations += 1
         if iterations > limit:
@@ -534,8 +534,8 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
         if len(path) < 4 or len(state.rets) < 3:
             sub = oracle_displays(state.net.freeze(), state.tree.freeze())
             displayed = sub.displayed
-            if displayed and len(trace) == 0:
-                oracle_cert = sub.certificate
+            if len(trace) == 0:
+                certificate = sub.certificate
             break
         matched = match_case(state.net, path)
         before = len(state.rets)
@@ -544,10 +544,6 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             raise InternalConsistencyError(
                 f"case {matched.case_id} removed no reticulation"
             )
-    certificate = None
-    if displayed:
-        if oracle_cert is not None:
-            certificate = oracle_cert
-        elif m0 == 0:
-            certificate = Resolution(())
+    if displayed and m0 == 0:
+        certificate = Resolution(())
     return ContainmentVerdict(displayed, trace, certificate, iterations, m0)

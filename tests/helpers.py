@@ -459,6 +459,62 @@ def reference_displays(net: Network, tree: PhyloTree):
     return ContainmentVerdict(displayed, trace, certificate, iterations, m0)
 
 
+def _canon_resolved(net: Network, kept: dict) -> str:
+    """Canonical string form of the tree a resolution induces: the nested,
+    sorted child forms, folded over the reversed topological order.
+    `kept` maps every reticulation to its kept parent (empty for trees)."""
+    memo: dict = {}
+    for v in reversed(net.topological_order()):
+        cs = net.children(v)
+        if not cs:
+            memo[v] = net.label(v)
+            continue
+        forms = [
+            memo[c]
+            for c in cs
+            if (c not in kept or kept[c] == v) and memo[c] is not None
+        ]
+        if not forms:
+            memo[v] = None
+        elif len(forms) == 1:
+            memo[v] = forms[0]
+        else:
+            memo[v] = "(" + ",".join(sorted(forms)) + ")"
+    form = memo[net.root]
+    if form is None:
+        raise InternalConsistencyError("resolution stranded every leaf")
+    return form
+
+
+def reference_oracle_displays(net: Network, tree: PhyloTree, cap: int = 20):
+    """Reference for tcp.oracle_displays: every resolution, in
+    itertools.product order, folded to a canonical string and compared
+    with the tree's whole form."""
+    from netdisplay.core import require_tree
+    from netdisplay.errors import OracleCapExceededError
+    from netdisplay.reductions import ReductionTrace, _check_same_leaves
+    from netdisplay.tcp import ContainmentVerdict, Resolution
+
+    net.require_valid(require_binary=True)
+    require_tree(tree)
+    _check_same_leaves(net, tree)
+    rets = net.reticulations
+    if len(rets) > cap:
+        raise OracleCapExceededError(
+            f"{len(rets)} reticulations exceed the oracle cap of {cap}"
+        )
+    target = _canon_resolved(tree, {})
+    parent_lists = [sorted(net.parents(r)) for r in rets]
+    for choice in itertools.product(*parent_lists):
+        kept = dict(zip(rets, choice))
+        if _canon_resolved(net, kept) == target:
+            cert = Resolution(
+                tuple((r, Branch(p, r)) for r, p in zip(rets, choice))
+            )
+            return ContainmentVerdict(True, ReductionTrace(), cert, 0, len(rets))
+    return ContainmentVerdict(False, ReductionTrace(), None, 0, len(rets))
+
+
 def reference_transform(net: Network):
     """Reference for bounds.ns_to_rv_transform: one round per unstable
     reticulation, each on a fresh editor with the full suppression sweep,

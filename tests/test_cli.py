@@ -257,6 +257,23 @@ def test_contains_auto_asks_only_for_near_stability(files, capsys, monkeypatch):
     assert calls == []
 
 
+def test_contains_auto_folds_near_stability_once_per_call(files, capsys, monkeypatch):
+    # cmd_contains and displays both ask in_class; the memo answers the second
+    calls = []
+    real = core._CLASS_TESTS["nearly_stable"]
+
+    def counting(net, stable):
+        calls.append(net)
+        return real(net, stable)
+
+    monkeypatch.setitem(core._CLASS_TESTS, "nearly_stable", counting)
+    for rec in GOLDEN:
+        argv = ["contains", files("net.nwk", rec["net"]), files("tree.nwk", rec["tree"])]
+        assert main(argv) == (0 if rec["displayed"] else 1)
+        capsys.readouterr()
+    assert len(calls) == len(GOLDEN)
+
+
 def test_transform_frozen_output(files, capsys):
     assert main(["transform", "--to", "rv", files("net.nwk", UNSTABLE_OVER_STABLE)]) == 0
     captured = capsys.readouterr()

@@ -32,6 +32,8 @@ from helpers import (
     NOT_NEARLY_STABLE,
     RUNNING,
     all_trees,
+    gen_with_fallback,
+    reference_oracle_displays,
     tree_from_shape,
 )
 
@@ -91,6 +93,72 @@ def test_apply_resolution_keeps_every_label():
 def test_trees_equal_is_label_isomorphism():
     assert trees_equal(parse_tree("((a,b),c);"), parse_tree("(c,(b,a));"))
     assert not trees_equal(parse_tree("((a,b),c);"), parse_tree("((a,c),b);"))
+    # different label sets compare unequal instead of raising
+    assert not trees_equal(parse_tree("((a,b),c);"), parse_tree("((a,b),d);"))
+    assert not trees_equal(parse_tree("(a,b);"), parse_tree("((a,b),c);"))
+    # a reticulation-free plain Network equals its PhyloTree
+    plain = parse_network("((a,b),(c,d));")
+    assert type(plain) is not PhyloTree
+    assert trees_equal(plain, PhyloTree.from_network(plain))
+    assert trees_equal(plain, parse_tree("((d,c),(b,a));"))
+    assert not trees_equal(plain, parse_tree("((a,c),(b,d));"))
+    one = parse_tree("a;")
+    assert trees_equal(one, one)
+    assert trees_equal(one, parse_tree("a;"))
+
+
+def test_oracle_matches_reference_oracle():
+    # the cluster check against the whole-string fold it replaced: same
+    # verdict and the same certificate, the first in product order
+    rng = random.Random(11)
+    constraints = ("any", "nearly_stable", "tree_child", "reticulation_visible")
+    displayed = 0
+    for i in range(500):
+        net = gen_with_fallback(
+            rng.randint(3, 14), rng.randint(0, 8), rng.choice(constraints), i
+        )
+        for tree in (_resolved_tree(net, rng), _random_tree(sorted(net.label_set()), rng)):
+            got = oracle_displays(net, tree)
+            ref = reference_oracle_displays(net, tree)
+            assert got.displayed == ref.displayed, serialize(net)
+            assert got.certificate == ref.certificate, serialize(net)
+            displayed += got.displayed
+    assert 500 < displayed < 1000
+
+
+def test_oracle_certificate_is_first_in_product_order():
+    # chained reticulations: #H1's only child is #H2. Where #H2 keeps its
+    # other parent, #H1 is a dead end and both of its parents give the
+    # same tree, and the certificate must keep the first of them
+    net = parse_network(
+        "(((t1,((t5)#H2)#H1),(#H2,t8)),(t2,((((t3,t7),#H1),t6),t4)));"
+    )
+    h1, h2 = net.reticulations
+    assert net.children(h1) == (h2,)
+    (p1, q1), (p2, q2) = (sorted(net.parents(r)) for r in (h1, h2))
+    assert p2 == h1
+    for text, h1_choices, h2_choice in (
+        ("(((t1,t5),t8),(t2,(((t3,t7),t6),t4)));", (p1,), p2),
+        ("((t1,(t5,t8)),(t2,(((t3,t7),t6),t4)));", (p1, q1), q2),
+    ):
+        tree = parse_tree(text)
+        resolving = [
+            p
+            for p in (p1, q1)
+            if trees_equal(
+                apply_resolution(
+                    net, Resolution(((h1, Branch(p, h1)), (h2, Branch(h2_choice, h2))))
+                ),
+                tree,
+            )
+        ]
+        assert tuple(resolving) == h1_choices
+        verdict = oracle_displays(net, tree)
+        assert verdict.certificate == reference_oracle_displays(net, tree).certificate
+        assert verdict.certificate.kept_in_branch == (
+            (h1, Branch(p1, h1)),
+            (h2, Branch(h2_choice, h2)),
+        )
 
 
 def test_oracle_on_running_example():
