@@ -93,12 +93,13 @@ def cmd_stats(args) -> int:
 def cmd_contains(args) -> int:
     net = parse_network(_read_text(args.net_file))
     tree = parse_tree(_read_text(args.tree_file))
-    cap = _oracle_cap()
     if args.algo == "fast":
+        # the fast path's oracle tail runs with the default cap
         verdict = displays(net, tree)
     elif args.algo == "oracle":
-        verdict = oracle_displays(net, tree, cap=cap)
+        verdict = oracle_displays(net, tree, cap=_oracle_cap())
     else:
+        cap = _oracle_cap()
         if in_class(net, "nearly_stable"):
             verdict = displays(net, tree)
         elif net.num_reticulations <= cap:

@@ -16,12 +16,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InternalConsistencyError, InvalidNetworkError
 
-# vertex kinds returned by vertex_kind()
-ROOT = "root"
-LEAF = "leaf"
-TREE_VERTEX = "tree_vertex"
-RETICULATION = "reticulation"
-
 
 class Branch(NamedTuple):
     """Directed branch (tail, head)."""
@@ -173,11 +167,6 @@ class Network:
     def label_set(self) -> frozenset[str]:
         return frozenset(self._labels.values())
 
-    def vertex_by_label(self, label: str) -> int:
-        if "by_label" not in self._cache:
-            self._cache["by_label"] = {lab: v for v, lab in self._labels.items()}
-        return self._cache["by_label"][label]
-
     @property
     def reticulations(self) -> tuple[int, ...]:
         if "rets" not in self._cache:
@@ -268,15 +257,6 @@ class PhyloTree(Network):
     def from_network(cls, net: Network) -> "PhyloTree":
         require_tree(net)
         return cls(net._out, net._labels, next_id=net.next_id)
-
-    def parent(self, v: int) -> int:
-        ps = self.parents(v)
-        if len(ps) != 1:
-            raise InvalidNetworkError(f"tree vertex {v} has {len(ps)} parents")
-        return ps[0]
-
-    def parent_of_label(self, label: str) -> int:
-        return self.parent(self.vertex_by_label(label))
 
 
 class NetworkEditor:
@@ -482,28 +462,6 @@ class NetworkEditor:
 
 
 # -- operations ---------------------------------------------------------------
-
-
-def vertex_kind(net: Network, v: int) -> str:
-    """Exact kind of a vertex by its degrees: root, leaf, tree_vertex,
-    reticulation. Raises on ids unknown to the network or on degree
-    combinations valid networks cannot contain."""
-    if v not in net:
-        raise ValueError(f"unknown vertex id {v}")
-    ind, outd = net.in_degree(v), net.out_degree(v)
-    if ind == 0:
-        return ROOT
-    if outd == 0:
-        if ind == 1:
-            return LEAF
-        raise ValueError(f"vertex {v} has indegree {ind} and outdegree 0")
-    if ind == 1:
-        if outd == 1:
-            raise ValueError(f"vertex {v} is suppressible (indegree 1, outdegree 1)")
-        return TREE_VERTEX
-    if outd == 1:
-        return RETICULATION
-    raise ValueError(f"vertex {v} has indegree {ind} and outdegree {outd}")
 
 
 def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:

@@ -86,7 +86,7 @@ def _cherry_at(out, ins, v: int):
 
 class _TreeEditor(NetworkEditor):
     """A tree's editor that keeps its label -> parent map current and
-    answers the PhyloTree calls the case rules make (parent_of_label,
+    answers the calls the case rules make of the tree (parent_of_label,
     parent, root)."""
 
     def __init__(self, tree: PhyloTree):

@@ -45,10 +45,6 @@ class CaseMatch:
     case_id: str
     bindings: dict
 
-    def __str__(self) -> str:
-        pairs = ",".join(f"{k}={v}" for k, v in sorted(self.bindings.items()))
-        return f"case {self.case_id} [{pairs}]"
-
 
 @dataclass
 class ContainmentVerdict:
@@ -167,13 +163,14 @@ class LongestPaths:
     and vertices or contract vertices keep topological. The editing side
     adds to `changed` every vertex whose in-list or leafness it changed;
     each path() call first re-relaxes those, in order position, then the
-    children of each vertex whose distance moved. The first call relaxes
-    every vertex.
+    children of each vertex whose distance moved. Every vertex of `order`
+    starts out changed, so the first call relaxes them all.
     """
 
     def __init__(self, out: dict, ins: dict, order, changed: set):
         self.out, self.ins, self.order, self.changed = out, ins, order, changed
-        self.pos: dict | None = None
+        self.pos = {v: i for i, v in enumerate(order)}
+        changed.update(order)
         self.dist: dict = {}
         self.pred: dict = {}
         # (-dist, leaf), invalidated lazily: an entry counts while its
@@ -212,14 +209,9 @@ class LongestPaths:
 
     def path(self) -> list:
         """A maximum-vertex-count root-to-leaf path of the graph as it is."""
-        ins = self.ins
-        if self.pos is None:
-            self.pos = {v: i for i, v in enumerate(self.order)}
-            # every live position, in increasing order, which is a heap
-            ready = [i for i, v in enumerate(self.order) if v in ins]
-        else:
-            ready = [self.pos[v] for v in self.changed if v in ins]
-            heapq.heapify(ready)
+        ins, pos = self.ins, self.pos
+        ready = [pos[v] for v in self.changed if v in ins]
+        heapq.heapify(ready)
         self.changed.clear()
         self._relax(ready)
         out, dist, leaves = self.out, self.dist, self.leaves
@@ -426,7 +418,8 @@ def _case_removals(
     """The branches the matched case removes.
 
     Reads `net` (a Network or a NetworkEditor) through Network's read calls
-    and `tree` only through parent_of_label, parent and root.
+    and `tree`, the working state's _TreeEditor, only through
+    parent_of_label, parent and root.
     """
     b = m.bindings
     case = m.case_id

@@ -213,6 +213,20 @@ def test_contains_bad_cap_env_is_usage_error(raw, files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_contains_fast_ignores_the_oracle_cap_env(files, capsys, monkeypatch):
+    monkeypatch.setenv("NETDISPLAY_ORACLE_CAP", "many")
+    args = ["contains", files("net.nwk", RUNNING), files("tree.nwk", "((a,b),c);")]
+    assert main(args + ["--algo", "fast"]) == 0
+    fast = capsys.readouterr()
+    monkeypatch.delenv("NETDISPLAY_ORACLE_CAP")
+    assert main(args) == 0
+    assert capsys.readouterr() == fast
+    (payload,) = [json.loads(line) for line in fast.out.splitlines()]
+    assert payload["displayed"] is True
+    assert payload["reticulations_initial"] == 1
+    assert fast.err == ""
+
+
 def test_contains_auto_refuses_beyond_the_oracle_cap(files, capsys, monkeypatch):
     monkeypatch.setenv("NETDISPLAY_ORACLE_CAP", "0")
     code = main(

@@ -13,11 +13,11 @@ from netdisplay.core import (
     in_class,
     stability,
     validate,
-    vertex_kind,
 )
 from netdisplay.errors import InvalidNetworkError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree
+from netdisplay.reductions import ReductionState
 from netdisplay.tcp import displays
 
 from helpers import (
@@ -215,15 +215,30 @@ def test_require_valid_raises():
         net.require_valid()
 
 
+def _is_tree_vertex(net, v):
+    return net.in_degree(v) == 1 and net.out_degree(v) >= 2
+
+
 def test_vertex_kind_running_example():
+    # every vertex is exactly one of root, leaf, tree vertex, reticulation,
+    # and the running example has all four
     net = parse_network(RUNNING)
-    kinds = {vertex_kind(net, v) for v in net.vertices}
-    assert kinds == {"root", "leaf", "tree_vertex", "reticulation"}
+    kinds = [
+        (
+            v == net.root,
+            net.is_leaf(v),
+            _is_tree_vertex(net, v),
+            v in net.reticulations,
+        )
+        for v in net.vertices
+    ]
+    assert all(sum(kind) == 1 for kind in kinds)
+    assert all(any(column) for column in zip(*kinds))
     (h1,) = net.reticulations
-    assert vertex_kind(net, h1) == "reticulation"
-    assert vertex_kind(net, net.root) == "root"
-    a = net.vertex_by_label("a")
-    assert vertex_kind(net, a) == "leaf"
+    assert net.in_degree(h1) == 2 and net.out_degree(h1) == 1
+    assert net.in_degree(net.root) == 0
+    a = {lab: v for v, lab in net.leaf_labels.items()}["a"]
+    assert net.is_leaf(a)
 
 
 def test_stability_running_example_witness():
@@ -269,21 +284,17 @@ def test_stability_local_structure_invariants():
         net = generate(GenSpec(rng.randint(2, 7), rng.randint(0, 5), "any", seed=1000 + i))
         report = stability(net)
         for v in net.vertices:
-            kind = vertex_kind(net, v)
             kids = net.children(v)
-            if any(
-                report.stable[c] and vertex_kind(net, c) == "tree_vertex"
-                for c in kids
-            ):
+            if any(report.stable[c] and _is_tree_vertex(net, c) for c in kids):
                 assert report.stable[v]
-            if kind == "reticulation":
+            if v in net.reticulations:
                 (c,) = kids
-                expect = vertex_kind(net, c) == "leaf" or (
-                    report.stable[c] and vertex_kind(net, c) == "tree_vertex"
+                expect = net.is_leaf(c) or (
+                    report.stable[c] and _is_tree_vertex(net, c)
                 )
                 assert report.stable[v] == expect
-            if kind == "tree_vertex" and report.stable[v]:
-                ret_kids = [c for c in kids if vertex_kind(net, c) == "reticulation"]
+            if _is_tree_vertex(net, v) and report.stable[v]:
+                ret_kids = [c for c in kids if c in net.reticulations]
                 assert len(ret_kids) < 2
 
 
@@ -391,10 +402,19 @@ def test_topological_order_respects_branches():
 
 
 def test_phylo_tree_parent_map():
-    tree = parse_tree("((a,b),c);")
-    c = tree.vertex_by_label("c")
+    # the case rules read the tree through the working state's editor,
+    # whose label -> parent map must follow cherry collapses
+    text = "((a,b),c);"
+    state = ReductionState(parse_network(text), parse_tree(text))
+    tree = state.tree
+    c = {lab: v for v, lab in tree.labels.items()}["c"]
     assert tree.parent(c) == tree.root
+    assert tree.parent_of_label("c") == tree.root
     assert tree.parent_of_label("a") == tree.parent_of_label("b")
+    assert tree.parent_of_label("a") != tree.root
+    state.collapse_cherries()
+    assert set(tree.labels.values()) == {"c", "__r0"}
+    assert tree.parent_of_label("__r0") == tree.parent_of_label("c") == tree.root
 
 
 def test_random_tree_is_valid_binary():
