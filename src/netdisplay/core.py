@@ -9,8 +9,8 @@ on every root-to-leaf path for at least one leaf, i.e. it dominates that leaf.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -338,18 +338,19 @@ class NetworkEditor:
 
     def contract(self, v: int) -> Branch:
         """Remove an (indeg 1, outdeg 1) vertex, joining parent to child."""
-        (p,) = self.ins[v]
-        (c,) = self.out[v]
-        if c in self.out[p]:
+        out, ins = self.out, self.ins
+        (p,) = ins[v]
+        (c,) = out[v]
+        if c in out[p]:
             raise InternalConsistencyError(
                 f"contracting {v} would duplicate branch {p}->{c}"
             )
-        self.remove_branch(p, v)
-        self.remove_branch(v, c)
-        del self.out[v]
-        del self.ins[v]
+        del out[v], ins[v]
         self.labels.pop(v, None)
-        self.add_branch(p, c)
+        out[p].remove(v)
+        out[p].append(c)
+        ins[c].remove(v)
+        ins[c].append(p)
         return Branch(p, c)
 
     def subdivide(self, tail: int, head: int) -> int:
@@ -379,34 +380,35 @@ class NetworkEditor:
 
         The editor must have been at the fixpoint before edits that changed
         only the vertices in `touched` (passing every vertex lifts this).
-        Those are swept in id order; a vertex an edit changes waits in the
-        sweep if the sweep has not reached it yet, else joins a FIFO tail
-        that runs after the sweep. One heap holds both: `(0, id)` entries
-        are the sweep, `(1, arrival, id)` ones the tail. Every other vertex
-        is a no-op until an edit queues it, so this visits the same
-        vertices in the same order as a sweep over every vertex. Each
-        vertex queued is added to `touched`.
+        Those are swept in id order, from a heap; a vertex an edit changes
+        waits in the sweep if the sweep has not reached it yet, else joins a
+        FIFO tail that runs after the sweep. Every other vertex is a no-op
+        until an edit queues it, so this visits the same vertices in the
+        same order as a sweep over every vertex. Each vertex queued is
+        added to `touched`.
         """
-        out, ins = self.out, self.ins
+        out, ins, labels = self.out, self.ins, self.labels
         contracted: list[int] = []
-        queue: list[tuple] = [(0, v) for v in sorted(touched) if v in out]
-        queued = {entry[1] for entry in queue}
-        arrivals = itertools.count()
-        swept = -math.inf
+        sweep = sorted(v for v in touched if v in out)  # a sorted list is a heap
+        queued = set(sweep)
+        tail: deque[int] = deque()
+        swept = -1
 
         def enqueue(v: int) -> None:
-            if v not in out or v in queued:
-                return
-            touched.add(v)
-            queued.add(v)
-            entry = (0, v) if v > swept else (1, next(arrivals), v)
-            heapq.heappush(queue, entry)
+            if v in out and v not in queued:
+                touched.add(v)
+                queued.add(v)
+                if v > swept:
+                    heapq.heappush(sweep, v)
+                else:
+                    tail.append(v)
 
-        while queue:
-            entry = heapq.heappop(queue)
-            v = entry[-1]
+        while sweep or tail:
+            if sweep:
+                v = swept = heapq.heappop(sweep)
+            else:
+                v, swept = tail.popleft(), math.inf
             queued.discard(v)
-            swept = v if entry[0] == 0 else math.inf
             if v not in out:
                 continue
             ind, outd = len(ins[v]), len(out[v])
@@ -425,13 +427,13 @@ class NetworkEditor:
                     contracted.append(v)
                     self.root = child
                     enqueue(child)
-                elif outd == 0 and v not in self.labels:
+                elif outd == 0 and v not in labels:
                     raise InternalConsistencyError("network degenerated to nothing")
                 continue
             if outd == 0:
-                if v in self.labels:
+                if v in labels:
                     continue
-                parents = list(ins[v])
+                parents = ins[v]
                 self.delete_vertex(v)
                 for p in parents:
                     enqueue(p)

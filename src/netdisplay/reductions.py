@@ -3,7 +3,8 @@
 The reduction loop edits one ReductionState in place from entry to
 verdict. Every reduction is recorded as a ReductionStep; traces replay
 deterministically on frozen structures (see replay_trace), which checks
-each step's contracted vertices against the record. Branch removals go
+that each cherry step names a common cherry and each case step's
+contracted vertices against the record. Branch removals go
 through NetworkEditor.prune, which suppresses from the removed branches'
 ends back to a valid network.
 Vertex ids of surviving vertices are stable across a reduction, which is
@@ -16,7 +17,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 
-from .core import Branch, Network, NetworkEditor, PhyloTree
+from .core import Branch, Network, NetworkEditor, PhyloTree, require_tree
 from .errors import (
     InternalConsistencyError,
     InvalidNetworkError,
@@ -39,6 +40,12 @@ class ReductionStep:
     removed_branches: tuple[Branch, ...] = ()
     contracted: tuple[int, ...] = ()
     introduced_leaf: tuple[int, str] | None = None
+
+    def __init__(self, kind, removed_branches=(), contracted=(), introduced_leaf=None):
+        # a decide builds hundreds of steps; one dict update is cheaper than
+        # the frozen dataclass's object.__setattr__ per field
+        self.__dict__.update(kind=kind, removed_branches=removed_branches,
+                             contracted=contracted, introduced_leaf=introduced_leaf)
 
     def to_line(self) -> str:
         removed = ",".join(str(b) for b in self.removed_branches)
@@ -76,62 +83,82 @@ def _check_same_leaves(net: Network, tree: Network) -> None:
 
 def _cherry_at(out, ins, v: int):
     """(l1, l2, v) with l1 < l2 when v is a strict tree vertex over two
-    leaves, else None. Takes adjacency maps, so that frozen networks and
-    editors share it."""
-    cs = out[v]
-    if len(ins[v]) == 1 and len(cs) == 2 and not out[cs[0]] and not out[cs[1]]:
+    leaves, else None (also when v is gone). Takes adjacency maps, so that
+    frozen networks and editors share it."""
+    cs = out.get(v, ())
+    if len(cs) == 2 and len(ins[v]) == 1 and not out[cs[0]] and not out[cs[1]]:
         return (min(cs), max(cs), v)
     return None
 
 
-class _TreeEditor(NetworkEditor):
-    """A tree's editor that keeps its label -> parent map current and
-    answers the calls the case rules make of the tree (parent_of_label,
-    parent, root)."""
+class _TreeEditor:
+    """The working state's tree side: a cherry collapse only deletes two
+    leaves and relabels their parent, so it keeps a vertex -> parent map
+    (None at the root), the leaf labels both ways and the label -> parent
+    map, but no child lists. freeze() filters the source tree's child
+    lists by the live vertices, which keeps ids and child order."""
 
     def __init__(self, tree: PhyloTree):
-        super().__init__(tree)
-        self.parent_of = {
-            lab: (self.ins[v] or [None])[0] for v, lab in self.labels.items()
-        }
+        self.par = {v: ps[0] if ps else None for v, ps in tree._in.items()}
+        self.labels = dict(tree._labels)
+        self.leaf = {lab: v for v, lab in self.labels.items()}
+        self.parent_of = {lab: self.par[v] for lab, v in self.leaf.items()}
+        self.root = tree._root
+        self._src = tree
 
     def parent(self, v: int) -> int:
-        ps = self.ins[v]
-        if len(ps) != 1:
-            raise InvalidNetworkError(f"tree vertex {v} has {len(ps)} parents")
-        return ps[0]
+        p = self.par[v]
+        if p is None:
+            raise InvalidNetworkError(f"tree vertex {v} has no parent")
+        return p
 
     def parent_of_label(self, label: str) -> int:
         return self.parent_of[label]
+
+    def freeze(self) -> PhyloTree:
+        src, par = self._src, self.par
+        out = {v: [c for c in src._out[v] if c in par] for v in par}
+        return type(src)(out, self.labels, next_id=src.next_id)
+
+
+def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
+    """Do two net leaves sit under one parent in the tree?"""
+    parent_of, labels = ted.parent_of, ned.labels
+    return parent_of[labels[x]] == parent_of[labels[y]]
 
 
 def _collapse_cherry(
     ned: NetworkEditor, ted: _TreeEditor, l1: int, l2: int, p: int, lab: str
 ) -> ReductionStep:
     """Replace the net cherry p -> {l1, l2} and the tree cherry holding the
-    same two labels by one leaf labelled lab on each side."""
-    q = ted.parent_of.pop(ned.labels[l1])
-    del ted.parent_of[ned.labels[l2]]
-    ned.delete_vertex(l1)
-    ned.delete_vertex(l2)
-    ned.set_label(p, lab)
-    for t in list(ted.out[q]):
-        ted.delete_vertex(t)
-    ted.set_label(q, lab)
-    ted.parent_of[lab] = (ted.ins[q] or [None])[0]
+    same two labels by one leaf labelled lab on each side. Edits the maps
+    in place: the two leaves go, and their parent becomes the new leaf."""
+    out, ins, labels = ned.out, ned.ins, ned.labels
+    lab1, lab2 = labels.pop(l1), labels.pop(l2)
+    del out[l1], ins[l1], out[l2], ins[l2]
+    out[p].clear()
+    labels[p] = lab
+    q = ted.parent_of.pop(lab1)
+    del ted.parent_of[lab2]
+    t1, t2 = ted.leaf.pop(lab1), ted.leaf.pop(lab2)
+    del ted.par[t1], ted.par[t2], ted.labels[t1], ted.labels[t2]
+    ted.labels[q] = lab
+    ted.leaf[lab] = q
+    ted.parent_of[lab] = ted.par[q]
     return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
 
 
 class ReductionState:
     """The reduction loop's working state, edited in place.
 
-    `net` and `tree` are editors of the two sides; beside them it keeps the
-    reticulations of the net, its cherries split into a heap of the common
-    ones (l1, l2, p) and the set of parents of the one-sided ones, and the
-    number of the next fresh ``__r<k>`` label. Each edit re-checks these
-    only where it changed the net, and adds to `changed` every net vertex
-    whose in-list or leafness it changed, for a reader to drain. The leaf
-    label sets are checked once, here.
+    `net` is an editor of the net and `tree` the parent-map tree side
+    (_TreeEditor). Beside them it keeps the reticulations of the net, its
+    cherries split into a heap of the common ones (l1, l2, p) and the set
+    of parents of the one-sided ones, and the number of the next fresh
+    ``__r<k>`` label. Each edit re-checks these only where it changed the
+    net, and adds to `changed` every net vertex whose in-list or leafness
+    it changed, for a reader to drain. The leaf label sets are checked
+    once, here.
     """
 
     def __init__(self, net: Network, tree: PhyloTree):
@@ -142,10 +169,11 @@ class ReductionState:
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
         self.changed: set[int] = set()
-        for v in net.vertices:
-            self._note_cherry(v)
+        ins = net._in
+        for v in {ins[leaf][0] for leaf in net._labels if ins[leaf]}:
+            self._note_cherry(v)  # a cherry's parent is a leaf's parent
         # each new label is the largest, and labelled leaves go only by collapse
-        labels = self.net.labels.values()
+        labels = [lab for lab in net._labels.values() if lab.startswith("__r")]
         self.fresh = 1 + max(
             (int(m.group(1)) for m in map(_FRESH_RE.match, labels) if m), default=-1
         )
@@ -154,11 +182,10 @@ class ReductionState:
         """File the cherry under v, if any, as common or one-sided."""
         ned = self.net
         self.one_sided.discard(v)
-        found = _cherry_at(ned.out, ned.ins, v) if v in ned.out else None
+        found = _cherry_at(ned.out, ned.ins, v)
         if found is None:
             return
-        parent_of = self.tree.parent_of
-        if parent_of[ned.labels[found[0]]] == parent_of[ned.labels[found[1]]]:
+        if _siblings(ned, self.tree, found[0], found[1]):
             heapq.heappush(self.common, found)
         else:
             self.one_sided.add(v)
@@ -175,13 +202,14 @@ class ReductionState:
         # p's new label, under p's parent. The heap therefore yields the
         # same smallest cherry a full rescan would.
         trace = ReductionTrace()
-        while self.common:
-            l1, l2, p = heapq.heappop(self.common)
+        common, ned, ted = self.common, self.net, self.tree
+        while common:
+            l1, l2, p = heapq.heappop(common)
             lab = f"__r{self.fresh}"
             self.fresh += 1
-            trace.append(_collapse_cherry(self.net, self.tree, l1, l2, p, lab))
+            trace.steps.append(_collapse_cherry(ned, ted, l1, l2, p, lab))
             self.changed.add(p)  # p became a leaf; l1, l2 are gone
-            self._note_cherry(self.net.ins[p][0])
+            self._note_cherry(ned.ins[p][0])
         return trace
 
     def remove(self, branches) -> list[int]:
@@ -191,16 +219,15 @@ class ReductionState:
         ned = self.net
         contracted, touched = ned.prune(branches)
         self.changed.update(touched)
-        # a vertex's kind depends on its own degrees, a cherry also on its
-        # children's, so only touched vertices and their parents can change
-        around = set(touched)
+        # prune reports each vertex whose in- or out-list it edited, and a
+        # leaf stays one until deleted, which edits its parents' lists: so
+        # cherries and reticulations appear or vanish only at touched ones
+        out, ins, rets = ned.out, ned.ins, self.rets
         for v in touched:
-            if v in ned.out and len(ned.ins[v]) >= 2 and ned.out[v]:
-                self.rets.add(v)
+            if v in out and len(ins[v]) >= 2 and out[v]:
+                rets.add(v)
             else:
-                self.rets.discard(v)
-            around.update(ned.ins.get(v, ()))
-        for v in around:
+                rets.discard(v)
             self._note_cherry(v)
         return contracted
 
@@ -212,19 +239,25 @@ def replay_trace(
 
     Returns every intermediate state, starting with the inputs; the final
     pair reproduces the original run bit-for-bit under canonical
-    serialization. One editor per side carries the steps, and each case
-    step must contract exactly the vertices it recorded.
+    serialization. The working state's two sides carry the steps, with
+    the loop's collapse primitive. Each cherry step must name a net cherry
+    whose labels are tree siblings, and each case step must contract
+    exactly the vertices it recorded; else InternalConsistencyError.
     """
     net.require_valid()
+    require_tree(tree)
+    _check_same_leaves(net, tree)
     states = [(net, tree)]
     ned, ted = NetworkEditor(net), _TreeEditor(tree)
     for step in trace.steps:
         if step.kind == "cherry":
-            b1, b2 = step.removed_branches
-            v, lab = step.introduced_leaf
-            if v != b1.tail:
-                raise InternalConsistencyError("cherry step names two parents")
-            _collapse_cherry(ned, ted, b1.head, b2.head, b1.tail, lab)
+            (p1, l1), (p2, l2) = step.removed_branches
+            p, lab = step.introduced_leaf
+            if {p1, p2} != {p} or _cherry_at(ned.out, ned.ins, p) != (l1, l2, p):
+                raise InternalConsistencyError(f"{step.to_line()}: no net cherry")
+            if not _siblings(ned, ted, l1, l2):
+                raise InternalConsistencyError(f"{step.to_line()}: no tree cherry")
+            _collapse_cherry(ned, ted, l1, l2, p, lab)
             tree = ted.freeze()
         else:
             contracted, _ = ned.prune(step.removed_branches)

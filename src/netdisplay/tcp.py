@@ -25,6 +25,7 @@ from .reductions import (
     ReductionStep,
     ReductionTrace,
     _check_same_leaves,
+    _siblings,
 )
 
 DEFAULT_ORACLE_CAP = 20
@@ -181,9 +182,10 @@ class LongestPaths:
         """Recompute dist and pred at the queued order positions (a heap)."""
         out, ins, order, pos = self.out, self.ins, self.order, self.pos
         dist, pred, leaves = self.dist, self.pred, self.leaves
+        pop, push = heapq.heappop, heapq.heappush
         last = -1
         while ready:
-            i = heapq.heappop(ready)
+            i = pop(ready)
             if i == last:  # queued twice; pushes only go forward
                 continue
             last = i
@@ -197,7 +199,7 @@ class LongestPaths:
             pred[v] = best_p
             cs = out[v]
             if not cs:
-                heapq.heappush(leaves, (-d, v))
+                push(leaves, (-d, v))
             old = dist.get(v)
             if old != d:
                 dist[v] = d
@@ -205,7 +207,7 @@ class LongestPaths:
                 # relaxation, which queues every vertex already
                 if old is not None:
                     for c in cs:
-                        heapq.heappush(ready, pos[c])
+                        push(ready, pos[c])
 
     def path(self) -> list:
         """A maximum-vertex-count root-to-leaf path of the graph as it is."""
@@ -395,16 +397,7 @@ def match_case(net: Network | NetworkEditor, path: list) -> CaseMatch:
     return CaseMatch("J", bindings)
 
 
-def _siblings(net: Network | NetworkEditor, tree, x: int, y: int) -> bool:
-    """Do two net leaves sit under one parent in the reference tree?"""
-    return tree.parent_of_label(net.label(x)) == tree.parent_of_label(
-        net.label(y)
-    )
-
-
-def _uncle_nephew_branch(
-    net: Network | NetworkEditor, tree, site: int
-) -> Branch:
+def _uncle_nephew_branch(net: NetworkEditor, tree, site: int) -> Branch:
     """Pick the branch the uncle-nephew rule removes below `site`."""
     leaf, ret, ret_leaf = _uncle_nephew_site(net, site)
     if not _siblings(net, tree, leaf, ret_leaf):
@@ -412,14 +405,13 @@ def _uncle_nephew_branch(
     return Branch(_other_parent(net, ret, site), ret)
 
 
-def _case_removals(
-    net: Network | NetworkEditor, tree, m: CaseMatch
-) -> tuple[Branch, ...]:
+def _case_removals(net: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     """The branches the matched case removes.
 
-    Reads `net` (a Network or a NetworkEditor) through Network's read calls
-    and `tree`, the working state's _TreeEditor, only through
-    parent_of_label, parent and root.
+    `net` and `tree` are the working state's two sides: a NetworkEditor,
+    read through Network's read calls and its label map, and the parent-map
+    _TreeEditor, read through its label -> parent map (_siblings,
+    parent_of_label), parent and root. The tree has no child lists.
     """
     b = m.bindings
     case = m.case_id

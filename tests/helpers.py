@@ -16,7 +16,7 @@ from netdisplay.core import (
     ValidationOutcome,
     Violation,
 )
-from netdisplay.errors import InternalConsistencyError
+from netdisplay.errors import InternalConsistencyError, InvalidNetworkError
 
 # running example: one reticulation, three leaves, everything stable
 RUNNING = "((a,(b)#H1),(#H1,c));"
@@ -305,6 +305,49 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
             enqueue(p)
             enqueue(c)
     return contracted
+
+
+class ReferenceTreeEditor(NetworkEditor):
+    """Reference for reductions._TreeEditor: a full editor of the tree
+    (child and parent lists) that keeps its label -> parent map current
+    and answers the calls the case rules make of the tree
+    (parent_of_label, parent, root)."""
+
+    def __init__(self, tree: PhyloTree):
+        super().__init__(tree)
+        self.parent_of = {
+            lab: (self.ins[v] or [None])[0] for v, lab in self.labels.items()
+        }
+
+    def parent(self, v: int) -> int:
+        ps = self.ins[v]
+        if len(ps) != 1:
+            raise InvalidNetworkError(f"tree vertex {v} has {len(ps)} parents")
+        return ps[0]
+
+    def parent_of_label(self, label: str) -> int:
+        return self.parent_of[label]
+
+
+def reference_collapse_cherry(
+    ned: NetworkEditor, ted: ReferenceTreeEditor, l1: int, l2: int, p: int, lab: str
+):
+    """Reference for reductions._collapse_cherry, through the editors'
+    delete_vertex and set_label: replace the net cherry p -> {l1, l2} and
+    the tree cherry holding the same two labels by one leaf labelled lab
+    on each side."""
+    from netdisplay.reductions import ReductionStep
+
+    q = ted.parent_of.pop(ned.labels[l1])
+    del ted.parent_of[ned.labels[l2]]
+    ned.delete_vertex(l1)
+    ned.delete_vertex(l2)
+    ned.set_label(p, lab)
+    for t in list(ted.out[q]):
+        ted.delete_vertex(t)
+    ted.set_label(q, lab)
+    ted.parent_of[lab] = (ted.ins[q] or [None])[0]
+    return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
 
 
 def reference_validate(net: Network, require_binary: bool = False):

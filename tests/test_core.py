@@ -402,8 +402,9 @@ def test_topological_order_respects_branches():
 
 
 def test_phylo_tree_parent_map():
-    # the case rules read the tree through the working state's editor,
-    # whose label -> parent map must follow cherry collapses
+    # the case rules read the tree through the working state's tree side,
+    # which keeps no child lists: its vertex -> parent and label -> parent
+    # maps must follow cherry collapses
     text = "((a,b),c);"
     state = ReductionState(parse_network(text), parse_tree(text))
     tree = state.tree
@@ -415,6 +416,7 @@ def test_phylo_tree_parent_map():
     state.collapse_cherries()
     assert set(tree.labels.values()) == {"c", "__r0"}
     assert tree.parent_of_label("__r0") == tree.parent_of_label("c") == tree.root
+    assert tree.par == {tree.root: None, c: tree.root, tree.leaf["__r0"]: tree.root}
 
 
 def test_random_tree_is_valid_binary():

@@ -255,3 +255,40 @@ def test_replay_trace_rejects_altered_contractions():
     steps[i] = dataclasses.replace(step, contracted=altered)
     with pytest.raises(InternalConsistencyError):
         replay_trace(net, tree, ReductionTrace(steps))
+
+
+# ids in ((a,b),(c,d)): root 0, 1 -> {a=2, b=3}, 4 -> {c=5, d=6}
+
+
+def test_replay_trace_rejects_branches_with_different_tails():
+    text = "((a,b),(c,d));"
+    step = ReductionStep("cherry", (Branch(1, 2), Branch(4, 5)), (), (1, "__r0"))
+    with pytest.raises(InternalConsistencyError, match="no net cherry"):
+        replay_trace(parse_network(text), parse_tree(text), ReductionTrace([step]))
+
+
+def test_replay_trace_rejects_a_cherry_the_tree_lacks():
+    # a and b are a net cherry, but the tree pairs a with c
+    step = ReductionStep("cherry", (Branch(1, 2), Branch(1, 3)), (), (1, "__r0"))
+    net, tree = parse_network("((a,b),(c,d));"), parse_tree("((a,c),(b,d));")
+    with pytest.raises(InternalConsistencyError, match="no tree cherry"):
+        replay_trace(net, tree, ReductionTrace([step]))
+    # the same step replays where the tree holds a and b as siblings
+    tree = parse_tree("((a,b),(c,d));")
+    [_, (out_net, out_tree)] = replay_trace(net, tree, ReductionTrace([step]))
+    assert out_net.label_set() == out_tree.label_set() == {"__r0", "c", "d"}
+    out_net.require_valid(require_binary=True)
+
+
+def test_replay_trace_rejects_a_cherry_step_on_a_non_cherry():
+    # 0 is the root (not a strict tree vertex), and 1 has lost no leaf
+    text = "((a,b),(c,d));"
+    net, tree = parse_network(text), parse_tree(text)
+    for branches, intro in (
+        ((Branch(0, 1), Branch(0, 4)), (0, "__r0")),
+        ((Branch(1, 3), Branch(1, 2)), (1, "__r0")),  # heads out of order
+        ((Branch(1, 2), Branch(1, 3)), (4, "__r0")),
+    ):
+        step = ReductionStep("cherry", branches, (), intro)
+        with pytest.raises(InternalConsistencyError):
+            replay_trace(net, tree, ReductionTrace([step]))

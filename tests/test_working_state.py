@@ -1,25 +1,29 @@
 """The in-place reduction loop against references that rebuild everything.
 
 `reference_suppress` is the full-sweep suppression, `reference_longest_path`
-the whole longest-path dynamic program and `reference_displays` the loop
-over frozen structures (all in helpers.py). The working state's seeded
+the whole longest-path dynamic program, `reference_displays` the loop over
+frozen structures and `reference_collapse_cherry` the cherry collapse on
+full editors of both sides (all in helpers.py). The working state's seeded
 sweep, cherry heap, reticulation set, kept longest-path table and
-tree-parent map must reproduce them exactly.
+parent-map tree side must reproduce them exactly.
 """
 
+import copy
 import random
 
 import pytest
 
-from netdisplay import tcp
-from netdisplay.core import Branch, Network, NetworkEditor
+from netdisplay import reductions, tcp
+from netdisplay.core import Branch, Network, NetworkEditor, require_tree
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import parse_network, parse_tree, serialize
-from netdisplay.reductions import replay_trace
+from netdisplay.reductions import ReductionState, replay_trace
 from netdisplay.tcp import LongestPaths, Resolution, apply_resolution, displays
 
 from helpers import (
     GOLDEN,
+    ReferenceTreeEditor,
+    reference_collapse_cherry,
     reference_displays,
     reference_longest_path,
     reference_suppress,
@@ -183,3 +187,160 @@ def test_displays_matches_frozen_loop_on_generated(n, path_queries):
         _assert_same_run(net, _swapped(pos, rng))
     assert rounds > n // 4
     assert path_queries
+
+
+def _assert_same_tree_side(ted, ref: ReferenceTreeEditor) -> None:
+    """The parent-map tree side holds what the full tree editor holds."""
+    assert ted.par == {v: (ps or [None])[0] for v, ps in ref.ins.items()}
+    assert ted.labels == ref.labels
+    assert ted.leaf == {lab: v for v, lab in ref.labels.items()}
+    assert ted.parent_of == ref.parent_of
+    assert ted.root == ref.root
+    got, want = ted.freeze(), ref.freeze()
+    assert type(got) is type(want) and got.next_id == want.next_id
+    assert got._out == want._out and got._labels == want._labels
+
+
+@pytest.fixture
+def shadowed_collapses(monkeypatch):
+    """Run every cherry collapse, of displays and of replay_trace, also on
+    full editors of both sides with the reference collapse, and compare.
+    The reference tree editor starts from the tree the working state was
+    built from (only collapses edit the tree side) and follows it; the net
+    side is copied before each collapse, since case rounds edit it in
+    between. Returns the list of (net editor, tree side) pairs seen, one
+    entry per collapse."""
+    real = reductions._collapse_cherry
+    shadows: dict = {}  # id(tree side) -> (tree side, reference editor)
+    seen: list = []
+
+    def shadowed(ned, ted, l1, l2, p, lab):
+        if id(ted) not in shadows:
+            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted._src))
+        ref_ted = shadows[id(ted)][1]
+        ref_ned = copy.deepcopy(ned)
+        step = real(ned, ted, l1, l2, p, lab)
+        assert reference_collapse_cherry(ref_ned, ref_ted, l1, l2, p, lab) == step
+        assert (ned.out, ned.ins) == (ref_ned.out, ref_ned.ins)
+        assert ned.labels == ref_ned.labels
+        _assert_same_tree_side(ted, ref_ted)
+        seen.append((ned, ted))
+        return step
+
+    monkeypatch.setattr(reductions, "_collapse_cherry", shadowed)
+    return seen
+
+
+def _decide_and_replay(net, tree, seen: list) -> int:
+    """displays, then replay_trace of its trace, both shadowed; returns the
+    number of cherry steps, after checking both runs collapsed each."""
+    start = len(seen)
+    trace = displays(net, tree).trace
+    replay_trace(net, tree, trace)
+    cherries = sum(step.kind == "cherry" for step in trace.steps)
+    assert len(seen) - start == 2 * cherries
+    return cherries
+
+
+def test_tree_side_matches_full_editor_on_golden(shadowed_collapses):
+    cherries = sum(
+        _decide_and_replay(
+            parse_network(rec["net"]), parse_tree(rec["tree"]), shadowed_collapses
+        )
+        for rec in GOLDEN
+    )
+    assert cherries > 300
+
+
+def test_tree_side_matches_full_editor_on_generated(shadowed_collapses):
+    rng = random.Random(13)
+    cherries = 0
+    for i in range(100):
+        n = rng.randint(5, 40)
+        m = rng.randint(1, n // 3 + 1)
+        net = generate(GenSpec(n, m, "nearly_stable", seed=3000 + i))
+        kept = tuple(
+            (r, Branch(rng.choice(sorted(net.parents(r))), r))
+            for r in net.reticulations
+        )
+        pos = apply_resolution(net, Resolution(kept))
+        cherries += _decide_and_replay(net, pos, shadowed_collapses)
+        cherries += _decide_and_replay(net, _swapped(pos, rng), shadowed_collapses)
+    assert cherries > 1000
+
+
+class _CountingDict(dict):
+    """A dict that logs every read of its values into `log`."""
+
+    def __init__(self, data, log: list, event: str):
+        super().__init__(data)
+        self._log, self._event = log, event
+
+    def __getitem__(self, key):
+        self._log.append(self._event)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._log.append(self._event)
+        return super().get(key, default)
+
+    def items(self):
+        self._log.append(self._event)
+        return super().items()
+
+    def values(self):
+        self._log.append(self._event)
+        return super().values()
+
+
+def test_displays_builds_one_lean_working_state(monkeypatch):
+    """Counts, not times, over one decide at n = 200: one NetworkEditor
+    (the net side), no read of the tree's child lists and no Network built
+    before the oracle tail's two freezes, and the set-up cherry scan only
+    at parents of leaves, once each."""
+    net = generate(GenSpec(200, 50, "nearly_stable", seed=900))
+    kept = tuple((r, Branch(min(net.parents(r)), r)) for r in net.reticulations)
+    tree = apply_resolution(net, Resolution(kept))
+    require_tree(tree)  # memoizes the checks displays makes of the tree
+    events: list = []
+    tree._out = _CountingDict(tree._out, events, "tree child list")
+
+    def logged(owner, name, event):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(event)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    logged(NetworkEditor, "__init__", "editor")
+    logged(Network, "__init__", "network")
+    logged(tcp, "oracle_displays", "oracle")
+    setup_cherry_tests: list = []
+    in_setup = []
+    real_init, real_cherry_at = ReductionState.__init__, reductions._cherry_at
+
+    def init(self, *args):
+        in_setup.append(True)
+        real_init(self, *args)
+        in_setup.pop()
+
+    def cherry_at(out, ins, v):
+        if in_setup:
+            setup_cherry_tests.append(v)
+        return real_cherry_at(out, ins, v)
+
+    monkeypatch.setattr(ReductionState, "__init__", init)
+    monkeypatch.setattr(reductions, "_cherry_at", cherry_at)
+    displays(net, tree)
+    assert events.count("editor") == 1
+    # this decide ends in the oracle tail, which freezes each side once;
+    # the tree's freeze is the only reader of its child lists
+    calls = [e for e in events if e in ("network", "oracle")]
+    assert calls == ["network", "network", "oracle"]
+    first, second = (i for i, e in enumerate(events) if e == "network")
+    assert "tree child list" not in events[: first + 1]
+    assert "tree child list" in events[first:second]
+    leaf_parents = {net.parents(v)[0] for v in net.leaves}
+    assert sorted(setup_cherry_tests) == sorted(leaf_parents)
