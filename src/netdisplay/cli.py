@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .bounds import class_stats, ns_to_rv_transform, verify_bounds
@@ -131,23 +132,15 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _gen_spec(args, seed: int) -> GenSpec:
-    try:
-        return GenSpec(
-            n_leaves=args.leaves,
-            target_reticulations=args.rets,
-            class_constraint=args.class_constraint,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
-
 def cmd_gen(args) -> int:
     if args.count < 0:
         raise _UsageError("--count must be nonnegative")
+    try:  # checked before the loop, so a bad spec fails whatever the count
+        spec = GenSpec(args.leaves, args.rets, args.class_constraint, args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     for i in range(args.count):
-        spec = _gen_spec(args, args.seed + i)
+        spec = replace(spec, seed=args.seed + i)
         net = generate(spec)
         print(
             f"# seed={spec.seed} leaves={spec.n_leaves} rets={spec.target_reticulations}"

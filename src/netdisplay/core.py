@@ -266,8 +266,8 @@ class NetworkEditor:
     surviving vertices are stable across a derivation and new ids never
     collide with deleted ones. freeze() builds the source's class, so an
     edited PhyloTree comes back as a PhyloTree (unvalidated, like any
-    frozen result). The read calls mirror Network's, so rules written
-    against a Network also run on an editor.
+    frozen result). Readers read its maps: `out` and `ins` (vertex ->
+    child and parent lists), `labels` and `root`.
     """
 
     def __init__(self, net: Network):
@@ -277,34 +277,6 @@ class NetworkEditor:
         self.root = net._root
         self._next = net.next_id
         self._cls = type(net)
-
-    # -- read API, matching Network's, for rules that run on either --------
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.out
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return tuple(self.out[v])
-
-    def parents(self, v: int) -> tuple[int, ...]:
-        return tuple(self.ins[v])
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.ins[v])
-
-    def is_leaf(self, v: int) -> bool:
-        return not self.out[v]
-
-    def label(self, v: int) -> str | None:
-        return self.labels.get(v)
-
-    def has_branch(self, tail: int, head: int) -> bool:
-        return head in self.out.get(tail, ())
-
-    # -- edits ---------------------------------------------------------------
 
     def new_vertex(self) -> int:
         v = self._next

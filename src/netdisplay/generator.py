@@ -55,6 +55,8 @@ def _editor_branches(ed: NetworkEditor) -> list:
 
 def _grow_tree(labels, rng: random.Random) -> Network:
     labels = list(labels)
+    if not labels:
+        raise ValueError("need at least one leaf label")
     if len(labels) != len(set(labels)):
         raise ValueError("leaf labels must be distinct")
     if len(labels) == 1:

@@ -11,10 +11,13 @@ Lines whose first non-whitespace character is ``#`` not followed by a label
 character are comments (the generator emits its metadata this way); they are
 blanked before tokenization so diagnostics keep true byte offsets.
 
-Serialization is canonical: children are emitted smallest reachable leaf
-label first (stable for ties), hybrid tags are renumbered 1..m in emission
-order, and each hybrid's subtree is printed at its first occurrence. Hence
-``serialize(parse_network(serialize(n))) == serialize(n)``.
+Serialization emits children smallest reachable leaf label first (stable
+for ties), renumbers hybrid tags 1..m in emission order, and prints each
+hybrid's subtree at its first occurrence. Hence
+``serialize(parse_network(serialize(n))) == serialize(n)``, and equal output
+implies isomorphic networks. It is not canonical: when two children of one
+vertex tie on their smallest leaf, their list order decides, so isomorphic
+networks can serialize differently.
 """
 
 from __future__ import annotations
@@ -368,6 +371,8 @@ def serialize(net: Network) -> str:
 
 
 def canonical_equal(a: Network, b: Network) -> bool:
-    """Isomorphism check via canonical serialization (labels, topology and
-    hybrid structure; vertex ids are irrelevant)."""
+    """Compare serializations (labels, topology and hybrid structure;
+    vertex ids are irrelevant). True implies the networks are isomorphic.
+    False can still come from isomorphic networks in which two children of
+    one vertex tie on their smallest leaf."""
     return serialize(a) == serialize(b)

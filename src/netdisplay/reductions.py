@@ -18,11 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from .core import Branch, Network, NetworkEditor, PhyloTree, require_tree
-from .errors import (
-    InternalConsistencyError,
-    InvalidNetworkError,
-    LeafSetMismatchError,
-)
+from .errors import InternalConsistencyError, LeafSetMismatchError
 
 _FRESH_RE = re.compile(r"^__r(\d+)$")
 
@@ -105,15 +101,6 @@ class _TreeEditor:
         self.parent_of = {lab: self.par[v] for lab, v in self.leaf.items()}
         self.root = tree._root
         self._src = tree
-
-    def parent(self, v: int) -> int:
-        p = self.par[v]
-        if p is None:
-            raise InvalidNetworkError(f"tree vertex {v} has no parent")
-        return p
-
-    def parent_of_label(self, label: str) -> int:
-        return self.parent_of[label]
 
     def freeze(self) -> PhyloTree:
         src, par = self._src, self.par
@@ -238,11 +225,11 @@ def replay_trace(
     """Re-apply a trace to the pair it was recorded from.
 
     Returns every intermediate state, starting with the inputs; the final
-    pair reproduces the original run bit-for-bit under canonical
-    serialization. The working state's two sides carry the steps, with
-    the loop's collapse primitive. Each cherry step must name a net cherry
-    whose labels are tree siblings, and each case step must contract
-    exactly the vertices it recorded; else InternalConsistencyError.
+    pair reproduces the original run bit-for-bit under `serialize`. The
+    working state's two sides carry the steps, with the loop's collapse
+    primitive. Each cherry step must name a net cherry whose labels are
+    tree siblings, and each case step must contract exactly the vertices
+    it recorded; else InternalConsistencyError.
     """
     net.require_valid()
     require_tree(tree)

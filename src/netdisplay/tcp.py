@@ -247,27 +247,26 @@ def find_longest_root_leaf_path(net: Network | LongestPaths) -> list:
     return net.path()
 
 
-def _fail_match(net: Network | NetworkEditor, msg: str, ids) -> None:
+def _fail_match(ed: NetworkEditor, msg: str, ids) -> None:
     """Raise with the adjacency of the vertices around a failed match."""
     rows = [f"{msg}; local structure:"]
     for x in sorted(set(ids)):
-        if x not in net:
+        if x not in ed.out:
             rows.append(f"  {x}: <absent>")
             continue
-        lab = net.label(x)
-        row = f"  {x}: in={list(net.parents(x))} out={list(net.children(x))}"
-        if lab is not None:
-            row += f" label={lab}"
+        row = f"  {x}: in={ed.ins[x]} out={ed.out[x]}"
+        if x in ed.labels:
+            row += f" label={ed.labels[x]}"
         rows.append(row)
     raise InternalConsistencyError("\n".join(rows))
 
 
-def _is_ret(net: Network | NetworkEditor, x: int) -> bool:
-    return net.in_degree(x) == 2 and net.out_degree(x) == 1
+def _is_ret(ed: NetworkEditor, x: int) -> bool:
+    return len(ed.ins[x]) == 2 and len(ed.out[x]) == 1
 
 
-def _other_child(net: Network | NetworkEditor, parent: int, known: int) -> int:
-    cs = [c for c in net.children(parent) if c != known]
+def _other_child(ed: NetworkEditor, parent: int, known: int) -> int:
+    cs = [c for c in ed.out[parent] if c != known]
     if len(cs) != 1:
         raise PatternMismatchError(
             f"vertex {parent} lacks a unique child besides {known}"
@@ -275,8 +274,8 @@ def _other_child(net: Network | NetworkEditor, parent: int, known: int) -> int:
     return cs[0]
 
 
-def _other_parent(net: Network | NetworkEditor, v: int, known: int) -> int:
-    ps = [p for p in net.parents(v) if p != known]
+def _other_parent(ed: NetworkEditor, v: int, known: int) -> int:
+    ps = [p for p in ed.ins[v] if p != known]
     if len(ps) != 1:
         raise PatternMismatchError(
             f"vertex {v} lacks a unique parent besides {known}"
@@ -284,26 +283,29 @@ def _other_parent(net: Network | NetworkEditor, v: int, known: int) -> int:
     return ps[0]
 
 
-def _uncle_nephew_site(net: Network | NetworkEditor, site: int):
+def _uncle_nephew_site(ed: NetworkEditor, site: int):
     """Return (leaf, ret, ret_leaf) below the site or raise."""
-    if site not in net:
+    out = ed.out
+    if site not in out:
         raise PatternMismatchError(f"unknown vertex {site}")
-    if net.in_degree(site) < 1 or net.out_degree(site) != 2:
+    if not ed.ins[site] or len(out[site]) != 2:
         raise PatternMismatchError(f"vertex {site} is not a binary tree vertex")
-    c1, c2 = net.children(site)
+    c1, c2 = out[site]
     for leaf, ret in ((c1, c2), (c2, c1)):
-        if net.is_leaf(leaf) and _is_ret(net, ret) and net.is_leaf(net.children(ret)[0]):
-            return leaf, ret, net.children(ret)[0]
+        if not out[leaf] and _is_ret(ed, ret) and not out[out[ret][0]]:
+            return leaf, ret, out[ret][0]
     raise PatternMismatchError(
         f"vertex {site} does not head an uncle-nephew pattern"
     )
 
 
-def match_case(net: Network | NetworkEditor, path: list) -> CaseMatch:
+def match_case(net: NetworkEditor | Network, path: list) -> CaseMatch:
     """Identify which of the ten tail patterns the network exhibits.
 
-    `path` must come from find_longest_root_leaf_path and hold at least
-    four vertices; the last four are examined as w, u, v, leaf. Expects a
+    `net` is the working state's editor, whose adjacency maps the rules
+    read; a frozen Network is read through an editor of it. `path` must
+    come from find_longest_root_leaf_path and hold at least four
+    vertices; the last four are examined as w, u, v, leaf. Expects a
     binary nearly-stable network with no cherry (so no leaf-bearing
     reticulation-free subtree either). A failure to match signals a broken
     precondition, not a negative verdict.
@@ -312,148 +314,148 @@ def match_case(net: Network | NetworkEditor, path: list) -> CaseMatch:
         raise InternalConsistencyError(
             "case dispatch needs a root-leaf path of at least 4 vertices"
         )
+    ed = NetworkEditor(net) if isinstance(net, Network) else net
+    out, ins = ed.out, ed.ins
     l, v, u, w = path[-1], path[-2], path[-3], path[-4]
     around = [l, v, u, w]
-    if not net.is_leaf(l):
-        _fail_match(net, f"path does not end in a leaf ({l})", around)
-    if not _is_ret(net, v):
+    if out[l]:
+        _fail_match(ed, f"path does not end in a leaf ({l})", around)
+    if not _is_ret(ed, v):
         _fail_match(
-            net, f"parent {v} of the path leaf is not a reticulation", around
+            ed, f"parent {v} of the path leaf is not a reticulation", around
         )
     bindings = {"w": w, "u": u, "v": v, "l": l}
 
-    if net.in_degree(u) >= 2:
+    if len(ins[u]) >= 2:
         # reticulation chain u above v
-        if not _is_ret(net, u) or net.children(u) != (v,):
-            _fail_match(net, f"vertex {u} is not a reticulation onto {v}", around)
-        if net.out_degree(w) != 2 or u not in net.children(w):
-            _fail_match(net, f"vertex {w} is not a binary parent of {u}", around)
-        x = _other_child(net, w, u)
-        if net.is_leaf(x):
+        if not _is_ret(ed, u) or out[u] != [v]:
+            _fail_match(ed, f"vertex {u} is not a reticulation onto {v}", around)
+        if len(out[w]) != 2 or u not in out[w]:
+            _fail_match(ed, f"vertex {w} is not a binary parent of {u}", around)
+        x = _other_child(ed, w, u)
+        if not out[x]:
             bindings["lp"] = x
             return CaseMatch("A", bindings)
         try:
-            g_leaf, g_ret, g_ret_leaf = _uncle_nephew_site(net, x)
+            g_leaf, g_ret, g_ret_leaf = _uncle_nephew_site(ed, x)
         except PatternMismatchError as exc:
-            _fail_match(net, str(exc), around + [x])
+            _fail_match(ed, str(exc), around + [x])
         bindings.update(g=x, lp=g_leaf, h=g_ret, lpp=g_ret_leaf)
         return CaseMatch("B", bindings)
 
     # u is a tree vertex over v
-    if net.out_degree(u) != 2 or v not in net.children(u):
-        _fail_match(net, f"vertex {u} is not a binary parent of {v}", around)
-    e = _other_child(net, u, v)
-    if net.is_leaf(e):
+    if len(out[u]) != 2 or v not in out[u]:
+        _fail_match(ed, f"vertex {u} is not a binary parent of {v}", around)
+    e = _other_child(ed, u, v)
+    if not out[e]:
         bindings["e"] = e
         return CaseMatch("C", bindings)
-    if not _is_ret(net, e) or not net.is_leaf(net.children(e)[0]):
+    if not _is_ret(ed, e) or out[out[e][0]]:
         _fail_match(
-            net,
+            ed,
             f"sibling {e} of {v} is neither a leaf nor a reticulation onto a leaf",
             around + [e],
         )
     bindings["e"] = e
-    bindings["lp"] = net.children(e)[0]
-    if net.out_degree(w) != 2 or u not in net.children(w):
-        _fail_match(net, f"vertex {w} is not a binary parent of {u}", around)
-    g = _other_child(net, w, u)
+    bindings["lp"] = out[e][0]
+    if len(out[w]) != 2 or u not in out[w]:
+        _fail_match(ed, f"vertex {w} is not a binary parent of {u}", around)
+    g = _other_child(ed, w, u)
     if g == e or g == v:
         # w itself is the second parent: both in-branches of that
         # reticulation resolve to identical trees, so the removal rules
         # for a separate joint parent apply verbatim with g played by w
         bindings["g"] = w
         return CaseMatch("F" if g == e else "H", bindings)
-    if net.is_leaf(g):
+    if not out[g]:
         bindings["g"] = g
         bindings["lpp"] = g
         return CaseMatch("D", bindings)
-    if net.in_degree(g) != 1 or net.out_degree(g) != 2:
+    if len(ins[g]) != 1 or len(out[g]) != 2:
         _fail_match(
-            net, f"vertex {g} is neither a leaf nor a tree vertex", around + [g]
+            ed, f"vertex {g} is neither a leaf nor a tree vertex", around + [g]
         )
     bindings["g"] = g
-    cg = set(net.children(g))
-    over_e, over_v = e in cg, v in cg
+    over_e, over_v = e in out[g], v in out[g]
     if over_e and over_v:
         return CaseMatch("E", bindings)
     if over_e or over_v:
-        h = _other_child(net, g, e if over_e else v)
+        h = _other_child(ed, g, e if over_e else v)
         bindings["h"] = h
-        if net.is_leaf(h):
+        if not out[h]:
             return CaseMatch("G" if over_e else "I", bindings)
-        if not _is_ret(net, h) or not net.is_leaf(net.children(h)[0]):
+        if not _is_ret(ed, h) or out[out[h][0]]:
             _fail_match(
-                net,
+                ed,
                 f"vertex {h} is neither a leaf nor a reticulation onto a leaf",
                 around + [g, h],
             )
-        bindings["lpp"] = net.children(h)[0]
+        bindings["lpp"] = out[h][0]
         return CaseMatch("F" if over_e else "H", bindings)
     try:
-        g_leaf, g_ret, g_ret_leaf = _uncle_nephew_site(net, g)
+        g_leaf, g_ret, g_ret_leaf = _uncle_nephew_site(ed, g)
     except PatternMismatchError as exc:
-        _fail_match(net, str(exc), around + [g])
+        _fail_match(ed, str(exc), around + [g])
     bindings.update(h=g_ret, lpp=g_ret_leaf)
     return CaseMatch("J", bindings)
 
 
-def _uncle_nephew_branch(net: NetworkEditor, tree, site: int) -> Branch:
+def _uncle_nephew_branch(ed: NetworkEditor, tree, site: int) -> Branch:
     """Pick the branch the uncle-nephew rule removes below `site`."""
-    leaf, ret, ret_leaf = _uncle_nephew_site(net, site)
-    if not _siblings(net, tree, leaf, ret_leaf):
+    leaf, ret, ret_leaf = _uncle_nephew_site(ed, site)
+    if not _siblings(ed, tree, leaf, ret_leaf):
         return Branch(site, ret)
-    return Branch(_other_parent(net, ret, site), ret)
+    return Branch(_other_parent(ed, ret, site), ret)
 
 
-def _case_removals(net: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
+def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     """The branches the matched case removes.
 
-    `net` and `tree` are the working state's two sides: a NetworkEditor,
-    read through Network's read calls and its label map, and the parent-map
-    _TreeEditor, read through its label -> parent map (_siblings,
-    parent_of_label), parent and root. The tree has no child lists.
+    `ed` and `tree` are the working state's two sides, read through their
+    maps: the editor's adjacency and labels, and the parent-map
+    _TreeEditor's label -> parent map (_siblings, parent_of), vertex ->
+    parent map (par) and root. The tree has no child lists.
     """
     b = m.bindings
     case = m.case_id
     if case in ("B", "C", "G", "I", "J"):
         site = b["u"] if case == "C" else b["g"]
-        removed = (_uncle_nephew_branch(net, tree, site),)
+        removed = (_uncle_nephew_branch(ed, tree, site),)
     elif case == "A":
-        if _siblings(net, tree, b["l"], b["lp"]):
+        if _siblings(ed, tree, b["l"], b["lp"]):
             removed = (
-                Branch(_other_parent(net, b["u"], b["w"]), b["u"]),
-                Branch(_other_parent(net, b["v"], b["u"]), b["v"]),
+                Branch(_other_parent(ed, b["u"], b["w"]), b["u"]),
+                Branch(_other_parent(ed, b["v"], b["u"]), b["v"]),
             )
         else:
             removed = (Branch(b["w"], b["u"]),)
     elif case == "D":
-        keep_together = _siblings(net, tree, b["l"], b["lpp"])
-        if not keep_together and _siblings(net, tree, b["l"], b["lp"]):
-            pair_parent = tree.parent_of_label(net.label(b["l"]))
-            lpp_parent = tree.parent_of_label(net.label(b["lpp"]))
+        keep_together = _siblings(ed, tree, b["l"], b["lpp"])
+        if not keep_together and _siblings(ed, tree, b["l"], b["lp"]):
+            pair_parent = tree.parent_of[ed.labels[b["l"]]]
+            lpp_parent = tree.parent_of[ed.labels[b["lpp"]]]
             keep_together = (
-                pair_parent != tree.root
-                and tree.parent(pair_parent) == lpp_parent
+                pair_parent != tree.root and tree.par[pair_parent] == lpp_parent
             )
         if keep_together:
-            removed = (Branch(_other_parent(net, b["v"], b["u"]), b["v"]),)
+            removed = (Branch(_other_parent(ed, b["v"], b["u"]), b["v"]),)
         else:
             removed = (Branch(b["u"], b["v"]),)
     elif case == "E":
         removed = (Branch(b["u"], b["e"]), Branch(b["g"], b["v"]))
     elif case in ("F", "H"):
         on_g, off_g = (b["e"], b["v"]) if case == "F" else (b["v"], b["e"])
-        if _siblings(net, tree, b["l"], b["lp"]):
+        if _siblings(ed, tree, b["l"], b["lp"]):
             removed = (
                 Branch(b["g"], on_g),
-                Branch(_other_parent(net, off_g, b["u"]), off_g),
+                Branch(_other_parent(ed, off_g, b["u"]), off_g),
             )
         else:
             removed = (Branch(b["u"], on_g),)
     else:
         raise PatternMismatchError(f"unknown case id {case!r}")
     for br in removed:
-        if not net.has_branch(*br):
+        if br.head not in ed.out.get(br.tail, ()):
             raise PatternMismatchError(f"bound branch {br} is absent")
     return removed
 

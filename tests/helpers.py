@@ -16,7 +16,7 @@ from netdisplay.core import (
     ValidationOutcome,
     Violation,
 )
-from netdisplay.errors import InternalConsistencyError, InvalidNetworkError
+from netdisplay.errors import InternalConsistencyError
 
 # running example: one reticulation, three leaves, everything stable
 RUNNING = "((a,(b)#H1),(#H1,c));"
@@ -309,24 +309,14 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
 
 class ReferenceTreeEditor(NetworkEditor):
     """Reference for reductions._TreeEditor: a full editor of the tree
-    (child and parent lists) that keeps its label -> parent map current
-    and answers the calls the case rules make of the tree
-    (parent_of_label, parent, root)."""
+    (child and parent lists) that keeps its label -> parent map current.
+    The tests compare the two sides' maps after every cherry collapse."""
 
     def __init__(self, tree: PhyloTree):
         super().__init__(tree)
         self.parent_of = {
             lab: (self.ins[v] or [None])[0] for v, lab in self.labels.items()
         }
-
-    def parent(self, v: int) -> int:
-        ps = self.ins[v]
-        if len(ps) != 1:
-            raise InvalidNetworkError(f"tree vertex {v} has {len(ps)} parents")
-        return ps[0]
-
-    def parent_of_label(self, label: str) -> int:
-        return self.parent_of[label]
 
 
 def reference_collapse_cherry(

@@ -320,6 +320,14 @@ def test_gen_rejects_bad_spec(capsys):
     assert "netdisplay:" in capsys.readouterr().err
 
 
+def test_gen_bad_spec_fails_whatever_the_count(capsys):
+    for argv in (["--leaves", "0"], ["--leaves", "3", "--rets", "-1"]):
+        assert main(["gen", *argv, "--count", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("netdisplay:")
+
+
 def test_gen_negative_count_is_a_usage_error(capsys):
     assert main(["gen", "--leaves", "3", "--count", "-1"]) == 2
     captured = capsys.readouterr()

@@ -1,15 +1,18 @@
 """Grammar-aware mutants of generated networks through every subcommand.
 
-Each mutation class breaks a valid canonical eNewick text in one place:
+Each mutation class changes a valid canonical eNewick text in one place:
 a hybrid reference dropped or duplicated, a leaf label repeated, a leaf
-wrapped in a unary vertex, a third child added to a tree vertex, or a leaf
-renamed into the reserved ``__r`` namespace. Every mutant goes through
+wrapped in a unary vertex, a third child added to a tree vertex, a leaf
+renamed into the reserved ``__r`` namespace, or a hybrid's subtree moved
+onto a later reference of its tag (the one class that keeps the network
+the same, checked against the original). Every mutant goes through
 ``cli.main`` as the network of validate, classify, stats, transform and
 contains (all three algorithms), and as the tree of contains. Whatever
 the input, main returns a documented exit code below 5, and a failing
 call writes nothing to stdout and only ``netdisplay: `` lines to stderr.
 """
 
+import json
 import random
 import re
 
@@ -76,6 +79,23 @@ def _reserved(text, rng):
     return _splice(text, m.start(), m.end(), "__r0")
 
 
+def _move_subtree(text, rng):
+    # a later bare reference cannot lie inside the hybrid's subtree, as
+    # that would close a cycle, so the mutant is the same network under
+    # other vertex ids
+    close = rng.choice(list(re.finditer(r"\)(#H\d+)", text)))
+    tag, start, depth = close.group(1), close.start(), 0
+    while True:  # back to the '(' that opens the subtree
+        depth += (text[start] == ")") - (text[start] == "(")
+        if depth == 0:
+            break
+        start -= 1
+    refs = re.finditer(rf"(?<=[(,]){tag}(?!\d)", text)
+    ref = rng.choice([m for m in refs if m.start() > close.end()])
+    moved = _splice(text, ref.start(), ref.start(), text[start : close.start() + 1])
+    return _splice(moved, start, close.start() + 1, "")
+
+
 MUTATIONS = {
     "drop_ref": _drop_ref,
     "dup_ref": _dup_ref,
@@ -83,6 +103,7 @@ MUTATIONS = {
     "unary": _unary,
     "polytomy": _polytomy,
     "reserved": _reserved,
+    "move_subtree": _move_subtree,
 }
 
 
@@ -146,6 +167,15 @@ def test_mutants_exit_cleanly_through_every_subcommand(
             *(["contains", mut, tree, "--algo", a] for a in ("auto", "fast", "oracle")),
             ["contains", net, mut],
         ]
+        if name == "move_subtree":
+            assert serialize(newick_io.parse_network(mutant)) == net_text
+            for a in ("auto", "fast", "oracle"):
+                verdicts = []
+                for net_file in (net, mut):
+                    code = main(["contains", net_file, tree, "--algo", a])
+                    out = json.loads(capsys.readouterr().out)
+                    verdicts.append((code, out["displayed"]))
+                assert verdicts[0] == verdicts[1], (a, mutant)
         for argv in calls:
             try:
                 code = main(argv)

@@ -409,13 +409,13 @@ def test_phylo_tree_parent_map():
     state = ReductionState(parse_network(text), parse_tree(text))
     tree = state.tree
     c = {lab: v for v, lab in tree.labels.items()}["c"]
-    assert tree.parent(c) == tree.root
-    assert tree.parent_of_label("c") == tree.root
-    assert tree.parent_of_label("a") == tree.parent_of_label("b")
-    assert tree.parent_of_label("a") != tree.root
+    assert tree.par[c] == tree.root
+    assert tree.parent_of["c"] == tree.root
+    assert tree.parent_of["a"] == tree.parent_of["b"]
+    assert tree.parent_of["a"] != tree.root
     state.collapse_cherries()
     assert set(tree.labels.values()) == {"c", "__r0"}
-    assert tree.parent_of_label("__r0") == tree.parent_of_label("c") == tree.root
+    assert tree.parent_of["__r0"] == tree.parent_of["c"] == tree.root
     assert tree.par == {tree.root: None, c: tree.root, tree.leaf["__r0"]: tree.root}
 
 
@@ -423,3 +423,8 @@ def test_random_tree_is_valid_binary():
     tree = random_tree(["a", "b", "c", "d"], seed=5)
     assert validate(tree, require_binary=True).ok
     assert sorted(tree.leaf_labels.values()) == ["a", "b", "c", "d"]
+
+
+def test_random_tree_needs_a_label():
+    with pytest.raises(ValueError, match="at least one leaf label"):
+        random_tree([])

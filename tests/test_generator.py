@@ -1,11 +1,12 @@
 """Seeded generation: determinism, class soundness, exhaustion behavior."""
 
+import functools
 import random
 import time
 
 import pytest
 
-from netdisplay.core import classify, validate
+from netdisplay.core import NetworkEditor, classify, validate
 from netdisplay.errors import GenerationExhaustedError
 from netdisplay.generator import RNG_NAME, GenSpec, generate, random_tree
 from netdisplay.newick_io import serialize
@@ -158,11 +159,12 @@ def test_generated_reticulation_count_matches_target():
         assert net.num_reticulations == 3
 
 
-def test_every_reduction_input_matches_some_case():
-    # totality: any cherry-free nearly-stable network with enough structure
-    # is accepted by the dispatcher
+@functools.cache
+def _reduction_inputs():
+    """(network, longest path) pairs of generated cherry-free nearly stable
+    networks that the reduction loop would hand to the case dispatch."""
     rng = random.Random(77)
-    matched = set()
+    inputs = []
     for i in range(300):
         n = rng.randint(4, 8)
         net = gen_with_fallback(n, rng.randint(3, 2 * (n - 1)), "nearly_stable", i)
@@ -172,9 +174,28 @@ def test_every_reduction_input_matches_some_case():
         path = find_longest_root_leaf_path(net)
         if len(path) < 4:
             continue
-        matched.add(match_case(net, path).case_id)
+        inputs.append((net, path))
+    return inputs
+
+
+def test_every_reduction_input_matches_some_case():
+    # totality: any cherry-free nearly-stable network with enough structure
+    # is accepted by the dispatcher
+    matched = {match_case(net, path).case_id for net, path in _reduction_inputs()}
     assert matched >= {"A", "C"}
     assert matched <= set("ABCDEFGHIJ")
+
+
+def test_match_case_reads_a_network_as_an_editor_of_it():
+    # the rules read an editor's maps; a frozen network goes through one
+    from netdisplay.newick_io import parse_network
+    from helpers import CASE_FIXTURES
+
+    fixtures = [parse_network(text) for text in CASE_FIXTURES.values()]
+    inputs = [(net, find_longest_root_leaf_path(net)) for net in fixtures]
+    inputs += _reduction_inputs()
+    for net, path in inputs:
+        assert match_case(net, path) == match_case(NetworkEditor(net), path)
 
 
 def test_case_coverage_with_fixture_supplement():
