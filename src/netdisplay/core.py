@@ -271,8 +271,9 @@ class NetworkEditor:
     """
 
     def __init__(self, net: Network):
-        self.out = {v: list(cs) for v, cs in net._out.items()}
-        self.ins = {v: list(ps) for v, ps in net._in.items()}
+        src_out, src_in = net._out, net._in
+        self.out = dict(zip(src_out, map(list, src_out.values())))
+        self.ins = dict(zip(src_in, map(list, src_in.values())))
         self.labels = dict(net._labels)
         self.root = net._root
         self._next = net.next_id
@@ -308,8 +309,9 @@ class NetworkEditor:
         if self.root == v:
             self.root = None
 
-    def contract(self, v: int) -> Branch:
-        """Remove an (indeg 1, outdeg 1) vertex, joining parent to child."""
+    def contract(self, v: int) -> None:
+        """Remove an (indeg 1, outdeg 1) vertex and join its parent to its
+        child; the new branch goes last in both lists."""
         out, ins = self.out, self.ins
         (p,) = ins[v]
         (c,) = out[v]
@@ -323,7 +325,6 @@ class NetworkEditor:
         out[p].append(c)
         ins[c].remove(v)
         ins[c].append(p)
-        return Branch(p, c)
 
     def subdivide(self, tail: int, head: int) -> int:
         """Replace tail->head with tail->s->head; returns the new vertex s."""
@@ -360,69 +361,81 @@ class NetworkEditor:
         added to `touched`.
         """
         out, ins, labels = self.out, self.ins, self.labels
+        pop, push = heapq.heappop, heapq.heappush
         contracted: list[int] = []
         sweep = sorted(v for v in touched if v in out)  # a sorted list is a heap
         queued = set(sweep)
         tail: deque[int] = deque()
         swept = -1
-
-        def enqueue(v: int) -> None:
-            if v in out and v not in queued:
-                touched.add(v)
-                queued.add(v)
-                if v > swept:
-                    heapq.heappush(sweep, v)
-                else:
-                    tail.append(v)
-
         while sweep or tail:
             if sweep:
-                v = swept = heapq.heappop(sweep)
+                v = swept = pop(sweep)
             else:
                 v, swept = tail.popleft(), math.inf
             queued.discard(v)
             if v not in out:
                 continue
-            ind, outd = len(ins[v]), len(out[v])
-            if ind == 0:
+            ps, cs = ins[v], out[v]
+            # each edit below deletes or rewires v in place and names the
+            # vertices it changed (nxt), which the sweep then queues
+            if not ps:
                 if v != self.root:
                     raise InternalConsistencyError(
                         f"vertex {v} lost all parents but is not the root"
                     )
-                if outd == 1:
-                    child = out[v][0]
-                    if ins[child] != [v]:
-                        raise InternalConsistencyError(
-                            f"root chain child {child} has extra parents"
-                        )
-                    self.delete_vertex(v)
-                    contracted.append(v)
-                    self.root = child
-                    enqueue(child)
-                elif outd == 0 and v not in labels:
-                    raise InternalConsistencyError("network degenerated to nothing")
-                continue
-            if outd == 0:
+                if len(cs) != 1:
+                    if not cs and v not in labels:
+                        raise InternalConsistencyError("network degenerated to nothing")
+                    continue
+                child = cs[0]
+                if ins[child] != [v]:
+                    raise InternalConsistencyError(
+                        f"root chain child {child} has extra parents"
+                    )
+                del out[v], ins[v]
+                labels.pop(v, None)
+                ins[child].clear()
+                self.root = child
+                contracted.append(v)
+                nxt = cs
+            elif not cs:
                 if v in labels:
                     continue
-                parents = ins[v]
-                self.delete_vertex(v)
-                for p in parents:
-                    enqueue(p)
-                continue
-            if ind == 1 and outd == 1:
-                p, c = ins[v][0], out[v][0]
-                if c in out[p]:
+                # an unlabeled dead end goes, and each parent loses a child
+                del out[v], ins[v]
+                for p in ps:
+                    out[p].remove(v)
+                nxt = ps
+            elif len(ps) == 1 and len(cs) == 1:
+                p, c = ps[0], cs[0]
+                out_p, ins_c = out[p], ins[c]
+                if c in out_p:
                     # contracting would create a parallel pair p->c; both
                     # copies carry the same resolutions, so merge them
-                    self.remove_branch(v, c)
-                    enqueue(v)
-                    enqueue(c)
-                    continue
-                self.contract(v)
-                contracted.append(v)
-                enqueue(p)
-                enqueue(c)
+                    cs.clear()
+                    ins_c.remove(v)
+                    nxt = (v, c)
+                else:
+                    # contract v: p->c goes last on both lists, as
+                    # contract() puts it, which keeps child order
+                    del out[v], ins[v]
+                    labels.pop(v, None)
+                    out_p.remove(v)
+                    out_p.append(c)
+                    ins_c.remove(v)
+                    ins_c.append(p)
+                    contracted.append(v)
+                    nxt = (p, c)
+            else:
+                continue
+            for u in nxt:
+                if u in out and u not in queued:
+                    touched.add(u)
+                    queued.add(u)
+                    if u > swept:
+                        push(sweep, u)
+                    else:
+                        tail.append(u)
         return contracted
 
     def set_label(self, v: int, label: str | None) -> None:
@@ -521,6 +534,7 @@ def stability(net: Network) -> StabilityReport:
     # order: every parent is final before its child is processed.
     order = net.topological_order()
     root = net.root
+    ins = net._in
     idom = {root: root}
     depth = {root: 0}
 
@@ -534,28 +548,33 @@ def stability(net: Network) -> StabilityReport:
             b = idom[b]
         return a
 
-    for v in order[1:]:
-        ps = net.parents(v)
-        d = ps[0]
-        for p in ps[1:]:
-            d = meet(d, p)
+    for v in order:
+        ps = ins[v]
+        if len(ps) == 1:  # a vertex with one parent is dominated by it
+            d = ps[0]
+        elif ps:
+            d = ps[0]
+            for p in ps[1:]:
+                d = meet(d, p)
+        else:  # the root, the one vertex without parents
+            continue
         idom[v] = d
         depth[v] = depth[d] + 1
 
     # smallest dominated leaf, folded bottom-up along the dominator tree;
     # an immediate dominator precedes its vertex in every topological
     # order, so the reversed order folds each vertex before its dominator
-    witness: dict[int, int | None] = {
-        v: (v if net.is_leaf(v) else None) for v in order
-    }
-    for v in reversed(order[1:]):
+    # (the root, its own dominator, folds into itself)
+    out = net._out
+    witness: dict[int, int | None] = {v: None if out[v] else v for v in order}
+    for v in reversed(order):
         w = witness[v]
         if w is None:
             continue
         up = idom[v]
         if witness[up] is None or w < witness[up]:
             witness[up] = w
-    stable = {v: witness[v] is not None for v in order}
+    stable = {v: w is not None for v, w in witness.items()}
     rep = StabilityReport(stable, witness)
     net._cache["stab"] = rep
     return rep

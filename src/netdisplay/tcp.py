@@ -161,22 +161,43 @@ class LongestPaths:
 
     `out` and `ins` are the graph's adjacency maps, read live, and `order`
     is a topological order of it, which edits that only remove branches
-    and vertices or contract vertices keep topological. The editing side
-    adds to `changed` every vertex whose in-list or leafness it changed;
-    each path() call first re-relaxes those, in order position, then the
-    children of each vertex whose distance moved. Every vertex of `order`
-    starts out changed, so the first call relaxes them all.
+    and vertices or contract vertices keep topological. The first path()
+    call relaxes every live vertex in one pass over `order`. After it, the
+    editing side adds to `changed` every vertex whose in-list or leafness
+    it changed, and each call re-relaxes those, in order position, then
+    the children of each vertex whose distance moved.
+
+    A vertex's predecessor is its parent of largest distance, the smallest
+    id among equals; _first and _relax both break ties so.
     """
 
     def __init__(self, out: dict, ins: dict, order, changed: set):
         self.out, self.ins, self.order, self.changed = out, ins, order, changed
-        self.pos = {v: i for i, v in enumerate(order)}
-        changed.update(order)
+        self.pos = dict(zip(order, range(len(order))))
         self.dist: dict = {}
         self.pred: dict = {}
         # (-dist, leaf), invalidated lazily: an entry counts while its
         # vertex is a live leaf at that distance
         self.leaves: list = []
+
+    def _first(self) -> None:
+        """dist and pred of every live vertex, in order; the leaf heap."""
+        out, ins, dist, pred = self.out, self.ins, self.dist, self.pred
+        leaves = self.leaves
+        for v in self.order:
+            ps = ins.get(v)
+            if ps is None:  # deleted before the first query
+                continue
+            best_d, best_p = -1, None
+            for p in ps:
+                d = dist[p]
+                if d > best_d or (d == best_d and p < best_p):
+                    best_d, best_p = d, p
+            dist[v] = d = best_d + 1
+            pred[v] = best_p
+            if not out[v]:
+                leaves.append((-d, v))
+        heapq.heapify(leaves)
 
     def _relax(self, ready: list) -> None:
         """Recompute dist and pred at the queued order positions (a heap)."""
@@ -200,22 +221,25 @@ class LongestPaths:
             cs = out[v]
             if not cs:
                 push(leaves, (-d, v))
-            old = dist.get(v)
-            if old != d:
+            if dist[v] != d:
                 dist[v] = d
-                # a vertex without a distance yet is part of the first
-                # relaxation, which queues every vertex already
-                if old is not None:
-                    for c in cs:
-                        push(ready, pos[c])
+                for c in cs:
+                    push(ready, pos[c])
 
-    def path(self) -> list:
-        """A maximum-vertex-count root-to-leaf path of the graph as it is."""
-        ins, pos = self.ins, self.pos
-        ready = [pos[v] for v in self.changed if v in ins]
-        heapq.heapify(ready)
-        self.changed.clear()
-        self._relax(ready)
+    def path(self, limit: int | None = None) -> list:
+        """The leaf end of a maximum-vertex-count root-to-leaf path of the
+        graph as it is: its last `limit` vertices, or all of it when it is
+        shorter or `limit` is None. Walks one `pred` link a vertex."""
+        changed = self.changed
+        if self.dist:
+            ins, pos = self.ins, self.pos
+            ready = [pos[v] for v in changed if v in ins]
+            heapq.heapify(ready)
+            changed.clear()
+            self._relax(ready)
+        else:
+            changed.clear()  # the first pass relaxes every live vertex
+            self._first()
         out, dist, leaves = self.out, self.dist, self.leaves
         while leaves:
             neg_d, leaf = leaves[0]
@@ -224,11 +248,13 @@ class LongestPaths:
             heapq.heappop(leaves)
         else:
             return []
-        path = []
-        cur = leaf
-        while cur is not None:
-            path.append(cur)
-            cur = self.pred[cur]
+        # dist counts the path's branches, one fewer than its vertices
+        count = -neg_d + 1 if limit is None else min(limit, -neg_d + 1)
+        pred = self.pred
+        path = [leaf]
+        for _ in range(count - 1):
+            leaf = pred[leaf]
+            path.append(leaf)
         path.reverse()
         return path
 
@@ -237,14 +263,16 @@ def find_longest_root_leaf_path(net: Network | LongestPaths) -> list:
     """A maximum-vertex-count root-to-leaf path.
 
     On a Network this runs LongestPaths' dynamic program over its
-    topological order once; a caller editing in place passes the
-    LongestPaths it keeps, which re-relaxes only what changed since its
-    last query. All ties break toward the smallest vertex id, so repeated
+    topological order once and returns the whole path. A caller editing
+    in place passes the LongestPaths it keeps, which re-relaxes only what
+    changed since its last query, and gets the path's leaf end: its last
+    four vertices, all that match_case reads, or the whole path when it
+    is shorter. All ties break toward the smallest vertex id, so repeated
     runs trace identically.
     """
     if isinstance(net, Network):
-        net = LongestPaths(net._out, net._in, net.topological_order(), set())
-    return net.path()
+        return LongestPaths(net._out, net._in, net.topological_order(), set()).path()
+    return net.path(4)
 
 
 def _fail_match(ed: NetworkEditor, msg: str, ids) -> None:
@@ -517,14 +545,14 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
                 )
             displayed = True
             break
-        path = find_longest_root_leaf_path(paths)
-        if len(path) < 4 or len(state.rets) < 3:
+        tail = find_longest_root_leaf_path(paths)  # the last four vertices
+        if len(tail) < 4 or len(state.rets) < 3:
             sub = oracle_displays(state.net.freeze(), state.tree.freeze())
             displayed = sub.displayed
             if len(trace) == 0:
                 certificate = sub.certificate
             break
-        matched = match_case(state.net, path)
+        matched = match_case(state.net, tail)
         before = len(state.rets)
         trace.append(_simplify_in_place(state, matched))
         if len(state.rets) >= before:

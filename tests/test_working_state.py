@@ -9,6 +9,7 @@ parent-map tree side must reproduce them exactly.
 """
 
 import copy
+import heapq
 import random
 
 import pytest
@@ -54,12 +55,13 @@ def _check_seeded_suppress(net: Network, removed) -> list[int]:
     return contracted
 
 
-def _assert_kept_paths(paths: LongestPaths, path: list) -> None:
-    """The kept table agrees with a fresh run over the live graph on the
-    path and on dist and pred of every live vertex."""
+def _assert_kept_paths(paths: LongestPaths, path: list, limit=None) -> None:
+    """The kept table agrees with a fresh run over the live graph on dist
+    and pred of every live vertex, and `path` is the reference path, or
+    its last `limit` vertices."""
     live = paths.out
     ref_path, ref_dist, ref_pred = reference_longest_path(Network(live, {}))
-    assert path == ref_path
+    assert path == (ref_path if limit is None else ref_path[-limit:])
     assert {v: paths.dist[v] for v in live} == ref_dist
     assert {v: paths.pred[v] for v in live} == ref_pred
 
@@ -77,16 +79,17 @@ def _check_kept_paths_after_removal(net: Network, removed) -> None:
 
 @pytest.fixture
 def path_queries(monkeypatch):
-    """Check the kept table at every path query displays makes; the
-    queried paths are collected in the returned list."""
+    """Check the kept table at every path query displays makes, and that
+    each query returns the last four vertices of the reference path (all
+    of it when shorter); the returned tails are collected in the list."""
     real = tcp.find_longest_root_leaf_path
     queries = []
 
     def checked(paths):
-        path = real(paths)
-        _assert_kept_paths(paths, path)
-        queries.append(path)
-        return path
+        tail = real(paths)
+        _assert_kept_paths(paths, tail, 4)
+        queries.append(tail)
+        return tail
 
     monkeypatch.setattr(tcp, "find_longest_root_leaf_path", checked)
     return queries
@@ -344,3 +347,49 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
     assert "tree child list" in events[first:second]
     leaf_parents = {net.parents(v)[0] for v in net.leaves}
     assert sorted(setup_cherry_tests) == sorted(leaf_parents)
+
+
+def test_path_queries_walk_only_the_tail(monkeypatch):
+    """Counts, not times, over one decide at n = 200: each longest-path
+    query reads at most four `pred` entries, whatever the path's length,
+    and the first query relaxes in one pass, popping nothing from a heap
+    of order positions."""
+    net = generate(GenSpec(200, 50, "nearly_stable", seed=900))
+    kept = tuple((r, Branch(min(net.parents(r)), r)) for r in net.reticulations)
+    tree = apply_resolution(net, Resolution(kept))
+    reads: list = []
+    real_init = LongestPaths.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        self.pred = _CountingDict(self.pred, reads, "pred")
+
+    pops: list = []
+    real_pop = heapq.heappop
+
+    def pop(heap):
+        item = real_pop(heap)
+        pops.append(item)
+        return item
+
+    queries: list = []  # (pred reads, positions popped, full path length)
+    real_find = tcp.find_longest_root_leaf_path
+
+    def find(paths):
+        start_reads, start_pops = len(reads), len(pops)
+        tail = real_find(paths)
+        positions = [p for p in pops[start_pops:] if isinstance(p, int)]
+        length = paths.dist[tail[-1]] + 1 if tail else 0
+        queries.append((len(reads) - start_reads, positions, length))
+        return tail
+
+    monkeypatch.setattr(LongestPaths, "__init__", init)
+    monkeypatch.setattr(heapq, "heappop", pop)
+    monkeypatch.setattr(tcp, "find_longest_root_leaf_path", find)
+    displays(net, tree)
+    assert len(queries) > 10
+    assert max(length for _, _, length in queries) > 10
+    assert all(n_reads <= 4 for n_reads, _, _ in queries)
+    assert queries[0][1] == []
+    # later queries do relax from the heap, so the pop counter sees them
+    assert any(positions for _, positions, _ in queries[1:])
