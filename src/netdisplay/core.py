@@ -205,20 +205,7 @@ class Network:
         return order
 
     def _try_topological_order(self) -> tuple[int, ...] | None:
-        indeg = {v: len(self._in[v]) for v in self._out}
-        ready = [v for v, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for c in self._out[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        if len(order) != len(self._out):
-            return None
-        return tuple(order)
+        return _topological_order(self._out, self._in)
 
     def reachable_from(self, start: int) -> set[int]:
         """Vertices reachable from start."""
@@ -451,58 +438,81 @@ class NetworkEditor:
 # -- operations ---------------------------------------------------------------
 
 
+def _topological_order(out: Mapping, ins: Mapping) -> tuple[int, ...] | None:
+    """The vertices of adjacency maps with every parent before its
+    children, smallest id first among the ready set; None on a cycle."""
+    indeg = {v: len(ins[v]) for v in out}
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for c in out[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
+    if len(order) != len(out):
+        return None
+    return tuple(order)
+
+
 def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
     """Check the structural invariants; violations are data, not failures.
 
     Both flavours come from one pass and are memoized together on the
     (immutable) network. The binary flavour is the plain one's violations
-    followed by the degree checks.
+    followed by the degree checks. An acyclic network keeps the
+    topological order found here, so later callers do not sort again.
     """
     found = net._cache.get("valid")
     if found is None:
-        plain, degree = _violations(net)
+        order = net._try_topological_order()
+        if order is not None:
+            net._cache["topo"] = order
+        plain, degree = _violations(net._out, net._in, net._labels, order)
         found = net._cache["valid"] = tuple(
             ValidationOutcome(not vs, tuple(vs)) for vs in (plain, plain + degree)
         )
     return found[require_binary]
 
 
-def _violations(net: Network) -> tuple[list[Violation], list[Violation]]:
-    """validate's checks in one pass over the vertices: the structural
-    violations and, apart, the binary-degree ones. An acyclic network keeps
-    the topological order found here, so later callers do not sort again.
-    Reachability needs no check: in an acyclic graph with one indegree-0
-    vertex, walking up parents from any vertex ends there."""
+def _violations(
+    out: Mapping, ins: Mapping, labels: Mapping, order
+) -> tuple[list[Violation], list[Violation]]:
+    """validate's checks in one pass over the vertices of adjacency maps,
+    which networks and editors share: the structural violations and,
+    apart, the binary-degree ones. `order` is _topological_order of the
+    maps, None on a cycle. Reachability needs no check: in an acyclic
+    graph with one indegree-0 vertex, walking up parents from any vertex
+    ends there."""
     vs: list[Violation] = []
     degree: list[Violation] = []
-    verts = net.vertices
+    verts = sorted(out)
 
-    roots = [v for v in verts if net.in_degree(v) == 0]
+    roots = [v for v in verts if not ins[v]]
     if not roots:
         vs.append(Violation("no root: every vertex has a parent"))
     elif len(roots) > 1:
         for r in roots[1:]:
             vs.append(Violation("multiple indegree-0 vertices", vertex=r))
 
-    order = net._try_topological_order()
     if order is None:
         vs.append(Violation("directed cycle present"))
-    else:
-        net._cache["topo"] = order
 
     check_degrees = len(verts) != 1
     seen_labels: dict[str, int] = {}
     for v in verts:
-        ind, outd = net.in_degree(v), net.out_degree(v)
-        lab = net.label(v)
+        cs = out[v]
+        ind, outd = len(ins[v]), len(cs)
+        lab = labels.get(v)
         if outd == 0:
             if lab is None:
                 vs.append(Violation("unlabeled leaf", vertex=v))
             if ind >= 2:
                 vs.append(Violation("leaf with multiple parents", vertex=v))
-        else:
-            if lab is not None:
-                vs.append(Violation("label on a non-leaf vertex", vertex=v))
+        elif lab is not None:
+            vs.append(Violation("label on a non-leaf vertex", vertex=v))
         if ind == 1 and outd == 1:
             vs.append(Violation("suppressible vertex (indegree 1, outdegree 1)", vertex=v))
         if ind == 0 and outd == 1:
@@ -513,8 +523,7 @@ def _violations(net: Network) -> tuple[list[Violation], list[Violation]]:
             if lab in seen_labels:
                 vs.append(Violation(f"duplicate leaf label {lab!r}", vertex=v))
             seen_labels[lab] = v
-        cs = net.children(v)
-        if len(set(cs)) != len(cs):
+        if outd > 1 and len(set(cs)) != outd:
             dup = next(c for c in cs if cs.count(c) > 1)
             vs.append(Violation("parallel branches", branch=Branch(v, dup)))
         if check_degrees and (ind, outd) not in ((0, 2), (1, 0), (1, 2), (2, 1)):

@@ -1,7 +1,8 @@
 """Verdict-free rewriting steps shared by the containment algorithm.
 
 The reduction loop edits one ReductionState in place from entry to
-verdict. Every reduction is recorded as a ReductionStep; traces replay
+verdict, the oracle tail included, which reads the state's maps and
+freezes nothing. Every reduction is recorded as a ReductionStep; traces replay
 deterministically on frozen structures (see replay_trace), which checks
 that each cherry step names a common cherry and each case step's
 contracted vertices against the record. Branch removals go
@@ -202,16 +203,21 @@ class ReductionState:
     def remove(self, branches) -> list[int]:
         """Remove branches of the net and suppress from their ends
         (NetworkEditor.prune); returns the contracted vertices. The net
-        must be valid beforehand, and no common cherry may be pending."""
+        must be valid beforehand, and no cherry, common or one-sided, may
+        be pending."""
         ned = self.net
         contracted, touched = ned.prune(branches)
         self.changed.update(touched)
         # prune reports each vertex whose in- or out-list it edited, and a
         # leaf stays one until deleted, which edits its parents' lists: so
-        # cherries and reticulations appear or vanish only at touched ones
+        # cherries and reticulations appear or vanish only at touched ones.
+        # A deleted one only leaves the reticulations: no cherry was filed.
         out, ins, rets = ned.out, ned.ins, self.rets
         for v in touched:
-            if v in out and len(ins[v]) >= 2 and out[v]:
+            if v not in out:
+                rets.discard(v)
+                continue
+            if len(ins[v]) >= 2 and out[v]:
                 rets.add(v)
             else:
                 rets.discard(v)

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import Branch, Network, NetworkEditor, PhyloTree, in_class, require_tree
+from .core import _topological_order, _violations
 from .errors import (
     ClassPreconditionError,
     InternalConsistencyError,
@@ -74,12 +75,12 @@ def apply_resolution(net: Network, res: Resolution) -> PhyloTree:
     return PhyloTree.from_network(ed.freeze())
 
 
-def _fold_order(net: Network) -> tuple:
-    """(vertex, children, leaf bit) in reversed topological order, one bit
-    per leaf label in sorted label order (0 on an unlabeled leaf)."""
-    bits = {lab: 1 << i for i, lab in enumerate(sorted(net.label_set()))}
-    order = reversed(net.topological_order())
-    return tuple((v, net.children(v), bits.get(net.label(v), 0)) for v in order)
+def _fold_order(out, labels, order) -> tuple:
+    """(vertex, children, leaf bit) over adjacency maps in reversed
+    topological `order`, one bit per leaf label in sorted label order (0
+    on an unlabeled leaf)."""
+    bits = {lab: 1 << i for i, lab in enumerate(sorted(labels.values()))}
+    return tuple((v, out[v], bits.get(labels.get(v), 0)) for v in reversed(order))
 
 
 def _branching_clusters(order: tuple, kept: dict, clusters=None) -> frozenset | None:
@@ -120,8 +121,22 @@ def _branching_clusters(order: tuple, kept: dict, clusters=None) -> frozenset | 
 def trees_equal(t1: PhyloTree, t2: PhyloTree) -> bool:
     """Rooted isomorphism respecting leaf labels: equal label sets and
     equal cluster sets."""
-    c1, c2 = (_branching_clusters(_fold_order(t), {}) for t in (t1, t2))
+    c1, c2 = (
+        _branching_clusters(_fold_order(t._out, t._labels, t.topological_order()), {})
+        for t in (t1, t2)
+    )
     return t1.label_set() == t2.label_set() and c1 == c2
+
+
+def _first_displaying(order: tuple, ins, rets, target: frozenset) -> Resolution | None:
+    """The first resolution, in itertools.product order over the sorted
+    reticulations' sorted parents, whose branching clusters (folded over
+    `order` from _fold_order) are the tree's `target`; None if none is."""
+    rets = sorted(rets)
+    for choice in itertools.product(*(sorted(ins[r]) for r in rets)):
+        if _branching_clusters(order, dict(zip(rets, choice)), target) is not None:
+            return Resolution(tuple((r, Branch(p, r)) for r, p in zip(rets, choice)))
+    return None
 
 
 def oracle_displays(
@@ -142,18 +157,53 @@ def oracle_displays(
         raise OracleCapExceededError(
             f"{len(rets)} reticulations exceed the oracle cap of {cap}"
         )
-    target = _branching_clusters(_fold_order(tree), {})
-    order = _fold_order(net)
-    parent_lists = [sorted(net.parents(r)) for r in rets]
-    for choice in itertools.product(*parent_lists):
-        if _branching_clusters(order, dict(zip(rets, choice)), target) is not None:
-            cert = Resolution(
-                tuple((r, Branch(p, r)) for r, p in zip(rets, choice))
-            )
-            return ContainmentVerdict(
-                True, ReductionTrace(), cert, 0, len(rets)
-            )
-    return ContainmentVerdict(False, ReductionTrace(), None, 0, len(rets))
+    target = _branching_clusters(
+        _fold_order(tree._out, tree._labels, tree.topological_order()), {}
+    )
+    order = _fold_order(net._out, net._labels, net.topological_order())
+    cert = _first_displaying(order, net._in, rets, target)
+    return ContainmentVerdict(cert is not None, ReductionTrace(), cert, 0, len(rets))
+
+
+def _require_valid_side(out, ins, labels, side: str) -> tuple:
+    """Run validate's binary checks on one side of the working state and
+    return its topological order; InternalConsistencyError on a
+    violation, with validate's messages."""
+    order = _topological_order(out, ins)
+    plain, degree = _violations(out, ins, labels, order)
+    found = plain + degree
+    if found:
+        detail = "; ".join(str(v) for v in found[:5])
+        raise InternalConsistencyError(f"invalid working state ({side}): {detail}")
+    return order
+
+
+def _tail_displays(state: ReductionState) -> Resolution | None:
+    """oracle_displays on the working state, read in place: the first
+    displaying resolution in the oracle's order, or None.
+
+    The tree side gets child lists from its parent map. Both sides pass
+    the oracle's validation (a parent map has no reticulation) and share
+    one leaf label set. The folds run in other topological orders than
+    the oracle's, which give each vertex the same mask, so each
+    resolution gets the same answer.
+    """
+    ned, par = state.net, state.tree.par
+    kids: dict = {v: [] for v in par}
+    for v, p in par.items():
+        if p is not None:
+            kids[p].append(v)
+    tins = {v: [] if p is None else [p] for v, p in par.items()}
+    tlabels = state.tree.labels
+    tree_order = _require_valid_side(kids, tins, tlabels, "tree")
+    net_order = _require_valid_side(ned.out, ned.ins, ned.labels, "net")
+    if set(ned.labels.values()) != set(tlabels.values()):
+        raise InternalConsistencyError(
+            "invalid working state: the two sides' leaf label sets differ"
+        )
+    target = _branching_clusters(_fold_order(kids, tlabels, tree_order), {})
+    order = _fold_order(ned.out, ned.labels, net_order)
+    return _first_displaying(order, ned.ins, state.rets, target)
 
 
 class LongestPaths:
@@ -501,12 +551,13 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
 
     Loop: collapse cherries common to both sides; a remaining one-sided
     cherry decides negatively (it survives every resolution); a
-    reticulation-free network without one is displayed; tiny leftovers go
-    to the oracle; otherwise one case match prunes at least one
-    reticulation.
-    Every round edits one ReductionState, which is frozen only for the
-    oracle, and the longest-path search is kept across rounds. The trace
-    replays to the same verdict at every step.
+    reticulation-free network without one is displayed; a state with one
+    or two reticulations goes to the oracle tail, which tries their at
+    most four resolutions on the working state; otherwise one case match
+    prunes at least one reticulation.
+    Every round, and the tail, edits or reads one ReductionState, which is
+    never frozen, and the longest-path search is kept across rounds. The
+    trace replays to the same verdict at every step.
     """
     net.require_valid(require_binary=True)
     require_tree(tree)
@@ -545,13 +596,18 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
                 )
             displayed = True
             break
-        tail = find_longest_root_leaf_path(paths)  # the last four vertices
-        if len(tail) < 4 or len(state.rets) < 3:
-            sub = oracle_displays(state.net.freeze(), state.tree.freeze())
-            displayed = sub.displayed
+        # only the reticulation count sends a state to the tail: with one
+        # left the longest path has four vertices or more, as a
+        # reticulation's two parents are distinct, so one is below the
+        # root, and the root, that parent, the reticulation and a leaf
+        # under it lie on one root-leaf path (match_case checks this)
+        if len(state.rets) < 3:
+            found = _tail_displays(state)
+            displayed = found is not None
             if len(trace) == 0:
-                certificate = sub.certificate
+                certificate = found
             break
+        tail = find_longest_root_leaf_path(paths)  # the last four vertices
         matched = match_case(state.net, tail)
         before = len(state.rets)
         trace.append(_simplify_in_place(state, matched))

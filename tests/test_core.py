@@ -5,16 +5,19 @@ import random
 import networkx as nx
 import pytest
 
+from netdisplay import newick_io
 from netdisplay.core import (
     CLASSES,
     Network,
     NetworkEditor,
+    _topological_order,
+    _violations,
     classify,
     in_class,
     stability,
     validate,
 )
-from netdisplay.errors import InvalidNetworkError
+from netdisplay.errors import InvalidNetworkError, NewickParseError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree
 from netdisplay.reductions import ReductionState
@@ -160,6 +163,76 @@ def test_validate_flavours_match_uncached_reference():
                 assert validate(net, require_binary=flag) is validate(net, flag)
 
 
+def _parsed_corpus(monkeypatch) -> list[Network]:
+    """Every network the parser validates on the golden texts, on
+    grammar-aware mutants of generated networks (test_cli_mutants) and on
+    the fuzz-lite strings (test_newick_io), valid or not."""
+    from test_cli_mutants import MUTATIONS, _corpus
+
+    seen: list = []
+    real = newick_io.validate
+
+    def recording(net, *args):
+        seen.append(net)
+        return real(net, *args)
+
+    monkeypatch.setattr(newick_io, "validate", recording)
+    texts = [rec["net"] for rec in GOLDEN] + [rec["tree"] for rec in GOLDEN]
+    pairs = _corpus(seed=7000)
+    for name, mutate in sorted(MUTATIONS.items()):
+        rng = random.Random(name)
+        texts += [mutate(net_text, rng) for net_text, _ in pairs]
+    rng = random.Random(99)
+    alphabet = "()#;,Hh123abz _\t-.'\"\\\x00\xff"
+    for _ in range(3000):
+        texts.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))))
+    for text in texts:
+        try:
+            parse_network(text)
+        except NewickParseError:
+            pass
+    monkeypatch.undo()
+    return seen
+
+
+def test_violations_on_editor_maps_match_validate(monkeypatch):
+    """_violations on an editor's maps gives validate's violations, in
+    the same order, and validate agrees with the reference: on what the
+    parser validates, and on the invalid and random digraphs above, which
+    show every kind of violation."""
+    parsed = _parsed_corpus(monkeypatch)
+    assert len(parsed) > 100
+    assert not all(validate(net, True).ok for net in parsed)
+    nets = parsed + [
+        Network(out, labels)
+        for out, labels in INVALID + list(_random_digraphs(3000, seed=7))
+    ]
+    kinds = set()
+    for net in nets:
+        ed = NetworkEditor(net)
+        order = _topological_order(ed.out, ed.ins)
+        plain, degree = _violations(ed.out, ed.ins, ed.labels, order)
+        assert tuple(plain) == validate(net).violations
+        assert tuple(plain + degree) == validate(net, True).violations
+        for flag in (False, True):
+            assert validate(net, flag) == reference_validate(net, flag)
+        kinds.update(v.message.split(" (")[0] for v in plain + degree)
+    assert {
+        "no root: every vertex has a parent",
+        "multiple indegree-0 vertices",
+        "directed cycle present",
+        "unlabeled leaf",
+        "leaf with multiple parents",
+        "label on a non-leaf vertex",
+        "suppressible vertex",
+        "degenerate root",
+        "vertex fits no kind",
+        "duplicate leaf label 'a'",
+        "parallel branches",
+        "not binary: indegree 1, outdegree 3",
+    } <= kinds
+
+
 def test_validate_keeps_an_acyclic_order_only():
     cyclic = Network(*INVALID[2])
     validate(cyclic)
@@ -191,9 +264,11 @@ def test_one_validation_pass_per_network_through_displays(monkeypatch):
     passes = {}
     real = core._violations
 
-    def counting(net):
-        passes.setdefault(id(net), [net, 0])[1] += 1
-        return real(net)
+    def counting(out, *maps):
+        # one network, one child map; the map stays referenced, so its id
+        # is not reused
+        passes.setdefault(id(out), [out, 0])[1] += 1
+        return real(out, *maps)
 
     def unused(self, start):
         raise AssertionError("validation walked reachability")

@@ -11,18 +11,21 @@ parent-map tree side must reproduce them exactly.
 import copy
 import heapq
 import random
+import re
 
 import pytest
 
 from netdisplay import reductions, tcp
 from netdisplay.core import Branch, Network, NetworkEditor, require_tree
-from netdisplay.generator import GenSpec, generate
+from netdisplay.errors import InternalConsistencyError
+from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree, serialize
 from netdisplay.reductions import ReductionState, replay_trace
 from netdisplay.tcp import LongestPaths, Resolution, apply_resolution, displays
 
 from helpers import (
     GOLDEN,
+    RUNNING,
     ReferenceTreeEditor,
     reference_collapse_cherry,
     reference_displays,
@@ -173,10 +176,9 @@ def _swapped(tree, rng):
     return tree_from_shape(shape(tree.root))
 
 
-@pytest.mark.parametrize("n", [10, 20, 40, 80, 200])
-def test_displays_matches_frozen_loop_on_generated(n, path_queries):
-    rng = random.Random(n)
-    rounds = 0
+def _generated_pairs(n, rng):
+    """(net, displayed tree, swapped tree) of generated nearly stable
+    networks on n leaves with n // 4 reticulations."""
     for i in range(6 if n < 200 else 2):
         net = generate(GenSpec(n, n // 4, "nearly_stable", seed=900 + i))
         kept = tuple(
@@ -184,12 +186,22 @@ def test_displays_matches_frozen_loop_on_generated(n, path_queries):
             for r in net.reticulations
         )
         pos = apply_resolution(net, Resolution(kept))
-        got = _assert_same_run(net, pos)
-        assert got.displayed
-        rounds += got.iterations
-        _assert_same_run(net, _swapped(pos, rng))
+        yield net, pos, _swapped(pos, rng)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80, 200])
+def test_displays_matches_frozen_loop_on_generated(n, path_queries):
+    rng = random.Random(n)
+    rounds = cases = 0
+    for net, pos, swapped in _generated_pairs(n, rng):
+        for tree in (pos, swapped):
+            got = _assert_same_run(net, tree)
+            assert got.displayed or tree is swapped
+            rounds += got.iterations
+            cases += sum(step.kind != "cherry" for step in got.trace.steps)
     assert rounds > n // 4
-    assert path_queries
+    # each case round queries the path once; the oracle tail does not
+    assert len(path_queries) == cases
 
 
 def _assert_same_tree_side(ted, ref: ReferenceTreeEditor) -> None:
@@ -296,14 +308,19 @@ class _CountingDict(dict):
         return super().values()
 
 
-def test_displays_builds_one_lean_working_state(monkeypatch):
-    """Counts, not times, over one decide at n = 200: one NetworkEditor
-    (the net side), no read of the tree's child lists and no Network built
-    before the oracle tail's two freezes, and the set-up cherry scan only
-    at parents of leaves, once each."""
+def _n200_pair():
     net = generate(GenSpec(200, 50, "nearly_stable", seed=900))
     kept = tuple((r, Branch(min(net.parents(r)), r)) for r in net.reticulations)
-    tree = apply_resolution(net, Resolution(kept))
+    return net, apply_resolution(net, Resolution(kept))
+
+
+def test_displays_builds_one_lean_working_state(monkeypatch):
+    """Counts, not times, over one decide at n = 200 that ends in the
+    oracle tail: one NetworkEditor (the net side), no Network built, no
+    tree-side freeze, no call of oracle_displays and no read of the tree's
+    child lists; and the set-up cherry scan only at parents of leaves,
+    once each."""
+    net, tree = _n200_pair()
     require_tree(tree)  # memoizes the checks displays makes of the tree
     events: list = []
     tree._out = _CountingDict(tree._out, events, "tree child list")
@@ -319,7 +336,9 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
 
     logged(NetworkEditor, "__init__", "editor")
     logged(Network, "__init__", "network")
+    logged(reductions._TreeEditor, "freeze", "tree freeze")
     logged(tcp, "oracle_displays", "oracle")
+    logged(tcp, "_tail_displays", "tail")
     setup_cherry_tests: list = []
     in_setup = []
     real_init, real_cherry_at = ReductionState.__init__, reductions._cherry_at
@@ -336,17 +355,123 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
 
     monkeypatch.setattr(ReductionState, "__init__", init)
     monkeypatch.setattr(reductions, "_cherry_at", cherry_at)
-    displays(net, tree)
-    assert events.count("editor") == 1
-    # this decide ends in the oracle tail, which freezes each side once;
-    # the tree's freeze is the only reader of its child lists
-    calls = [e for e in events if e in ("network", "oracle")]
-    assert calls == ["network", "network", "oracle"]
-    first, second = (i for i, e in enumerate(events) if e == "network")
-    assert "tree child list" not in events[: first + 1]
-    assert "tree child list" in events[first:second]
+    assert displays(net, tree).displayed
+    assert events == ["editor", "tail"]
     leaf_parents = {net.parents(v)[0] for v in net.leaves}
     assert sorted(setup_cherry_tests) == sorted(leaf_parents)
+
+
+def test_removal_rounds_refile_only_live_vertices(monkeypatch):
+    """Counts over one decide at n = 200: removal rounds touch vertices
+    that prune deletes, and no cherry test runs on any of them."""
+    net, tree = _n200_pair()
+    deleted_touched: list = []
+    real_prune = NetworkEditor.prune
+
+    def prune(self, branches):
+        contracted, touched = real_prune(self, branches)
+        deleted_touched.extend(v for v in touched if v not in self.out)
+        return contracted, touched
+
+    tests_on: list = []  # (vertex, live) per cherry test
+    real_cherry_at = reductions._cherry_at
+
+    def cherry_at(out, ins, v):
+        tests_on.append((v, v in out))
+        return real_cherry_at(out, ins, v)
+
+    monkeypatch.setattr(NetworkEditor, "prune", prune)
+    monkeypatch.setattr(reductions, "_cherry_at", cherry_at)
+    got = displays(net, tree)
+    assert sum(step.kind != "cherry" for step in got.trace.steps) > 10
+    assert len(deleted_touched) > 10
+    assert tests_on and all(live for _, live in tests_on)
+
+
+@pytest.fixture
+def checked_tails(monkeypatch):
+    """Compare every oracle tail displays runs with oracle_displays on the
+    frozen sides of the same working state: the same verdict and the same
+    chosen in-branches. Returns the list of tail verdicts seen."""
+    real = tcp._tail_displays
+    seen: list = []
+
+    def checked(state):
+        frozen = state.net.freeze(), state.tree.freeze()
+        want = tcp.oracle_displays(*frozen).certificate
+        got = real(state)
+        assert got == want
+        seen.append(got is not None)
+        return got
+
+    monkeypatch.setattr(tcp, "_tail_displays", checked)
+    return seen
+
+
+def test_tail_matches_oracle_on_golden(checked_tails):
+    for rec in GOLDEN:
+        displays(parse_network(rec["net"]), parse_tree(rec["tree"]))
+    assert len(checked_tails) > len(GOLDEN) // 2
+    assert True in checked_tails
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80, 200])
+def test_tail_matches_oracle_on_generated(n, checked_tails):
+    for net, pos, swapped in _generated_pairs(n, random.Random(n)):
+        assert displays(net, pos).displayed
+        displays(net, swapped)
+    assert True in checked_tails
+
+
+def test_tail_matches_oracle_on_random_trees(checked_tails):
+    # a swapped tree mostly ends in a one-sided cherry before the tail; a
+    # random tree on the labels reaches it with either verdict
+    rng = random.Random(5)
+    for i in range(200):
+        n = rng.randint(4, 12)
+        net = generate(GenSpec(n, rng.randint(1, 4), "nearly_stable", seed=5000 + i))
+        displays(net, random_tree(sorted(net.label_set()), i))
+    assert checked_tails.count(True) > 5 and checked_tails.count(False) > 5
+
+
+def _running_state():
+    return ReductionState(parse_network(RUNNING), parse_tree("((a,b),c);"))
+
+
+def test_tail_decides_the_running_example():
+    found = tcp._tail_displays(_running_state())
+    assert found is not None and len(found.kept_in_branch) == 1
+
+
+def _subdivide_net_branch(state):
+    ned = state.net
+    leaf = min(ned.labels)
+    ned.subdivide(ned.ins[leaf][0], leaf)
+
+
+def _relabel_net_leaf(state):
+    state.net.labels[min(state.net.labels)] = "zz"
+
+
+def _drop_tree_leaf(state):
+    ted = state.tree
+    leaf = min(ted.labels)
+    del ted.par[leaf], ted.labels[leaf]
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (_subdivide_net_branch, "(net): suppressible vertex (indegree 1, outdegree 1)"),
+        (_relabel_net_leaf, "leaf label sets differ"),
+        (_drop_tree_leaf, "(tree): suppressible vertex (indegree 1, outdegree 1)"),
+    ],
+)
+def test_tail_rejects_a_broken_working_state(breaks, message):
+    state = _running_state()
+    breaks(state)
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        tcp._tail_displays(state)
 
 
 def test_path_queries_walk_only_the_tail(monkeypatch):
@@ -354,9 +479,7 @@ def test_path_queries_walk_only_the_tail(monkeypatch):
     query reads at most four `pred` entries, whatever the path's length,
     and the first query relaxes in one pass, popping nothing from a heap
     of order positions."""
-    net = generate(GenSpec(200, 50, "nearly_stable", seed=900))
-    kept = tuple((r, Branch(min(net.parents(r)), r)) for r in net.reticulations)
-    tree = apply_resolution(net, Resolution(kept))
+    net, tree = _n200_pair()
     reads: list = []
     real_init = LongestPaths.__init__
 
