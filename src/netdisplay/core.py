@@ -592,22 +592,26 @@ def stability(net: Network) -> StabilityReport:
 def _subphylogeny_free(net: Network) -> bool:
     # A vertex roots a subphylogeny when no reticulation occurs among its
     # descendants; such a descendant set is a pendant subtree, so leaf
-    # counts add up child-wise without double counting.
-    order = net.topological_order()
-    has_ret: dict[int, bool] = {}
-    nleaves: dict[int, int] = {}
-    ok = True
-    for v in reversed(order):
-        cs = net.children(v)
-        hr = (net.in_degree(v) >= 2 and bool(cs)) or any(has_ret[c] for c in cs)
-        has_ret[v] = hr
-        if hr:
-            nleaves[v] = 0
+    # counts add up child-wise without double counting. The first internal
+    # one with two or more leaves decides.
+    out, ins = net._out, net._in
+    nleaves: dict[int, int | None] = {}  # None: a reticulation at or below
+    for v in reversed(net.topological_order()):
+        cs = out[v]
+        if len(ins[v]) >= 2 and cs:
+            nleaves[v] = None
             continue
-        nleaves[v] = 1 if not cs else sum(nleaves[c] for c in cs)
-        if cs and nleaves[v] >= 2:
-            ok = False
-    return ok
+        k = 0 if cs else 1
+        for c in cs:
+            kc = nleaves[c]
+            if kc is None:
+                k = None
+                break
+            k += kc
+        if k is not None and k >= 2:
+            return False
+        nleaves[v] = k
+    return True
 
 
 # The network classes of the paper, each read off one stability report:
@@ -620,7 +624,7 @@ _CLASS_TESTS = {
         stable[r] for r in net.reticulations
     ),
     "nearly_stable": lambda net, stable: all(
-        stable[v] or all(stable[p] for p in net.parents(v)) for v in net.vertices
+        stable[v] or all(stable[p] for p in ps) for v, ps in net._in.items()
     ),
 }
 CLASSES = tuple(_CLASS_TESTS)

@@ -2,7 +2,8 @@
 
 The reduction loop edits one ReductionState in place from entry to
 verdict, the oracle tail included, which reads the state's maps and
-freezes nothing. Every reduction is recorded as a ReductionStep; traces replay
+freezes nothing. Every reduction is recorded in a ReductionTrace, as a
+plain row that becomes a ReductionStep when the trace is read; traces replay
 deterministically on frozen structures (see replay_trace), which checks
 that each cherry step names a common cherry and each case step's
 contracted vertices against the record. Branch removals go
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Branch, Network, NetworkEditor, PhyloTree, require_tree
 from .errors import InternalConsistencyError, LeafSetMismatchError
@@ -39,7 +40,7 @@ class ReductionStep:
     introduced_leaf: tuple[int, str] | None = None
 
     def __init__(self, kind, removed_branches=(), contracted=(), introduced_leaf=None):
-        # a decide builds hundreds of steps; one dict update is cheaper than
+        # a trace read builds hundreds of steps; one dict update is cheaper than
         # the frozen dataclass's object.__setattr__ per field
         self.__dict__.update(kind=kind, removed_branches=removed_branches,
                              contracted=contracted, introduced_leaf=introduced_leaf)
@@ -54,21 +55,63 @@ class ReductionStep:
         return line
 
 
-@dataclass
+def _step_of(row) -> ReductionStep:
+    """The ReductionStep a trace row records: (p, l1, l2, label) for a
+    cherry collapse, (kind, removed, contracted) for a case step. A step
+    given as it is passes through."""
+    if type(row) is not tuple:
+        return row
+    if len(row) == 4:
+        p, l1, l2, label = row
+        return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, label))
+    return ReductionStep(*row)
+
+
 class ReductionTrace:
-    steps: list[ReductionStep] = field(default_factory=list)
+    """The steps of a reduction, in order.
+
+    The loop records each step as a row, a plain tuple (see _step_of),
+    after the steps already built. Reading `steps` builds the pending rows
+    into ReductionSteps, once, and moves them onto the list it returns; so
+    a decide whose trace nobody reads builds no step, and a later read
+    builds only the rows recorded since. Equality, repr and to_text read
+    `steps`. A trace is mutable, so unhashable, and ReductionTrace(steps)
+    keeps the list it is given.
+    """
+
+    __slots__ = ("_steps", "_rows")
+
+    def __init__(self, steps: list[ReductionStep] | None = None):
+        self._steps = [] if steps is None else steps
+        self._rows: list = []  # pending, after _steps
+
+    @property
+    def steps(self) -> list[ReductionStep]:
+        rows = self._rows
+        if rows:
+            self._steps.extend(map(_step_of, rows))
+            rows.clear()
+        return self._steps
 
     def append(self, step: ReductionStep) -> None:
-        self.steps.append(step)
+        self._rows.append(step)
 
     def extend(self, other: "ReductionTrace") -> None:
-        self.steps.extend(other.steps)
+        self._rows += other._steps + other._rows  # rows stay unbuilt
 
     def to_text(self) -> str:
         return "\n".join(s.to_line() for s in self.steps)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._steps) + len(self._rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(steps={self.steps!r})"
 
 
 def _check_same_leaves(net: Network, tree: Network) -> None:
@@ -83,8 +126,10 @@ def _cherry_at(out, ins, v: int):
     leaves, else None (also when v is gone). Takes adjacency maps, so that
     frozen networks and editors share it."""
     cs = out.get(v, ())
-    if len(cs) == 2 and len(ins[v]) == 1 and not out[cs[0]] and not out[cs[1]]:
-        return (min(cs), max(cs), v)
+    if len(cs) == 2 and len(ins[v]) == 1:
+        a, b = cs
+        if not out[a] and not out[b]:
+            return (a, b, v) if a < b else (b, a, v)
     return None
 
 
@@ -117,10 +162,11 @@ def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
 
 def _collapse_cherry(
     ned: NetworkEditor, ted: _TreeEditor, l1: int, l2: int, p: int, lab: str
-) -> ReductionStep:
+) -> tuple:
     """Replace the net cherry p -> {l1, l2} and the tree cherry holding the
     same two labels by one leaf labelled lab on each side. Edits the maps
-    in place: the two leaves go, and their parent becomes the new leaf."""
+    in place: the two leaves go, and their parent becomes the new leaf.
+    Returns the step's trace row (p, l1, l2, lab)."""
     out, ins, labels = ned.out, ned.ins, ned.labels
     lab1, lab2 = labels.pop(l1), labels.pop(l2)
     del out[l1], ins[l1], out[l2], ins[l2]
@@ -133,7 +179,7 @@ def _collapse_cherry(
     ted.labels[q] = lab
     ted.leaf[lab] = q
     ted.parent_of[lab] = ted.par[q]
-    return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
+    return (p, l1, l2, lab)
 
 
 class ReductionState:
@@ -153,7 +199,8 @@ class ReductionState:
         _check_same_leaves(net, tree)
         self.net = NetworkEditor(net)
         self.tree = _TreeEditor(tree)
-        self.rets = set(net.reticulations)
+        out = net._out
+        self.rets = {v for v, ps in net._in.items() if len(ps) >= 2 and out[v]}
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
         self.changed: set[int] = set()
@@ -190,12 +237,12 @@ class ReductionState:
         # p's new label, under p's parent. The heap therefore yields the
         # same smallest cherry a full rescan would.
         trace = ReductionTrace()
-        common, ned, ted = self.common, self.net, self.tree
+        rows, common, ned, ted = trace._rows, self.common, self.net, self.tree
         while common:
             l1, l2, p = heapq.heappop(common)
             lab = f"__r{self.fresh}"
             self.fresh += 1
-            trace.steps.append(_collapse_cherry(ned, ted, l1, l2, p, lab))
+            rows.append(_collapse_cherry(ned, ted, l1, l2, p, lab))
             self.changed.add(p)  # p became a leaf; l1, l2 are gone
             self._note_cherry(ned.ins[p][0])
         return trace

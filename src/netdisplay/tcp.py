@@ -23,7 +23,6 @@ from .errors import (
 )
 from .reductions import (
     ReductionState,
-    ReductionStep,
     ReductionTrace,
     _check_same_leaves,
     _siblings,
@@ -538,12 +537,15 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     return removed
 
 
-def _simplify_in_place(state: ReductionState, m: CaseMatch) -> ReductionStep:
+def _simplify_in_place(
+    state: ReductionState, m: CaseMatch, trace: ReductionTrace
+) -> None:
     """Remove the branches the matched case prescribes from the working state
-    and suppress. The reticulation count strictly drops, and whether the
-    tree is displayed does not change."""
+    and suppress, and record the step's row in `trace`. The reticulation
+    count strictly drops, and whether the tree is displayed does not
+    change."""
     removed = _case_removals(state.net, state.tree, m)
-    return ReductionStep(f"case_{m.case_id}", removed, tuple(state.remove(removed)))
+    trace._rows.append((f"case_{m.case_id}", removed, tuple(state.remove(removed))))
 
 
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
@@ -566,8 +568,9 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
         raise ClassPreconditionError(
             "containment reduction requires a nearly stable network"
         )
-    m0 = net.num_reticulations
-    limit = m0 + net.n_leaves + 2
+    # a valid network labels exactly its leaves
+    m0 = len(state.rets)
+    limit = m0 + len(net._labels) + 2
     paths = LongestPaths(
         state.net.out, state.net.ins, net.topological_order(), state.changed
     )
@@ -610,7 +613,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
         tail = find_longest_root_leaf_path(paths)  # the last four vertices
         matched = match_case(state.net, tail)
         before = len(state.rets)
-        trace.append(_simplify_in_place(state, matched))
+        _simplify_in_place(state, matched, trace)
         if len(state.rets) >= before:
             raise InternalConsistencyError(
                 f"case {matched.case_id} removed no reticulation"

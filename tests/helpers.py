@@ -233,6 +233,21 @@ def reference_in_class(net: Network, name: str) -> bool:
     raise ValueError(name)
 
 
+def reference_subphylogeny_free(net: Network) -> bool:
+    """Reference for core._subphylogeny_free by brute force: no non-leaf
+    vertex reaches (reachable_from, itself included) two or more leaves and
+    no reticulation."""
+    for v in net.vertices:
+        below = net.reachable_from(v)
+        if net.is_leaf(v) or any(
+            net.in_degree(x) >= 2 and not net.is_leaf(x) for x in below
+        ):
+            continue
+        if sum(net.is_leaf(x) for x in below) >= 2:
+            return False
+    return True
+
+
 def class_sample(count: int, seed: int) -> list[Network]:
     """Generated networks, `count` per class constraint ("any" and each
     class), on 2 to 7 leaves with up to twice as many reticulations."""
@@ -479,7 +494,7 @@ def reference_displays(net: Network, tree: PhyloTree):
                 oracle_cert = sub.certificate
             break
         state = ReductionState(net, tree)
-        trace.append(_simplify_in_place(state, match_case(net, path)))
+        _simplify_in_place(state, match_case(net, path), trace)
         reduced = state.net.freeze()
         assert reduced.num_reticulations < net.num_reticulations
         net = reduced

@@ -153,6 +153,14 @@ def test_contains_trace_lines(files, capsys):
     assert isinstance(payload["trace"], list)
 
 
+def test_contains_trace_prints_the_golden_trace(files, capsys):
+    for rec in GOLDEN:
+        net, tree = files("net.nwk", rec["net"]), files("tree.nwk", rec["tree"])
+        assert main(["contains", net, tree, "--trace"]) == (0 if rec["displayed"] else 1)
+        (payload,) = _json_lines(capsys)
+        assert payload["trace"] == rec["trace"].splitlines()
+
+
 def test_contains_leaf_mismatch_exit_3(files, capsys):
     code = main(
         ["contains", files("net.nwk", RUNNING), files("tree.nwk", "((a,b),d);")]

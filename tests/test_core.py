@@ -10,6 +10,7 @@ from netdisplay.core import (
     CLASSES,
     Network,
     NetworkEditor,
+    _subphylogeny_free,
     _topological_order,
     _violations,
     classify,
@@ -31,6 +32,7 @@ from helpers import (
     class_sample,
     deletion_stability,
     reference_in_class,
+    reference_subphylogeny_free,
     reference_validate,
 )
 
@@ -455,6 +457,18 @@ def test_in_class_matches_reference_and_classify():
         (False, False, False),
         (False, True, False),
     }
+
+
+def test_subphylogeny_free_matches_reference():
+    # _subphylogeny_free stops at the first pendant subtree with two or
+    # more leaves; the reference checks every vertex's descendant set
+    verdicts = []
+    for net in class_sample(40, 500):
+        got = _subphylogeny_free(net)
+        assert got == reference_subphylogeny_free(net)
+        assert classify(net).subphylogeny_free == got
+        verdicts.append(got)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_in_class_names_and_errors():

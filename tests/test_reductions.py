@@ -38,8 +38,9 @@ def _suppressed(net):
 def _uncle_nephew(net, tree, site):
     """The uncle-nephew rule below `site`, as case C applies it, on a fresh
     working state; returns the frozen, validated net and the step."""
-    state = ReductionState(net, tree)
-    step = _simplify_in_place(state, CaseMatch("C", {"u": site}))
+    state, trace = ReductionState(net, tree), ReductionTrace()
+    _simplify_in_place(state, CaseMatch("C", {"u": site}), trace)
+    [step] = trace.steps
     reduced = state.net.freeze()
     reduced.require_valid(require_binary=True)
     return reduced, step
@@ -255,6 +256,68 @@ def test_replay_trace_rejects_altered_contractions():
     steps[i] = dataclasses.replace(step, contracted=altered)
     with pytest.raises(InternalConsistencyError):
         replay_trace(net, tree, ReductionTrace(steps))
+
+
+def _unread_trace(rec):
+    """The trace of a golden decide, which nobody has read yet."""
+    return displays(parse_network(rec["net"]), parse_tree(rec["tree"])).trace
+
+
+def test_unread_trace_matches_its_built_steps_on_golden():
+    # each check starts from a fresh trace, whose rows it builds itself
+    for rec in GOLDEN:
+        built = ReductionTrace(list(_unread_trace(rec).steps))
+        assert len(_unread_trace(rec)) == len(built)
+        assert _unread_trace(rec) == built
+        assert built == _unread_trace(rec)
+        assert repr(_unread_trace(rec)) == repr(built)
+        assert _unread_trace(rec).to_text() == built.to_text() == rec["trace"]
+        lazy = _unread_trace(rec)
+        assert len(lazy.steps) == len(built.steps)
+        for got, want in zip(lazy.steps, built.steps):
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want) and got.to_line() == want.to_line()
+        for trace in (_unread_trace(rec), built):
+            with pytest.raises(TypeError):
+                hash(trace)
+        net, tree = parse_network(rec["net"]), parse_tree(rec["tree"])
+        want_states = [
+            (serialize(n), serialize(t)) for n, t in replay_trace(net, tree, built)
+        ]
+        got_states = replay_trace(net, tree, _unread_trace(rec))
+        assert [(serialize(n), serialize(t)) for n, t in got_states] == want_states
+
+
+def test_trace_append_and_extend_after_a_read():
+    rec = next(r for r in GOLDEN if r["trace"].count("\n") > 20)
+    trace = _unread_trace(rec)
+    first = list(trace.steps)
+    extra = ReductionStep("case_C", (Branch(5, 3),), (4, 5))
+    trace.append(extra)
+    trace.extend(_unread_trace(rec))
+    assert len(trace) == 2 * len(first) + 1
+    trace.extend(trace)
+    assert trace.steps == 2 * (first + [extra] + first)
+    assert len(trace) == len(trace.steps)
+
+
+def test_trace_constructor_repr_and_equality():
+    steps = [
+        ReductionStep("cherry", (Branch(1, 2), Branch(1, 3)), (), (1, "__r0")),
+        ReductionStep("case_C", (Branch(5, 3),), (4, 5)),
+    ]
+    trace = ReductionTrace(steps)
+    assert trace.steps is steps and ReductionTrace(steps=steps).steps is steps
+    assert repr(ReductionTrace()) == "ReductionTrace(steps=[])"
+    assert repr(trace) == (
+        "ReductionTrace(steps=[ReductionStep(kind='cherry', removed_branches="
+        "(Branch(tail=1, head=2), Branch(tail=1, head=3)), contracted=(), "
+        "introduced_leaf=(1, '__r0')), ReductionStep(kind='case_C', "
+        "removed_branches=(Branch(tail=5, head=3),), contracted=(4, 5), "
+        "introduced_leaf=None)])"
+    )
+    assert trace == ReductionTrace(list(steps)) != ReductionTrace(steps[:1])
+    assert trace != steps and ReductionTrace() == ReductionTrace()
 
 
 # ids in ((a,b),(c,d)): root 0, 1 -> {a=2, b=3}, 4 -> {c=5, d=6}

@@ -14,7 +14,7 @@ from netdisplay.errors import (
 )
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import parse_network, parse_tree, serialize
-from netdisplay.reductions import ReductionState
+from netdisplay.reductions import ReductionState, ReductionTrace
 from netdisplay.tcp import (
     Resolution,
     _simplify_in_place,
@@ -240,8 +240,9 @@ def test_simplify_preserves_verdict(name):
     m = match_case(net, path)
     for tree in trees:
         before = oracle_displays(net, tree).displayed
-        state = ReductionState(net, tree)
-        step = _simplify_in_place(state, m)
+        state, trace = ReductionState(net, tree), ReductionTrace()
+        _simplify_in_place(state, m, trace)
+        [step] = trace.steps
         reduced = state.net.freeze()
         reduced.require_valid(require_binary=True)
         assert reduced.num_reticulations < net.num_reticulations
@@ -257,12 +258,12 @@ def test_simplify_case_a_variants():
     labels = sorted(net.label_set())
     sib = tree_from_shape((("l", "lp"), "z"))
     non = tree_from_shape((("l", "z"), "lp"))
-    steps = []
+    trace = ReductionTrace()
     for tree in (sib, non):
         state = ReductionState(net, tree)
-        steps.append(_simplify_in_place(state, m))
+        _simplify_in_place(state, m, trace)
         state.net.freeze().require_valid(require_binary=True)
-    step_sib, step_non = steps
+    step_sib, step_non = trace.steps
     assert len(step_sib.removed_branches) == 2
     assert step_non.removed_branches == (Branch(m.bindings["w"], m.bindings["u"]),)
     assert set(labels) == {"l", "lp", "z"}

@@ -234,13 +234,14 @@ def shadowed_collapses(monkeypatch):
             shadows[id(ted)] = (ted, ReferenceTreeEditor(ted._src))
         ref_ted = shadows[id(ted)][1]
         ref_ned = copy.deepcopy(ned)
-        step = real(ned, ted, l1, l2, p, lab)
+        row = real(ned, ted, l1, l2, p, lab)
+        step = reductions._step_of(row)
         assert reference_collapse_cherry(ref_ned, ref_ted, l1, l2, p, lab) == step
         assert (ned.out, ned.ins) == (ref_ned.out, ref_ned.ins)
         assert ned.labels == ref_ned.labels
         _assert_same_tree_side(ted, ref_ted)
         seen.append((ned, ted))
-        return step
+        return row
 
     monkeypatch.setattr(reductions, "_collapse_cherry", shadowed)
     return seen
@@ -386,6 +387,36 @@ def test_removal_rounds_refile_only_live_vertices(monkeypatch):
     assert sum(step.kind != "cherry" for step in got.trace.steps) > 10
     assert len(deleted_touched) > 10
     assert tests_on and all(live for _, live in tests_on)
+
+
+def test_trace_builds_steps_only_when_read(monkeypatch):
+    """Counts over one decide at n = 200: the decide builds no
+    ReductionStep, and no Branch for its cherry steps; the first read of
+    the trace builds one step per row, and a second read builds none."""
+    net, tree = _n200_pair()
+    built = {"steps": 0, "branches": 0}
+    real_init, real_branch = reductions.ReductionStep.__init__, reductions.Branch
+
+    def init(self, *args, **kwargs):
+        built["steps"] += 1
+        real_init(self, *args, **kwargs)
+
+    def branch(*args):
+        built["branches"] += 1
+        return real_branch(*args)
+
+    monkeypatch.setattr(reductions.ReductionStep, "__init__", init)
+    monkeypatch.setattr(reductions, "Branch", branch)
+    trace = displays(net, tree).trace
+    rows = len(trace)
+    assert built == {"steps": 0, "branches": 0}
+    steps = trace.steps
+    cherries = sum(step.kind == "cherry" for step in steps)
+    assert cherries > 100 and rows - cherries > 10
+    assert len(steps) == len(trace) == rows
+    assert built == {"steps": rows, "branches": 2 * cherries}
+    assert trace.steps is steps and trace.to_text()
+    assert built == {"steps": rows, "branches": 2 * cherries}
 
 
 @pytest.fixture
