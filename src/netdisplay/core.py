@@ -246,21 +246,30 @@ class PhyloTree(Network):
         return cls(net._out, net._labels, next_id=net.next_id)
 
 
+def _without(t: tuple, x: int) -> tuple:
+    """t without its first x; ValueError when x is not in t."""
+    i = t.index(x)
+    return t[:i] + t[i + 1 :]
+
+
 class NetworkEditor:
-    """Mutable scratch copy of a network for deriving a new one.
+    """Scratch copy of a network for deriving a new one.
 
     Fresh vertex ids continue from the source network's counter, so ids of
     surviving vertices are stable across a derivation and new ids never
     collide with deleted ones. freeze() builds the source's class, so an
     edited PhyloTree comes back as a PhyloTree (unvalidated, like any
     frozen result). Readers read its maps: `out` and `ins` (vertex ->
-    child and parent lists), `labels` and `root`.
+    child and parent tuples), `labels` and `root`.
+
+    The adjacency values are immutable tuples that an edit rebinds, never
+    mutates, so building an editor copies two dicts and shares every tuple
+    with the source network until an edit replaces it.
     """
 
     def __init__(self, net: Network):
-        src_out, src_in = net._out, net._in
-        self.out = dict(zip(src_out, map(list, src_out.values())))
-        self.ins = dict(zip(src_in, map(list, src_in.values())))
+        self.out = dict(net._out)
+        self.ins = dict(net._in)
         self.labels = dict(net._labels)
         self.root = net._root
         self._next = net.next_id
@@ -269,36 +278,39 @@ class NetworkEditor:
     def new_vertex(self) -> int:
         v = self._next
         self._next += 1
-        self.out[v] = []
-        self.ins[v] = []
+        self.out[v] = ()
+        self.ins[v] = ()
         return v
 
     def add_branch(self, tail: int, head: int) -> None:
-        if head in self.out[tail]:
+        out = self.out
+        if head in out[tail]:
             raise InternalConsistencyError(
                 f"adding branch {tail}->{head} would create a parallel branch"
             )
-        self.out[tail].append(head)
-        self.ins[head].append(tail)
+        out[tail] += (head,)
+        self.ins[head] += (tail,)
 
     def remove_branch(self, tail: int, head: int) -> None:
-        self.out[tail].remove(head)
-        self.ins[head].remove(tail)
+        out, ins = self.out, self.ins
+        out[tail] = _without(out[tail], head)
+        ins[head] = _without(ins[head], tail)
 
     def delete_vertex(self, v: int) -> None:
-        for p in list(self.ins[v]):
-            self.out[p].remove(v)
-        for c in list(self.out[v]):
-            self.ins[c].remove(v)
-        del self.out[v]
-        del self.ins[v]
+        out, ins = self.out, self.ins
+        for p in ins[v]:
+            out[p] = _without(out[p], v)
+        for c in out[v]:
+            ins[c] = _without(ins[c], v)
+        del out[v]
+        del ins[v]
         self.labels.pop(v, None)
         if self.root == v:
             self.root = None
 
     def contract(self, v: int) -> None:
         """Remove an (indeg 1, outdeg 1) vertex and join its parent to its
-        child; the new branch goes last in both lists."""
+        child; the new branch goes last in both tuples."""
         out, ins = self.out, self.ins
         (p,) = ins[v]
         (c,) = out[v]
@@ -308,10 +320,8 @@ class NetworkEditor:
             )
         del out[v], ins[v]
         self.labels.pop(v, None)
-        out[p].remove(v)
-        out[p].append(c)
-        ins[c].remove(v)
-        ins[c].append(p)
+        out[p] = _without(out[p], v) + (c,)
+        ins[c] = _without(ins[c], v) + (p,)
 
     def subdivide(self, tail: int, head: int) -> int:
         """Replace tail->head with tail->s->head; returns the new vertex s."""
@@ -363,8 +373,9 @@ class NetworkEditor:
             if v not in out:
                 continue
             ps, cs = ins[v], out[v]
-            # each edit below deletes or rewires v in place and names the
-            # vertices it changed (nxt), which the sweep then queues
+            # each edit below deletes or rewires v, rebinding the tuples it
+            # changes, and names the vertices it changed (nxt), which the
+            # sweep then queues
             if not ps:
                 if v != self.root:
                     raise InternalConsistencyError(
@@ -375,13 +386,13 @@ class NetworkEditor:
                         raise InternalConsistencyError("network degenerated to nothing")
                     continue
                 child = cs[0]
-                if ins[child] != [v]:
+                if len(ins[child]) != 1:  # v is one of its parents
                     raise InternalConsistencyError(
                         f"root chain child {child} has extra parents"
                     )
                 del out[v], ins[v]
                 labels.pop(v, None)
-                ins[child].clear()
+                ins[child] = ()
                 self.root = child
                 contracted.append(v)
                 nxt = cs
@@ -391,26 +402,23 @@ class NetworkEditor:
                 # an unlabeled dead end goes, and each parent loses a child
                 del out[v], ins[v]
                 for p in ps:
-                    out[p].remove(v)
+                    out[p] = _without(out[p], v)
                 nxt = ps
             elif len(ps) == 1 and len(cs) == 1:
                 p, c = ps[0], cs[0]
-                out_p, ins_c = out[p], ins[c]
-                if c in out_p:
+                if c in out[p]:
                     # contracting would create a parallel pair p->c; both
                     # copies carry the same resolutions, so merge them
-                    cs.clear()
-                    ins_c.remove(v)
+                    out[v] = ()
+                    ins[c] = _without(ins[c], v)
                     nxt = (v, c)
                 else:
-                    # contract v: p->c goes last on both lists, as
+                    # contract v: p->c goes last on both tuples, as
                     # contract() puts it, which keeps child order
                     del out[v], ins[v]
                     labels.pop(v, None)
-                    out_p.remove(v)
-                    out_p.append(c)
-                    ins_c.remove(v)
-                    ins_c.append(p)
+                    out[p] = _without(out[p], v) + (c,)
+                    ins[c] = _without(ins[c], v) + (p,)
                     contracted.append(v)
                     nxt = (p, c)
             else:

@@ -170,7 +170,7 @@ def _collapse_cherry(
     out, ins, labels = ned.out, ned.ins, ned.labels
     lab1, lab2 = labels.pop(l1), labels.pop(l2)
     del out[l1], ins[l1], out[l2], ins[l2]
-    out[p].clear()
+    out[p] = ()
     labels[p] = lab
     q = ted.parent_of.pop(lab1)
     del ted.parent_of[lab2]
@@ -192,25 +192,35 @@ class ReductionState:
     ``__r<k>`` label. Each edit re-checks these only where it changed the
     net, and adds to `changed` every net vertex whose in-list or leafness
     it changed, for a reader to drain. The leaf label sets are checked
-    once, here.
+    once, here, against the tree side's label -> leaf map.
     """
 
     def __init__(self, net: Network, tree: PhyloTree):
-        _check_same_leaves(net, tree)
-        self.net = NetworkEditor(net)
-        self.tree = _TreeEditor(tree)
-        out = net._out
-        self.rets = {v for v, ps in net._in.items() if len(ps) >= 2 and out[v]}
+        self.tree = ted = _TreeEditor(tree)
+        labels = net._labels
+        if ted.leaf.keys() != set(labels.values()):
+            _check_same_leaves(net, tree)  # raises, naming the labels
+        self.net = ned = NetworkEditor(net)
+        out, ins = net._out, net._in
+        self.rets = {v for v, ps in ins.items() if len(ps) >= 2 and out[v]}
+        # a cherry's parent is a leaf's parent: file each once, as
+        # _note_cherry does, and heapify the common ones
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
+        for v in {ins[leaf][0] for leaf in labels if ins[leaf]}:
+            found = _cherry_at(out, ins, v)
+            if found is None:
+                continue
+            if _siblings(ned, ted, found[0], found[1]):
+                self.common.append(found)
+            else:
+                self.one_sided.add(v)
+        heapq.heapify(self.common)
         self.changed: set[int] = set()
-        ins = net._in
-        for v in {ins[leaf][0] for leaf in net._labels if ins[leaf]}:
-            self._note_cherry(v)  # a cherry's parent is a leaf's parent
         # each new label is the largest, and labelled leaves go only by collapse
-        labels = [lab for lab in net._labels.values() if lab.startswith("__r")]
+        reserved = [lab for lab in labels.values() if lab.startswith("__r")]
         self.fresh = 1 + max(
-            (int(m.group(1)) for m in map(_FRESH_RE.match, labels) if m), default=-1
+            (int(m.group(1)) for m in map(_FRESH_RE.match, reserved) if m), default=-1
         )
 
     def _note_cherry(self, v: int) -> None:

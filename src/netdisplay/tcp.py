@@ -222,7 +222,7 @@ class LongestPaths:
 
     def __init__(self, out: dict, ins: dict, order, changed: set):
         self.out, self.ins, self.order, self.changed = out, ins, order, changed
-        self.pos = dict(zip(order, range(len(order))))
+        self.pos: dict = {}  # vertex -> order position, built by _first
         self.dist: dict = {}
         self.pred: dict = {}
         # (-dist, leaf), invalidated lazily: an entry counts while its
@@ -230,10 +230,12 @@ class LongestPaths:
         self.leaves: list = []
 
     def _first(self) -> None:
-        """dist and pred of every live vertex, in order; the leaf heap."""
+        """dist and pred of every live vertex, in order; the leaf heap and
+        the order positions that _relax reads."""
         out, ins, dist, pred = self.out, self.ins, self.dist, self.pred
-        leaves = self.leaves
-        for v in self.order:
+        leaves, order = self.leaves, self.order
+        self.pos = dict(zip(order, range(len(order))))
+        for v in order:
             ps = ins.get(v)
             if ps is None:  # deleted before the first query
                 continue
@@ -331,7 +333,7 @@ def _fail_match(ed: NetworkEditor, msg: str, ids) -> None:
         if x not in ed.out:
             rows.append(f"  {x}: <absent>")
             continue
-        row = f"  {x}: in={ed.ins[x]} out={ed.out[x]}"
+        row = f"  {x}: in={list(ed.ins[x])} out={list(ed.out[x])}"
         if x in ed.labels:
             row += f" label={ed.labels[x]}"
         rows.append(row)
@@ -405,7 +407,7 @@ def match_case(net: NetworkEditor | Network, path: list) -> CaseMatch:
 
     if len(ins[u]) >= 2:
         # reticulation chain u above v
-        if not _is_ret(ed, u) or out[u] != [v]:
+        if not _is_ret(ed, u) or v not in out[u]:  # u has one child
             _fail_match(ed, f"vertex {u} is not a reticulation onto {v}", around)
         if len(out[w]) != 2 or u not in out[w]:
             _fail_match(ed, f"vertex {w} is not a binary parent of {u}", around)

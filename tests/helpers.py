@@ -289,7 +289,7 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
                 )
             if outd == 1:
                 child = ed.out[v][0]
-                if ed.ins[child] != [v]:
+                if tuple(ed.ins[child]) != (v,):
                     raise InternalConsistencyError(
                         f"root chain child {child} has extra parents"
                     )

@@ -5,14 +5,18 @@
 
 Loads this checkout's `src/netdisplay` and the other checkout's into one
 process, under two package names (the package imports only relatively),
-and runs each side's `displays` on the same inputs:
+and runs each side on the same inputs:
 
-- the golden pairs of `tests/data/golden_traces.json`;
-- the ns-scaling builder inputs of seeds 1 and 101, positive and
-  split-cherry negative pairs, built by `bench/inputs.py` as the
-  benchmark builds them;
-- 2000 generator draws (n = 3 to 60, nearly stable), each with one
-  displayed tree and one random tree.
+- `displays` on the golden pairs of `tests/data/golden_traces.json`;
+- `displays` on the ns-scaling builder inputs of seeds 1 and 101,
+  positive and split-cherry negative pairs, built by `bench/inputs.py` as
+  the benchmark builds them;
+- 2000 generator specs (n = 3 to 60, nearly stable). Each side runs
+  `generate` on the spec and `random_tree` on its labels, and each
+  side's bytes (or error) are a record. From this checkout's network,
+  each side runs `apply_resolution` on one random resolution,
+  `ns_to_rv_transform` (output bytes and both ClassStats) and `displays`
+  with the resolved tree and with the random tree.
 
 Inputs are eNewick text, made once and parsed by each side. Each decide
 yields a record of `displayed`, `iterations`, `certificate`,
@@ -29,6 +33,7 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,7 +61,7 @@ def _load(path: str, name: str, package: bool):
 def _golden_pairs():
     with open(os.path.join(ROOT, "tests", "data", "golden_traces.json")) as f:
         for rec in json.load(f):
-            yield f"golden:{rec['name']}", rec["net"], rec["tree"]
+            yield f"golden:{rec['name']}", partial(_decide, rec["net"], rec["tree"])
 
 
 def _ns_scaling_pairs(nd, inputs):
@@ -70,34 +75,68 @@ def _ns_scaling_pairs(nd, inputs):
                 g = inputs.build_network(n, n // 4, rng, flags_of)
                 tree = inputs.resolve(g, rng)
                 net_text = inputs.enewick(g)
-                yield f"ns:{seed}:{n}:{i}", net_text, inputs.enewick(tree)
+                yield f"ns:{seed}:{n}:{i}", partial(_decide, net_text, inputs.enewick(tree))
                 if n == 800:
                     swap = inputs.split_cherry_swap(g, rng)
-                    yield f"ns:{seed}:{n}:{i}:neg", net_text, inputs.enewick(tree, swap)
+                    neg = partial(_decide, net_text, inputs.enewick(tree, swap))
+                    yield f"ns:{seed}:{n}:{i}:neg", neg
 
 
-def _generated_pairs(nd):
+def _generated(nd):
+    """Per spec: each side's draw and random tree, then, on this side's
+    draw, each side's resolution, transform and two decides."""
     rng = random.Random(DRAW_SEED)
     for i in range(DRAWS):
         n = rng.randint(3, 60)
         m = rng.randint(0, n // 4 + 1)
-        spec = nd.GenSpec(n, m, "nearly_stable", seed=DRAW_SEED * 100_000 + i)
+        spec = (n, m, "nearly_stable", DRAW_SEED * 100_000 + i)
+        yield f"gen:{i}:generate", partial(_generate, spec, i)
         try:
-            net = nd.generate(spec)
+            net_text = nd.serialize(nd.generate(nd.GenSpec(*spec)))
         except nd.GenerationExhaustedError:
             continue
+        net = nd.parse_network(net_text)  # with the ids each side parses
         kept = tuple(
-            (r, nd.Branch(rng.choice(sorted(net.parents(r))), r))
-            for r in net.reticulations
+            (r, (rng.choice(sorted(net.parents(r))), r)) for r in net.reticulations
         )
-        pos = nd.apply_resolution(net, nd.Resolution(kept))
+        yield f"gen:{i}:resolve", partial(_resolve, net_text, kept)
+        yield f"gen:{i}:transform", partial(_transform, net_text)
+        pos = nd.apply_resolution(net, nd.Resolution(_kept(nd, kept)))
         other = nd.random_tree(sorted(net.label_set()), seed=i)
-        net_text = nd.serialize(net)
-        yield f"gen:{i}", net_text, nd.serialize(pos)
-        yield f"gen:{i}:random", net_text, nd.serialize(other)
+        yield f"gen:{i}", partial(_decide, net_text, nd.serialize(pos))
+        yield f"gen:{i}:random", partial(_decide, net_text, nd.serialize(other))
 
 
-def _record(nd, net_text: str, tree_text: str) -> str:
+def _kept(nd, kept) -> tuple:
+    return tuple((r, nd.Branch(*b)) for r, b in kept)
+
+
+def _generate(spec, i, nd) -> str:
+    """One generator draw and one random tree on its labels, as text."""
+    try:
+        net = nd.generate(nd.GenSpec(*spec))
+    except nd.GenerationExhaustedError as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    tree = nd.random_tree(sorted(net.label_set()), seed=i)
+    return nd.serialize(net) + "\n" + nd.serialize(tree)
+
+
+def _resolve(net_text: str, kept, nd) -> str:
+    net = nd.parse_network(net_text)
+    return nd.serialize(nd.apply_resolution(net, nd.Resolution(_kept(nd, kept))))
+
+
+def _transform(net_text: str, nd) -> str:
+    """ns_to_rv_transform's output and both ClassStats (or the error
+    raised), as text."""
+    try:
+        out, before, after = nd.ns_to_rv_transform(nd.parse_network(net_text))
+    except nd.NetworkError as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    return f"{nd.serialize(out)}\nbefore={before}\nafter={after}"
+
+
+def _decide(net_text: str, tree_text: str, nd) -> str:
     """One decide and the replay of its trace, as text."""
     net, tree = nd.parse_network(net_text), nd.parse_tree(tree_text)
     try:
@@ -138,9 +177,9 @@ def main(argv: list[str]) -> int:
 
     hashes = {tag: hashlib.sha256() for tag, _ in sides}
     count = 0
-    for groups in (_golden_pairs(), _ns_scaling_pairs(mine, inputs), _generated_pairs(mine)):
-        for name, net_text, tree_text in groups:
-            records = [(tag, _record(nd, net_text, tree_text)) for tag, nd in sides]
+    for groups in (_golden_pairs(), _ns_scaling_pairs(mine, inputs), _generated(mine)):
+        for name, record in groups:
+            records = [(tag, record(nd)) for tag, nd in sides]
             for tag, rec in records:
                 hashes[tag].update(f"{name}\n{rec}\n".encode())
             if records[0][1] != records[1][1]:
@@ -151,7 +190,7 @@ def main(argv: list[str]) -> int:
             count += 1
     for tag, root in (("this", ROOT), ("other", other_root)):
         print(f"{hashes[tag].hexdigest()}  {tag} ({root})")
-    print(f"{count} decides, all records equal")
+    print(f"{count} records, all equal")
     return 0
 
 
