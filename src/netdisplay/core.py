@@ -50,6 +50,10 @@ class ValidationOutcome:
     violations: tuple[Violation, ...]
 
 
+# validate's memo for a network without violations: both flavours clean
+_CLEAN = (ValidationOutcome(True, ()), ValidationOutcome(True, ()))
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Per-vertex stability flags with one witness leaf where stable."""
@@ -107,6 +111,28 @@ class Network:
         top = max(out) + 1 if out else 0
         self._next_id = top if next_id is None else max(next_id, top)
         self._cache: dict = {}
+
+    @classmethod
+    def _from_maps(
+        cls, out: dict, ins: dict, labels: dict, root: int | None, topo=None
+    ) -> "Network":
+        """A network on maps its builder assembled, taken as they are.
+
+        `out` and `ins` key the ids 0..len(out)-1 in order to child and
+        parent tuples that are each other's inverse, with each parent
+        tuple in ascending id order; `root` is the smallest parentless id.
+        These are the maps __init__ would build. The tuples should hold
+        the key objects themselves: a dict matches a key by identity
+        before it compares values, and ids above 256 are distinct int
+        objects of equal value. A builder that has proved
+        the network valid and binary passes its topological order as
+        `topo`, and validate then answers from the memo.
+        """
+        net = object.__new__(cls)
+        net._out, net._in, net._labels, net._root = out, ins, labels, root
+        net._next_id = len(out)
+        net._cache = {} if topo is None else {"topo": topo, "valid": _CLEAN}
+        return net
 
     # -- structure accessors ------------------------------------------------
 

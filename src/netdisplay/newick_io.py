@@ -11,6 +11,14 @@ Lines whose first non-whitespace character is ``#`` not followed by a label
 character are comments (the generator emits its metadata this way); they are
 blanked before tokenization so diagnostics keep true byte offsets.
 
+Parsing takes one pass per stage. One regex `findall` gives the tokens;
+`_parse_statement` reads them into pre-order arrays (parent, label, hybrid
+tag, child count); `_assemble` walks the arrays once, giving out vertex ids
+and building the child, parent and label maps, which
+`Network._from_maps` takes as they are. A parsed network is validated
+once, which fills the memo `validate` answers from; a parsed tree is valid
+by construction (see `_assemble`) and gets that memo without the checks.
+
 Serialization emits children smallest reachable leaf label first (stable
 for ties), renumbers hybrid tags 1..m in emission order, and prints each
 hybrid's subtree at its first occurrence. Hence
@@ -22,6 +30,8 @@ networks can serialize differently.
 
 from __future__ import annotations
 
+import itertools
+import re
 import string
 from dataclasses import dataclass
 
@@ -30,6 +40,11 @@ from .errors import NewickParseError
 
 _LABEL_CHARS = frozenset(string.ascii_letters + string.digits + "_.-")
 _RESERVED_PREFIX = "__r"
+# one token per match: punctuation, a hybrid tag, a label, or any other
+# non-whitespace character, which is an error token
+_TOKEN = re.compile(r"[(),;]|#H[0-9]+|[A-Za-z0-9_.-]+|\S")
+# a character that starts an error token; no other token can hold it
+_ERROR_CHAR = re.compile(r"[^\s(),;A-Za-z0-9_.#-]|#(?!H[0-9])")
 
 
 @dataclass(frozen=True)
@@ -40,11 +55,6 @@ class ParseDiagnostic:
 
     def __str__(self) -> str:
         return f"{self.severity} at offset {self.offset}: {self.message}"
-
-
-def _fail(diags: list[ParseDiagnostic], offset: int, message: str):
-    diags.append(ParseDiagnostic(offset, message))
-    raise NewickParseError(message, diags)
 
 
 def _strip_comment_lines(text: str) -> str:
@@ -61,240 +71,273 @@ def _strip_comment_lines(text: str) -> str:
     return "".join(out)
 
 
-def _tokenize(text: str, diags: list[ParseDiagnostic]):
-    """Tokens: ('punct', ch, off) | ('label', text, off) | ('hybrid', k, off)."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),;":
-            tokens.append(("punct", ch, i))
-            i += 1
-            continue
-        if ch == "#":
-            j = i + 1
-            if j >= n or text[j] != "H":
-                _fail(diags, i, "invalid hybrid tag: expected '#H<k>'")
-            j += 1
-            k = j
-            while k < n and text[k] in string.digits:
-                k += 1
-            if k == j:
-                _fail(diags, i, "invalid hybrid tag: expected digits after '#H'")
-            tokens.append(("hybrid", int(text[j:k]), i))
-            i = k
-            continue
-        if ch in _LABEL_CHARS:
-            j = i
-            while j < n and text[j] in _LABEL_CHARS:
-                j += 1
-            lab = text[i:j]
-            if lab.startswith(_RESERVED_PREFIX):
-                _fail(diags, i, f"label {lab!r} uses the reserved '__r' namespace")
-            tokens.append(("label", lab, i))
-            i = j
-            continue
-        _fail(diags, i, f"unexpected character {ch!r}")
-    return tokens
+def _token_error(clean: str) -> ParseDiagnostic | None:
+    """The text's first token that is wrong in itself: a label in the
+    reserved namespace, a '#' that opens no '#H<k>', or a character that
+    starts no token."""
+    for m in _TOKEN.finditer(clean):
+        tok, off = m.group(), m.start()
+        if tok.startswith(_RESERVED_PREFIX):
+            return ParseDiagnostic(
+                off, f"label {tok!r} uses the reserved '__r' namespace"
+            )
+        if tok == "#":
+            if clean[off + 1 : off + 2] != "H":
+                return ParseDiagnostic(off, "invalid hybrid tag: expected '#H<k>'")
+            return ParseDiagnostic(off, "invalid hybrid tag: expected digits after '#H'")
+        if len(tok) == 1 and tok not in _LABEL_CHARS and tok not in "(),;":
+            return ParseDiagnostic(off, f"unexpected character {tok!r}")
+    return None
 
 
-@dataclass
-class _SynNode:
-    children: list
-    label: str | None
-    hybrid: int | None
-    offset: int
+class _Source:
+    """A text without its comment lines and its tokens, as `findall` gives
+    them. A text with a token that is wrong in itself fails here, before
+    any other check, so every token the parser reads is punctuation, a
+    '#H<k>' tag or a label. Diagnostics name tokens by index; their byte
+    offsets are recovered with `finditer` only when one is raised."""
+
+    __slots__ = ("clean", "tokens")
+
+    def __init__(self, text: str):
+        self.clean = clean = _strip_comment_lines(text)
+        if _ERROR_CHAR.search(clean) or _RESERVED_PREFIX in clean:
+            found = _token_error(clean)
+            if found is not None:
+                raise NewickParseError(found.message, [found])
+        self.tokens = _TOKEN.findall(clean)
+
+    def fail(self, at: int, *messages: str):
+        """Raise NewickParseError with one diagnostic per message, at the
+        offset of token `at` (len(tokens): the end of the text)."""
+        if at < len(self.tokens):
+            offset = next(itertools.islice(_TOKEN.finditer(self.clean), at, None)).start()
+        else:
+            offset = len(self.clean)
+        raise NewickParseError(
+            messages[0], [ParseDiagnostic(offset, m) for m in messages]
+        )
 
 
-def _parse_statement(tokens, pos: int, end_offset: int, diags):
-    """Parse one ';'-terminated statement; returns (root _SynNode, next pos)."""
-    stack: list[list[_SynNode]] = []
-    result: _SynNode | None = None
+def _parse_statement(src: _Source, pos: int):
+    """Parse the ';'-terminated statement that starts at token `pos` into
+    pre-order arrays; return them and the index of the token after ';'.
+
+    Node i has parent `par[i]` (-1 at the root), `lab[i]` (a leaf's label,
+    else None), hybrid tag `tag[i]` (or None), `kids[i]` children and
+    `at[i]`, the token that places it in diagnostics: a leaf's first
+    token, an inner vertex's ')'.
+    """
+    tokens = src.tokens
+    n = len(tokens)
+    par: list[int] = []
+    lab: list[str | None] = []
+    tag: list[int | None] = []
+    kids: list[int] = []
+    at: list[int] = []
+    stack: list[int] = []  # inner nodes whose ')' is still to come
     expect_node = True
-
-    def complete(node: _SynNode):
-        nonlocal result
-        if stack:
-            stack[-1].append(node)
-        else:
-            result = node
-
     while True:
-        if pos >= len(tokens):
-            _fail(diags, end_offset, "unexpected end of input (missing ';'?)")
-        kind, val, off = tokens[pos]
+        if pos >= n:
+            src.fail(n, "unexpected end of input (missing ';'?)")
+        tok = tokens[pos]
         if expect_node:
-            if kind == "punct" and val == "(":
-                stack.append([])
-                pos += 1
-            elif kind == "label":
-                hyb = None
-                pos += 1
-                if pos < len(tokens) and tokens[pos][0] == "hybrid":
-                    hyb = tokens[pos][1]
-                    pos += 1
-                complete(_SynNode([], val, hyb, off))
+            at.append(pos)
+            if tok == "(":
+                name = hyb = None
+            elif tok[0] == "#":
+                name, hyb = None, int(tok[2:])
                 expect_node = False
-            elif kind == "hybrid":
-                pos += 1
-                complete(_SynNode([], None, val, off))
+            elif tok[0] in _LABEL_CHARS:
+                name, hyb = tok, None
+                if pos + 1 < n and tokens[pos + 1][0] == "#":
+                    pos += 1
+                    hyb = int(tokens[pos][2:])
                 expect_node = False
             else:
-                _fail(diags, off, f"expected a subtree, found {val!r}")
+                src.fail(pos, f"expected a subtree, found {tok!r}")
+            if stack:
+                kids[stack[-1]] += 1
+                par.append(stack[-1])
+            else:
+                par.append(-1)
+            if tok == "(":
+                stack.append(len(lab))
+            lab.append(name)
+            tag.append(hyb)
+            kids.append(0)
+            pos += 1
+        elif tok == ",":
+            if not stack:
+                src.fail(pos, "',' outside parentheses")
+            expect_node = True
+            pos += 1
+        elif tok == ")":
+            if not stack:
+                src.fail(pos, "unbalanced ')'")
+            i = stack.pop()
+            at[i] = pos
+            pos += 1
+            if pos < n and tokens[pos][0] in _LABEL_CHARS:
+                pos += 1  # an inner vertex's name is read and dropped
+            if pos < n and tokens[pos][0] == "#":
+                tag[i] = int(tokens[pos][2:])
+                pos += 1
+        elif tok == ";":
+            if stack:
+                src.fail(pos, "';' inside unbalanced '('")
+            return (par, lab, tag, kids, at), pos + 1
         else:
-            if kind == "punct" and val == ",":
-                if not stack:
-                    _fail(diags, off, "',' outside parentheses")
-                pos += 1
-                expect_node = True
-            elif kind == "punct" and val == ")":
-                if not stack:
-                    _fail(diags, off, "unbalanced ')'")
-                children = stack.pop()
-                pos += 1
-                label = None
-                hyb = None
-                if pos < len(tokens) and tokens[pos][0] == "label":
-                    label = tokens[pos][1]
-                    pos += 1
-                if pos < len(tokens) and tokens[pos][0] == "hybrid":
-                    hyb = tokens[pos][1]
-                    pos += 1
-                complete(_SynNode(children, label, hyb, off))
-            elif kind == "punct" and val == ";":
-                if stack:
-                    _fail(diags, off, "';' inside unbalanced '('")
-                return result, pos + 1
-            else:
-                _fail(diags, off, f"expected ',', ')' or ';', found {val!r}")
+            shown = int(tok[2:]) if tok[0] == "#" else tok
+            src.fail(pos, f"expected ',', ')' or ';', found {shown!r}")
 
 
-def _assemble(
-    syn_root: _SynNode, statement_offset: int, diags, cls: type[Network]
-) -> Network:
-    out_adj: dict[int, list[int]] = {}
+def _first_met(par: list[int], nodes: list[int]) -> int:
+    """The node of `nodes` (ascending pre-order indices) that a walk from
+    the root meets first when it pops a node and pushes its children left
+    to right: an ancestor before its descendants, a later sibling's
+    subtree before an earlier one's."""
+    end = list(range(1, len(par) + 1))  # one past the last node of i's subtree
+    for i in range(len(par) - 1, 0, -1):
+        if end[i] > end[par[i]]:
+            end[par[i]] = end[i]
+    first = nodes[0]
+    for i in nodes[1:]:
+        if i >= end[first]:  # i lies right of first's subtree
+            first = i
+    return first
+
+
+def _check_tree(src: _Source, arrays) -> None:
+    """Reject a tree statement with a hybrid tag, then one with an inner
+    vertex of one or of more than two children, at the node the walk of
+    _first_met meets first."""
+    par, _, tag, kids, at = arrays
+    if tag.count(None) != len(tag):
+        hybrids = [i for i, t in enumerate(tag) if t is not None]
+        src.fail(at[_first_met(par, hybrids)], "hybrid tag in a tree")
+    if 1 in kids or max(kids) > 2:
+        bad = [i for i, k in enumerate(kids) if k == 1 or k > 2]
+        i = _first_met(par, bad)
+        if kids[i] > 2:
+            src.fail(at[i], "polytomy (more than two children)")
+        src.fail(at[i], "unary internal vertex")
+
+
+def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
+    """Build the statement's network from its pre-order arrays in one loop.
+
+    Each node gets the next vertex id, but a hybrid tag gets one vertex, at
+    its first occurrence; the loop fills the child and parent tuples and
+    the leaf labels in id order, as Network.__init__ would. Duplicate
+    labels, parallel branches and a second subtree for a tag fail at their
+    node, in pre-order; a tag used once or never given a subtree fails at
+    the statement (token `start`), in tag order.
+
+    A network is then validated, and fails at the statement with every
+    violation. A tree needs no validation. It has passed _check_tree, so
+    it has no tag, and vertex i is node i. Every vertex but the root 0 has
+    one parent, of smaller id; the inner vertices have two children each,
+    distinct as they are fresh ids; labels sit on leaves only (a leaf is a
+    label token) and are distinct (checked here). So it is connected and
+    acyclic with root 0, no vertex is unlabeled-leaf, unary, degenerate or
+    reticulate, no branch is parallel and every degree is binary: both
+    validate flavours are clean. Its topological order is 0..V-1, since a
+    parent precedes its child and the smallest ready id is the next one.
+    """
+    par, lab, tag, kids, at = arrays
+    out: list[list[int]] = []  # vertex -> children
+    ins: list = []  # vertex -> (parent,), or a hybrid's list of parents
+    vert: list[int] = []  # node -> vertex
+    # the ids in order; the maps key on these very int objects, which the
+    # tuples hold too, so a lookup of an id read from a tuple matches by
+    # identity (ids above 256 are distinct objects of equal value)
+    ids: list[int] = []
     labels: dict[int, str] = {}
-    label_offsets: dict[str, int] = {}
-    hybrid_vertex: dict[int, int] = {}
-    hybrid_occurrences: dict[int, int] = {}
-    hybrid_defs: dict[int, int] = {}
-    next_id = 0
-
-    def alloc() -> int:
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        out_adj[v] = []
-        return v
-
-    # pre-order walk, children processed left to right
-    stack: list[tuple[_SynNode, int | None]] = [(syn_root, None)]
-    while stack:
-        node, parent = stack.pop()
-        if node.hybrid is not None:
-            tag = node.hybrid
-            if tag in hybrid_vertex:
-                v = hybrid_vertex[tag]
+    names: set[str] = set()
+    tag_vertex: dict[int, int] = {}
+    uses: dict[int, int] = {}
+    carried: set[int] = set()
+    for i, t in enumerate(tag):
+        p = par[i]
+        if t is None:
+            v = len(out)
+            ids.append(v)
+            out.append([])
+            if not kids[i]:
+                name = lab[i]
+                if name in names:
+                    src.fail(at[i], f"duplicate leaf label {name!r}")
+                names.add(name)
+                labels[v] = name
+            if p < 0:
+                ins.append(())
             else:
-                v = alloc()
-                hybrid_vertex[tag] = v
-            hybrid_occurrences[tag] = hybrid_occurrences.get(tag, 0) + 1
-            if node.children:
-                if tag in hybrid_defs:
-                    _fail(
-                        diags,
-                        node.offset,
-                        f"hybrid tag #H{tag} carries a child subtree at more "
+                u = vert[p]
+                ins.append((u,))
+                out[u].append(v)
+        else:
+            v = tag_vertex.get(t)
+            if v is None:
+                v = tag_vertex[t] = len(out)
+                ids.append(v)
+                out.append([])
+                ins.append([])
+                uses[t] = 1
+            else:
+                uses[t] += 1
+            if kids[i]:
+                if t in carried:
+                    src.fail(
+                        at[i],
+                        f"hybrid tag #H{t} carries a child subtree at more "
                         "than one occurrence",
                     )
-                hybrid_defs[tag] = node.offset
-        else:
-            v = alloc()
-            if not node.children:
-                # plain leaf position; the tokenizer guarantees a label here
-                if node.label in label_offsets:
-                    _fail(diags, node.offset, f"duplicate leaf label {node.label!r}")
-                label_offsets[node.label] = node.offset
-                labels[v] = node.label
-        if parent is not None:
-            if v in out_adj[parent]:
-                _fail(diags, node.offset, "parallel branches")
-            out_adj[parent].append(v)
-        for child in reversed(node.children):
-            stack.append((child, v))
+                carried.add(t)
+            if p >= 0:
+                u = vert[p]
+                if v in out[u]:
+                    src.fail(at[i], "parallel branches")
+                out[u].append(v)
+                ins[v].append(u)
+        vert.append(v)
 
-    for tag, count in sorted(hybrid_occurrences.items()):
+    for t, count in sorted(uses.items()):
         if count == 1:
-            _fail(
-                diags,
-                statement_offset,
-                f"hybrid tag #H{tag} used once (dangling reference)",
-            )
-        if tag not in hybrid_defs:
-            _fail(
-                diags,
-                statement_offset,
-                f"hybrid tag #H{tag} has no child subtree at any occurrence",
-            )
+            src.fail(start, f"hybrid tag #H{t} used once (dangling reference)")
+        if t not in carried:
+            src.fail(start, f"hybrid tag #H{t} has no child subtree at any occurrence")
+    for v in tag_vertex.values():
+        ins[v] = tuple(sorted(ins[v]))  # __init__ lists parents by id
 
-    net = cls(out_adj, labels)
+    root = None if ins[0] else 0  # a vertex but 0 has the parent it was placed under
+    out_map = dict(zip(ids, map(tuple, out)))
+    ins_map = dict(zip(ids, ins))
+    if cls is PhyloTree:
+        return cls._from_maps(out_map, ins_map, labels, root, tuple(ids))
+    net = cls._from_maps(out_map, ins_map, labels, root)
     outcome = validate(net)
     if not outcome.ok:
-        for viol in outcome.violations:
-            diags.append(ParseDiagnostic(statement_offset, str(viol)))
-        raise NewickParseError(str(outcome.violations[0]), diags)
+        src.fail(start, *(str(viol) for viol in outcome.violations))
     return net
 
 
-def _reject_hybrids(syn: _SynNode, diags) -> None:
-    stack = [syn]
-    while stack:
-        node = stack.pop()
-        if node.hybrid is not None:
-            _fail(diags, node.offset, "hybrid tag in a tree")
-        stack.extend(node.children)
-
-
-def _check_tree_arity(syn: _SynNode, diags) -> None:
-    stack = [syn]
-    while stack:
-        node = stack.pop()
-        if len(node.children) > 2:
-            _fail(diags, node.offset, "polytomy (more than two children)")
-        if len(node.children) == 1:
-            _fail(diags, node.offset, "unary internal vertex")
-        stack.extend(node.children)
-
-
-def _statements(text: str, diags):
-    """Yield (syntax tree, statement offset, offset of the next token or
-    None) for each ';'-terminated statement of the text."""
-    clean = _strip_comment_lines(text)
-    tokens = _tokenize(clean, diags)
-    if not tokens:
-        _fail(diags, 0, "empty input")
-    pos = 0
-    while pos < len(tokens):
-        start = tokens[pos][2]
-        syn, pos = _parse_statement(tokens, pos, len(clean), diags)
-        yield syn, start, tokens[pos][2] if pos < len(tokens) else None
-
-
 def _parse(text: str, as_tree: bool, single: bool) -> list:
-    diags: list[ParseDiagnostic] = []
-    parsed = []
+    src = _Source(text)
+    n = len(src.tokens)
+    if not n:
+        raise NewickParseError("empty input", [ParseDiagnostic(0, "empty input")])
     cls = PhyloTree if as_tree else Network
-    for syn, start, after in _statements(text, diags):
-        if single and after is not None:
-            _fail(diags, after, "trailing content after ';'")
+    parsed = []
+    pos = 0
+    while pos < n:
+        start = pos
+        arrays, pos = _parse_statement(src, pos)
+        if single and pos < n:
+            src.fail(pos, "trailing content after ';'")
         if as_tree:
-            # a tree that passes both checks is binary and reticulation-free
-            _reject_hybrids(syn, diags)
-            _check_tree_arity(syn, diags)
-        parsed.append(_assemble(syn, start, diags, cls))
+            _check_tree(src, arrays)
+        parsed.append(_assemble(src, arrays, start, cls))
         if single:
             break
     return parsed

@@ -291,8 +291,9 @@ def replay_trace(
     pair reproduces the original run bit-for-bit under `serialize`. The
     working state's two sides carry the steps, with the loop's collapse
     primitive. Each cherry step must name a net cherry whose labels are
-    tree siblings, and each case step must contract exactly the vertices
-    it recorded; else InternalConsistencyError.
+    tree siblings, and each case step must remove distinct branches of
+    the network and contract exactly the vertices it recorded; else
+    InternalConsistencyError.
     """
     net.require_valid()
     require_tree(tree)
@@ -310,7 +311,12 @@ def replay_trace(
             _collapse_cherry(ned, ted, l1, l2, p, lab)
             tree = ted.freeze()
         else:
-            contracted, _ = ned.prune(step.removed_branches)
+            removed = step.removed_branches
+            if len(set(removed)) != len(removed) or any(
+                h not in ned.out.get(t, ()) for t, h in removed
+            ):
+                raise InternalConsistencyError(f"{step.to_line()}: no such branch")
+            contracted, _ = ned.prune(removed)
             if tuple(contracted) != step.contracted:
                 raise InternalConsistencyError(
                     f"{step.kind} contracted {contracted}, trace recorded"

@@ -254,9 +254,13 @@ def test_one_topological_sort_per_network_through_displays(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Network, "_try_topological_order", counting)
+    trees = []
     for rec in GOLDEN:
-        displays(parse_network(rec["net"]), parse_tree(rec["tree"]))
-    assert len(sorts) >= 2 * len(GOLDEN)  # each net, and each tree as parsed
+        trees.append(parse_tree(rec["tree"]))
+        displays(parse_network(rec["net"]), trees[-1])
+    assert len(sorts) >= len(GOLDEN)  # each net, as parsed
+    # a parsed tree comes with its order, so it is never sorted
+    assert not any(id(tree) in sorts for tree in trees)
     assert {n for _, n in sorts.values()} == {1}
 
 
@@ -277,12 +281,16 @@ def test_one_validation_pass_per_network_through_displays(monkeypatch):
 
     monkeypatch.setattr(core, "_violations", counting)
     monkeypatch.setattr(Network, "reachable_from", unused)
+    trees = []
     for rec in GOLDEN:
         net, tree = parse_network(rec["net"]), parse_tree(rec["tree"])
         displays(net, tree)
         for flag in (False, True):
             assert validate(net, flag).ok and validate(tree, flag).ok
-    assert len(passes) >= 2 * len(GOLDEN)
+        trees.append(tree)
+    assert len(passes) >= len(GOLDEN)  # each net, as parsed
+    # a parsed tree is valid by construction, so it is never checked
+    assert not any(id(tree._out) in passes for tree in trees)
     assert {n for _, n in passes.values()} == {1}
 
 

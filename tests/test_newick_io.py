@@ -6,7 +6,7 @@ import pytest
 
 from netdisplay.core import Network, PhyloTree, validate
 from netdisplay.errors import NewickParseError
-from netdisplay.generator import GenSpec, generate
+from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import (
     canonical_equal,
     parse_network,
@@ -149,14 +149,19 @@ def test_serialize_renumbers_hybrid_tags():
 
 
 def test_parse_tree_builds_each_tree_once(monkeypatch):
+    # the parser builds through Network._from_maps, never through __init__
     built = []
-    real = Network.__init__
+    real = Network._from_maps.__func__
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+    def counting(cls, *args):
+        built.append(real(cls, *args))
+        return built[-1]
 
-    monkeypatch.setattr(Network, "__init__", counting)
+    def unused(self, *args, **kwargs):
+        raise AssertionError("the parser called Network.__init__")
+
+    monkeypatch.setattr(Network, "_from_maps", classmethod(counting))
+    monkeypatch.setattr(Network, "__init__", unused)
     for rec in GOLDEN:
         built.clear()
         tree = parse_tree(rec["tree"])
@@ -164,6 +169,41 @@ def test_parse_tree_builds_each_tree_once(monkeypatch):
     built.clear()
     trees = parse_trees("\n".join(rec["tree"] for rec in GOLDEN))
     assert built == trees
+
+
+def test_parsed_inputs_answer_validation_from_the_memo(monkeypatch):
+    import netdisplay.core as core
+
+    parsed = [parse_network(rec["net"]) for rec in GOLDEN]
+    parsed += [parse_tree(rec["tree"]) for rec in GOLDEN]
+    parsed += parse_trees("(a,b);\n((a,b),c);") + parse_networks(RUNNING)
+
+    def unused(*args):
+        raise AssertionError("a parsed input was checked again")
+
+    monkeypatch.setattr(core, "_topological_order", unused)
+    monkeypatch.setattr(core, "_violations", unused)
+    for x in parsed:
+        assert validate(x, False).ok and validate(x, True).ok
+        order = x.topological_order()
+        if type(x) is PhyloTree:  # pre-order ids are a topological order
+            assert order == tuple(range(len(x)))
+
+
+def test_parsed_maps_share_one_int_object_per_vertex():
+    # ids above 256 are distinct int objects in CPython; a dict finds a key
+    # by identity before it compares values, so every id a tuple, the
+    # labels or the memoized order holds must be the map's own key object
+    rng = random.Random(3)
+    labels = [f"t{i}" for i in range(300)]
+    net = generate(GenSpec(300, 40, "any", seed=3))
+    texts = [serialize(net), serialize(random_tree(labels, seed=rng.randrange(99)))]
+    for x in (parse_network(texts[0]), parse_tree(texts[1])):
+        assert len(x) > 500
+        key = {v: v for v in x._out}
+        held = [v for vs in (*x._out.values(), *x._in.values()) for v in vs]
+        held += [*x._in, *x._labels, *x.topological_order()]
+        assert all(key[v] is v for v in held)
 
 
 def test_parsed_trees_are_binary_and_reticulation_free():

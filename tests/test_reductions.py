@@ -355,3 +355,13 @@ def test_replay_trace_rejects_a_cherry_step_on_a_non_cherry():
         step = ReductionStep("cherry", branches, (), intro)
         with pytest.raises(InternalConsistencyError):
             replay_trace(net, tree, ReductionTrace([step]))
+
+
+def test_replay_trace_rejects_a_case_step_on_an_absent_branch():
+    # the running example has no branch 0->99, and 0->1 cannot go twice
+    net, tree = parse_network(RUNNING), parse_tree("((a,b),c);")
+    for branches in ((Branch(0, 99),), (Branch(0, 1), Branch(0, 1))):
+        step = ReductionStep("case_C", branches, ())
+        with pytest.raises(InternalConsistencyError, match="no such branch") as err:
+            replay_trace(net, tree, ReductionTrace([step]))
+        assert str(err.value).startswith(step.to_line())

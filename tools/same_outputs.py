@@ -18,6 +18,14 @@ and runs each side on the same inputs:
   `ns_to_rv_transform` (output bytes and both ClassStats) and `displays`
   with the resolved tree and with the random tree.
 
+- the differential parse corpus of `tests/test_parse_differential.py`
+  (valid texts, multi-statement streams, grammar-aware mutants, hand
+  cases, fuzz-lite and random latin-1 strings), each text through
+  `parse_network`, `parse_networks`, `parse_tree` and `parse_trees`. A
+  parse yields the networks (type, root, next id, the child, parent and
+  label maps item by item, and the validation memo) or the exception
+  text and every diagnostic.
+
 Inputs are eNewick text, made once and parsed by each side. Each decide
 yields a record of `displayed`, `iterations`, `certificate`,
 `reticulations_initial`, the trace text and every `replay_trace` state
@@ -136,6 +144,37 @@ def _transform(net_text: str, nd) -> str:
     return f"{nd.serialize(out)}\nbefore={before}\nafter={after}"
 
 
+def _parse_corpus():
+    """Each text of the differential parse corpus through each entry point."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    import test_parse_differential as diff
+
+    texts = (
+        diff.valid_texts() + diff.stream_texts() + diff.mutant_texts()
+        + diff.HAND_CASES + diff.fuzz_lite_texts() + diff.latin1_texts()
+    )
+    for i, text in enumerate(texts):
+        for entry in ("parse_network", "parse_networks", "parse_tree", "parse_trees"):
+            yield f"parse:{i}:{entry}", partial(_parse, text, entry)
+
+
+def _parse(text: str, entry: str, nd) -> str:
+    """The parsed networks with their memo, or the error and its
+    diagnostics, as text."""
+    try:
+        got = getattr(nd, entry)(text)
+    except nd.NewickParseError as exc:
+        diags = [(d.offset, d.message, d.severity) for d in exc.diagnostics]
+        return f"error {exc}\n{diags}"
+    return "\n".join(
+        f"{type(net).__name__} root={net._root} next={net.next_id}"
+        f" out={list(net._out.items())} in={list(net._in.items())}"
+        f" labels={list(net._labels.items())}"
+        f" valid={net._cache.get('valid')} topo={net._cache.get('topo')}"
+        for net in (got if type(got) is list else [got])
+    )
+
+
 def _decide(net_text: str, tree_text: str, nd) -> str:
     """One decide and the replay of its trace, as text."""
     net, tree = nd.parse_network(net_text), nd.parse_tree(tree_text)
@@ -177,7 +216,10 @@ def main(argv: list[str]) -> int:
 
     hashes = {tag: hashlib.sha256() for tag, _ in sides}
     count = 0
-    for groups in (_golden_pairs(), _ns_scaling_pairs(mine, inputs), _generated(mine)):
+    groups_in_order = (
+        _parse_corpus(), _golden_pairs(), _ns_scaling_pairs(mine, inputs), _generated(mine)
+    )
+    for groups in groups_in_order:
         for name, record in groups:
             records = [(tag, record(nd)) for tag, nd in sides]
             for tag, rec in records:
