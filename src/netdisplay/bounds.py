@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .core import Branch, Network, NetworkEditor, in_class, stability
+from .core import Branch, Network, NetworkEditor, _stability, in_class
 from .errors import ClassPreconditionError, InternalConsistencyError
 from .tcp import Resolution
 
@@ -66,21 +66,20 @@ class BoundReport:
 
 def class_stats(net: Network) -> ClassStats:
     net.require_valid(require_binary=True)
-    rep = stability(net)
-    rets = net.reticulations
-    s_ret = sum(1 for r in rets if rep.stable[r])
-    tree_vertices = sum(
-        1
-        for v in net.vertices
-        if net.out_degree(v) >= 1 and net.in_degree(v) <= 1
-    )
+    ins = net._in
+    u_ret = sum(len(ins[v]) > 1 for v in _stability(net)[1])
+    # valid and binary: each vertex but the root has one parent, two at a
+    # reticulation, and the others are leaves and tree vertices
+    n_vertices, n_leaves = len(ins), len(net._labels)
+    branches = sum(map(len, ins.values()))
+    m = branches - n_vertices + 1
     return ClassStats(
-        n_leaves=net.n_leaves,
-        m_reticulations=len(rets),
-        s_ret=s_ret,
-        u_ret=len(rets) - s_ret,
-        tree_vertices=tree_vertices,
-        branches=net.num_branches,
+        n_leaves=n_leaves,
+        m_reticulations=m,
+        s_ret=m - u_ret,
+        u_ret=u_ret,
+        tree_vertices=n_vertices - n_leaves - m,
+        branches=branches,
     )
 
 
@@ -197,10 +196,9 @@ def ns_to_rv_transform(net: Network) -> tuple[Network, ClassStats, ClassStats]:
             "the rewiring requires a nearly stable network"
         )
     before = class_stats(net)
-    stable = stability(net).stable
     ed = NetworkEditor(net)
-    for r in net.topological_order():
-        if stable[r] or net.in_degree(r) < 2:
+    for r in _stability(net)[1]:  # the unstable vertices, in topological order
+        if len(net._in[r]) < 2:
             continue
         child = ed.out[r][0]
         if not (len(ed.ins[child]) >= 2 and len(ed.out[child]) == 1):

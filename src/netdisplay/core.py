@@ -257,8 +257,9 @@ class Network:
 def require_tree(net: Network) -> None:
     """Raise InvalidNetworkError unless the network has the shape of a
     phylogenetic tree: no reticulation, valid and binary. Checks structure,
-    not type, so a reticulation-free binary Network passes."""
-    if net.num_reticulations:
+    not type, so a reticulation-free binary Network passes. Sorts no
+    vertex unless some vertex has two parents."""
+    if max(map(len, net._in.values()), default=0) > 1 and net.num_reticulations:
         raise InvalidNetworkError("network has reticulations; not a tree")
     net.require_valid(require_binary=True)
 
@@ -567,60 +568,68 @@ def _violations(
     return vs, degree
 
 
-def stability(net: Network) -> StabilityReport:
-    """Stability flags and witness leaves (the smallest dominated leaf) for
-    every vertex."""
-    if "stab" in net._cache:
-        return net._cache["stab"]
+def _stability(net: Network) -> tuple[list, list]:
+    """Every vertex's witness and the unstable vertices, memoized: a list
+    indexed by vertex id (ids are below next_id) of the smallest leaf each
+    vertex dominates (None if none), and the vertices without one in
+    topological order. InvalidNetworkError on an invalid network.
+
+    Immediate dominators take one pass in topological order: every parent
+    is final before its child. A vertex dominates exactly the leaves whose
+    dominator chains (leaf, its idom, that one's idom, ..., root) hold it.
+    Leaves walk their chains in ascending order and stop at the first
+    vertex reached before. By induction over the walks, every vertex on
+    the chain above a reached one is reached, so a stop skips no
+    unreached vertex, and the first leaf to reach a vertex is its
+    smallest dominated leaf.
+    """
+    found = net._cache.get("stab")
+    if found is not None:
+        return found
     net.require_valid()
-    # Immediate dominators over a DAG need a single pass in topological
-    # order: every parent is final before its child is processed.
     order = net.topological_order()
     root = net.root
     ins = net._in
-    idom = {root: root}
-    depth = {root: 0}
-
-    def meet(a: int, b: int) -> int:
-        while depth[a] > depth[b]:
-            a = idom[a]
-        while depth[b] > depth[a]:
-            b = idom[b]
-        while a != b:
-            a = idom[a]
-            b = idom[b]
-        return a
-
+    idom, depth = [root] * net._next_id, [0] * net._next_id
     for v in order:
         ps = ins[v]
         if len(ps) == 1:  # a vertex with one parent is dominated by it
             d = ps[0]
-        elif ps:
+        elif ps:  # meet the parents up the dominator tree
             d = ps[0]
-            for p in ps[1:]:
-                d = meet(d, p)
+            for b in ps[1:]:
+                da, db = depth[d], depth[b]
+                while da > db:
+                    d, da = idom[d], da - 1
+                while db > da:
+                    b, db = idom[b], db - 1
+                while d != b:
+                    d, b = idom[d], idom[b]
         else:  # the root, the one vertex without parents
             continue
         idom[v] = d
         depth[v] = depth[d] + 1
+    # a valid network labels exactly its leaves; idom[root] is the root
+    witness = [None] * net._next_id
+    for leaf in sorted(net._labels):
+        v = leaf
+        while witness[v] is None:
+            witness[v] = leaf
+            v = idom[v]
+    found = net._cache["stab"] = (witness, [v for v in order if witness[v] is None])
+    return found
 
-    # smallest dominated leaf, folded bottom-up along the dominator tree;
-    # an immediate dominator precedes its vertex in every topological
-    # order, so the reversed order folds each vertex before its dominator
-    # (the root, its own dominator, folds into itself)
-    out = net._out
-    witness: dict[int, int | None] = {v: None if out[v] else v for v in order}
-    for v in reversed(order):
-        w = witness[v]
-        if w is None:
-            continue
-        up = idom[v]
-        if witness[up] is None or w < witness[up]:
-            witness[up] = w
-    stable = {v: w is not None for v, w in witness.items()}
-    rep = StabilityReport(stable, witness)
-    net._cache["stab"] = rep
-    return rep
+
+def stability(net: Network) -> StabilityReport:
+    """Stability flags and witness leaves (the smallest dominated leaf) for
+    every vertex, keyed in topological order. Built from _stability's memo
+    on the first call, and memoized in turn."""
+    if "stab_report" not in net._cache:
+        witness = _stability(net)[0]
+        wit = {v: witness[v] for v in net.topological_order()}
+        stable = {v: w is not None for v, w in wit.items()}
+        net._cache["stab_report"] = StabilityReport(stable, wit)
+    return net._cache["stab_report"]
 
 
 def _subphylogeny_free(net: Network) -> bool:
@@ -648,17 +657,18 @@ def _subphylogeny_free(net: Network) -> bool:
     return True
 
 
-# The network classes of the paper, each read off one stability report:
-# tree-child (every vertex stable), reticulation-visible (every
-# reticulation stable) and nearly stable (every vertex stable or all its
-# parents stable).
+# The network classes of the paper, each read off the parent tuples and
+# _stability's memo: tree-child (every vertex stable), reticulation-visible
+# (every reticulation stable; a leaf is its own witness, so an unstable
+# vertex with two parents is a reticulation) and nearly stable (every
+# vertex stable or all its parents stable).
 _CLASS_TESTS = {
-    "tree_child": lambda net, stable: all(stable.values()),
-    "reticulation_visible": lambda net, stable: all(
-        stable[r] for r in net.reticulations
+    "tree_child": lambda ins, witness, unstable: not unstable,
+    "reticulation_visible": lambda ins, witness, unstable: all(
+        len(ins[v]) < 2 for v in unstable
     ),
-    "nearly_stable": lambda net, stable: all(
-        stable[v] or all(stable[p] for p in ps) for v, ps in net._in.items()
+    "nearly_stable": lambda ins, witness, unstable: all(
+        witness[p] is not None for v in unstable for p in ins[v]
     ),
 }
 CLASSES = tuple(_CLASS_TESTS)
@@ -671,7 +681,7 @@ def in_class(net: Network, name: str) -> bool:
     if key not in net._cache:
         if name not in _CLASS_TESTS:
             raise ValueError(f"unknown network class {name!r}")
-        net._cache[key] = _CLASS_TESTS[name](net, stability(net).stable)
+        net._cache[key] = _CLASS_TESTS[name](net._in, *_stability(net))
     return net._cache[key]
 
 
@@ -680,11 +690,11 @@ def classify(net: Network) -> ClassFlags:
     nearly stable, subphylogeny-free. Memoized on the (immutable) network."""
     if "class" in net._cache:
         return net._cache["class"]
-    stable = stability(net).stable
+    ins, (witness, unstable) = net._in, _stability(net)
     flags = ClassFlags(
         binary=validate(net, require_binary=True).ok,
         subphylogeny_free=_subphylogeny_free(net),
-        **{name: test(net, stable) for name, test in _CLASS_TESTS.items()},
+        **{name: test(ins, witness, unstable) for name, test in _CLASS_TESTS.items()},
     )
     net._cache["class"] = flags
     return flags

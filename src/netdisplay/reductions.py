@@ -192,36 +192,47 @@ class ReductionState:
     ``__r<k>`` label. Each edit re-checks these only where it changed the
     net, and adds to `changed` every net vertex whose in-list or leafness
     it changed, for a reader to drain. The leaf label sets are checked
-    once, here, against the tree side's label -> leaf map.
+    once, here, against the tree side's label -> leaf map. The net must be
+    valid and binary and the tree a valid tree, as displays checks first.
     """
 
     def __init__(self, net: Network, tree: PhyloTree):
         self.tree = ted = _TreeEditor(tree)
-        labels = net._labels
-        if ted.leaf.keys() != set(labels.values()):
-            _check_same_leaves(net, tree)  # raises, naming the labels
-        self.net = ned = NetworkEditor(net)
-        out, ins = net._out, net._in
-        self.rets = {v for v, ps in ins.items() if len(ps) >= 2 and out[v]}
-        # a cherry's parent is a leaf's parent: file each once, as
-        # _note_cherry does, and heapify the common ones
+        self.net = NetworkEditor(net)
+        out, ins, labels = net._out, net._in, net._labels
+        # a valid network has no leaf with two parents
+        self.rets = {v for v, ps in ins.items() if len(ps) > 1}
+        # One loop over the labelled leaves: check each label against the
+        # tree side, file a cherry as _note_cherry would on meeting a tree
+        # vertex's second leaf child, and set the next fresh label above
+        # the reserved ``__r<k>`` ones (each new label is the largest).
+        tleaf, parent_of = ted.leaf, ted.parent_of
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
-        for v in {ins[leaf][0] for leaf in labels if ins[leaf]}:
-            found = _cherry_at(out, ins, v)
-            if found is None:
+        first: dict[int, int] = {}  # leaf parent -> the leaf met under it
+        self.fresh = 0
+        for leaf, lab in labels.items():
+            if lab not in tleaf:
+                _check_same_leaves(net, tree)  # raises, naming the labels
+            if "__r" in lab:
+                m = _FRESH_RE.match(lab)
+                if m and int(m.group(1)) >= self.fresh:
+                    self.fresh = int(m.group(1)) + 1
+            ps = ins[leaf]
+            if not ps:
                 continue
-            if _siblings(ned, ted, found[0], found[1]):
-                self.common.append(found)
+            p = ps[0]
+            other = first.setdefault(p, leaf)
+            if other == leaf or len(ins[p]) != 1 or len(out[p]) != 2:
+                continue
+            if parent_of[lab] == parent_of[labels[other]]:
+                self.common.append((other, leaf, p) if other < leaf else (leaf, other, p))
             else:
-                self.one_sided.add(v)
+                self.one_sided.add(p)
+        if len(tleaf) != len(labels):
+            _check_same_leaves(net, tree)
         heapq.heapify(self.common)
         self.changed: set[int] = set()
-        # each new label is the largest, and labelled leaves go only by collapse
-        reserved = [lab for lab in labels.values() if lab.startswith("__r")]
-        self.fresh = 1 + max(
-            (int(m.group(1)) for m in map(_FRESH_RE.match, reserved) if m), default=-1
-        )
 
     def _note_cherry(self, v: int) -> None:
         """File the cherry under v, if any, as common or one-sided."""

@@ -239,11 +239,15 @@ class LongestPaths:
             ps = ins.get(v)
             if ps is None:  # deleted before the first query
                 continue
-            best_d, best_p = -1, None
-            for p in ps:
-                d = dist[p]
-                if d > best_d or (d == best_d and p < best_p):
-                    best_d, best_p = d, p
+            if len(ps) == 1:  # nothing to compare
+                best_p = ps[0]
+                best_d = dist[best_p]
+            else:
+                best_d, best_p = -1, None
+                for p in ps:
+                    d = dist[p]
+                    if d > best_d or (d == best_d and p < best_p):
+                        best_d, best_p = d, p
             dist[v] = d = best_d + 1
             pred[v] = best_p
             if not out[v]:

@@ -281,8 +281,9 @@ def test_transform_freezes_once_and_computes_stability_on_input_and_output(
     net = parse_network(TWO_BLOCKS)
     freezes = []
     seen = []  # keeps every network alive, so ids are not reused
+    passes = []  # the networks whose stability pass ran, memo cold
     real_freeze = NetworkEditor.freeze
-    real_stability = core.stability
+    real_stability = core._stability
 
     def counting_freeze(ed):
         freezes.append(ed)
@@ -290,15 +291,22 @@ def test_transform_freezes_once_and_computes_stability_on_input_and_output(
 
     def counting_stability(n):
         seen.append(n)
+        if "stab" not in n._cache:
+            passes.append(n)
         return real_stability(n)
 
+    def no_report(*args):
+        raise AssertionError("the transform built a StabilityReport")
+
     monkeypatch.setattr(NetworkEditor, "freeze", counting_freeze)
-    monkeypatch.setattr(core, "stability", counting_stability)
-    monkeypatch.setattr(bounds, "stability", counting_stability)
+    monkeypatch.setattr(core, "_stability", counting_stability)
+    monkeypatch.setattr(bounds, "_stability", counting_stability)
+    monkeypatch.setattr(core, "StabilityReport", no_report)
     out, before, after = ns_to_rv_transform(net)
     assert (before.u_ret, after.u_ret) == (2, 0)
     assert len(freezes) == 1
     assert {id(n) for n in seen} == {id(net), id(out)}
+    assert [id(n) for n in passes] == [id(net), id(out)]
 
 
 def _assert_transform_matches_reference(net):

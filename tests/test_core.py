@@ -6,8 +6,10 @@ import networkx as nx
 import pytest
 
 from netdisplay import newick_io
+from netdisplay.bounds import ns_to_rv_transform
 from netdisplay.core import (
     CLASSES,
+    Branch,
     Network,
     NetworkEditor,
     _subphylogeny_free,
@@ -21,8 +23,8 @@ from netdisplay.core import (
 from netdisplay.errors import InvalidNetworkError, NewickParseError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree
-from netdisplay.reductions import ReductionState
-from netdisplay.tcp import displays
+from netdisplay.reductions import ReductionState, replay_trace
+from netdisplay.tcp import Resolution, apply_resolution, displays
 
 from helpers import (
     GOLDEN,
@@ -31,6 +33,7 @@ from helpers import (
     UNSTABLE_OVER_STABLE,
     class_sample,
     deletion_stability,
+    gen_with_fallback,
     reference_in_class,
     reference_subphylogeny_free,
     reference_validate,
@@ -347,16 +350,49 @@ def test_stability_root_always_stable():
         assert stability(net).stable[net.root]
 
 
-def test_stability_methods_agree_with_witnesses():
+def _stability_sample() -> tuple[list, list]:
+    """Generated networks of class "any" (n <= 6, m <= 4) and nearly
+    stable and reticulation-visible ones up to n = 30; and networks whose
+    ids have gaps: stabilizing-transform outputs and replayed states of
+    decides on the nearly stable ones."""
     rng = random.Random(40)
-    for i in range(150):
-        spec = GenSpec(rng.randint(2, 6), rng.randint(0, 4), "any", seed=i)
-        net = generate(spec)
+    nets = [
+        generate(GenSpec(rng.randint(2, 6), rng.randint(0, 4), "any", seed=i))
+        for i in range(150)
+    ]
+    classed = {
+        cls: [
+            gen_with_fallback(n := rng.randint(7, 30), rng.randint(1, n // 2), cls, 4000 + i)
+            for i in range(30)
+        ]
+        for cls in ("nearly_stable", "reticulation_visible")
+    }
+    gapped = []
+    for net in classed["nearly_stable"]:
+        gapped.append(ns_to_rv_transform(net)[0])
+        kept = tuple((r, Branch(min(net.parents(r)), r)) for r in net.reticulations)
+        tree = apply_resolution(net, Resolution(kept))
+        states = replay_trace(net, tree, displays(net, tree).trace)
+        gapped += [s_net for s_net, _ in states[1::4]]
+    return nets + classed["nearly_stable"] + classed["reticulation_visible"], gapped
+
+
+def test_stability_methods_agree_with_witnesses():
+    nets, gapped = _stability_sample()
+    assert sum(max(net.vertices) >= len(net) for net in gapped) > 20
+    assert max(net.n_leaves for net in nets) >= 25
+    for net in nets + gapped:
         dom = stability(net)
         dele = deletion_stability(net)
         assert dom.stable == dele.stable
         assert dom.witness == dele.witness
         assert dom.witness == _networkx_witnesses(net)
+        assert list(dom.witness) == list(dom.stable) == list(net.topological_order())
+        # the class flags on a fresh copy, which has no report built
+        fresh = Network(net._out, net._labels, net.next_id)
+        member = tuple(in_class(fresh, name) for name in CLASSES)
+        assert member == tuple(reference_in_class(net, name) for name in CLASSES)
+        assert member == tuple(getattr(classify(fresh), name) for name in CLASSES)
 
 
 def test_stability_local_structure_invariants():
@@ -422,8 +458,8 @@ def test_classify_is_memoized_per_network(monkeypatch):
     import netdisplay.core as core
 
     calls = []
-    real = core.stability
-    monkeypatch.setattr(core, "stability", lambda net: calls.append(net) or real(net))
+    real = core._stability
+    monkeypatch.setattr(core, "_stability", lambda net: calls.append(net) or real(net))
     net = parse_network(RUNNING)
     first = classify(net)
     assert len(calls) == 1

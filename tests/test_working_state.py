@@ -16,7 +16,7 @@ import re
 import pytest
 
 from netdisplay import reductions, tcp
-from netdisplay.core import Branch, Network, NetworkEditor, require_tree
+from netdisplay.core import Branch, Network, NetworkEditor, PhyloTree, require_tree
 from netdisplay.errors import InternalConsistencyError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree, serialize
@@ -315,16 +315,33 @@ def _n200_pair():
     return net, apply_resolution(net, Resolution(kept))
 
 
+class _KeyLog(dict):
+    """A dict that logs the key of every `[]` read while `on` is set."""
+
+    def __init__(self, data, log: list, on: list):
+        super().__init__(data)
+        self._log, self._on = log, on
+
+    def __getitem__(self, key):
+        if self._on:
+            self._log.append(key)
+        return super().__getitem__(key)
+
+
 def test_displays_builds_one_lean_working_state(monkeypatch):
     """Counts, not times, over one decide at n = 200 that ends in the
     oracle tail: one NetworkEditor (the net side), no Network built, no
     tree-side freeze, no call of oracle_displays and no read of the tree's
-    child lists; and the set-up cherry scan only at parents of leaves,
-    once each."""
+    child lists; and the set-up cherry scan reads child lists only at
+    parents of leaves, once each at most, with no cherry test call, and
+    files exactly the cherries a cherry test of every vertex finds."""
     net, tree = _n200_pair()
     require_tree(tree)  # memoizes the checks displays makes of the tree
     events: list = []
     tree._out = _CountingDict(tree._out, events, "tree child list")
+    in_setup: list = []
+    setup_child_reads: list = []
+    net._out = _KeyLog(net._out, setup_child_reads, in_setup)
 
     def logged(owner, name, event):
         real = getattr(owner, name)
@@ -341,13 +358,14 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
     logged(tcp, "oracle_displays", "oracle")
     logged(tcp, "_tail_displays", "tail")
     setup_cherry_tests: list = []
-    in_setup = []
+    states: list = []
     real_init, real_cherry_at = ReductionState.__init__, reductions._cherry_at
 
     def init(self, *args):
         in_setup.append(True)
         real_init(self, *args)
         in_setup.pop()
+        states.append((list(self.common), set(self.one_sided)))
 
     def cherry_at(out, ins, v):
         if in_setup:
@@ -358,8 +376,73 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
     monkeypatch.setattr(reductions, "_cherry_at", cherry_at)
     assert displays(net, tree).displayed
     assert events == ["editor", "tail"]
+    assert setup_cherry_tests == []
     leaf_parents = {net.parents(v)[0] for v in net.leaves}
-    assert sorted(setup_cherry_tests) == sorted(leaf_parents)
+    assert len(setup_child_reads) == len(set(setup_child_reads)) > 10
+    assert set(setup_child_reads) <= leaf_parents
+    # what a cherry test of every vertex files, as _note_cherry files it
+    sides = {tree.label(v): tree.parents(v)[0] for v in tree.leaves}
+    common, one_sided = [], set()
+    for v in net.vertices:
+        found = real_cherry_at(net._out, net._in, v)
+        if found is None:
+            continue
+        l1, l2, _ = found
+        if sides[net.label(l1)] == sides[net.label(l2)]:
+            common.append(found)
+        else:
+            one_sided.add(v)
+    ((setup_common, setup_one_sided),) = states
+    assert sorted(setup_common) == sorted(common) and setup_one_sided == one_sided
+    assert common
+
+
+def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
+    monkeypatch,
+):
+    """Counts over one split-cherry negative decide at n = 200: the net
+    cherry whose labels the tree splits is filed one-sided at set-up, so
+    the decide runs the stability pass (dominators) once, builds no
+    StabilityReport and never runs LongestPaths' first pass."""
+    import netdisplay.core as core
+
+    net, tree = _n200_pair()
+    net = parse_network(serialize(net))  # with a cold stability memo
+    # a net cherry under a vertex with one parent survives every resolution
+    p = next(
+        v for v in net.vertices
+        if len(net.parents(v)) == 1 and reductions._cherry_at(net._out, net._in, v)
+    )
+    l1, l2 = net.children(p)
+    l3 = next(v for v in net.leaves if v not in (l1, l2))
+    swap = {net.label(l2): net.label(l3), net.label(l3): net.label(l2)}
+    tree = parse_tree(serialize(PhyloTree(
+        tree._out, {v: swap.get(lab, lab) for v, lab in tree._labels.items()}
+    )))
+    passes: list = []
+    firsts: list = []
+    real_stability, real_first = core._stability, LongestPaths._first
+
+    def counting_stability(n):
+        if "stab" not in n._cache:
+            passes.append(n)
+        return real_stability(n)
+
+    def counting_first(self):
+        firsts.append(self)
+        return real_first(self)
+
+    def no_report(*args):
+        raise AssertionError("the decide built a StabilityReport")
+
+    monkeypatch.setattr(core, "_stability", counting_stability)
+    monkeypatch.setattr(core, "StabilityReport", no_report)
+    monkeypatch.setattr(LongestPaths, "_first", counting_first)
+    got = displays(net, tree)
+    assert not got.displayed
+    assert got.iterations == 1
+    assert passes == [net]
+    assert firsts == []
 
 
 def test_removal_rounds_refile_only_live_vertices(monkeypatch):

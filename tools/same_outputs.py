@@ -17,7 +17,11 @@ and runs each side on the same inputs:
   each side runs `apply_resolution` on one random resolution,
   `ns_to_rv_transform` (output bytes and both ClassStats) and `displays`
   with the resolved tree and with the random tree.
-
+- a stability record for each golden, ns-scaling and generated network:
+  the `stability` report's witness and stable maps item by item (so in
+  key order), the three `in_class` flags and `class_stats`, each read
+  from a freshly parsed network so that none answers from another's
+  memo.
 - the differential parse corpus of `tests/test_parse_differential.py`
   (valid texts, multi-statement streams, grammar-aware mutants, hand
   cases, fuzz-lite and random latin-1 strings), each text through
@@ -70,6 +74,7 @@ def _golden_pairs():
     with open(os.path.join(ROOT, "tests", "data", "golden_traces.json")) as f:
         for rec in json.load(f):
             yield f"golden:{rec['name']}", partial(_decide, rec["net"], rec["tree"])
+            yield f"golden:{rec['name']}:stability", partial(_stability, rec["net"])
 
 
 def _ns_scaling_pairs(nd, inputs):
@@ -84,6 +89,7 @@ def _ns_scaling_pairs(nd, inputs):
                 tree = inputs.resolve(g, rng)
                 net_text = inputs.enewick(g)
                 yield f"ns:{seed}:{n}:{i}", partial(_decide, net_text, inputs.enewick(tree))
+                yield f"ns:{seed}:{n}:{i}:stability", partial(_stability, net_text)
                 if n == 800:
                     swap = inputs.split_cherry_swap(g, rng)
                     neg = partial(_decide, net_text, inputs.enewick(tree, swap))
@@ -109,6 +115,7 @@ def _generated(nd):
         )
         yield f"gen:{i}:resolve", partial(_resolve, net_text, kept)
         yield f"gen:{i}:transform", partial(_transform, net_text)
+        yield f"gen:{i}:stability", partial(_stability, net_text)
         pos = nd.apply_resolution(net, nd.Resolution(_kept(nd, kept)))
         other = nd.random_tree(sorted(net.label_set()), seed=i)
         yield f"gen:{i}", partial(_decide, net_text, nd.serialize(pos))
@@ -142,6 +149,22 @@ def _transform(net_text: str, nd) -> str:
     except nd.NetworkError as exc:
         return f"error {type(exc).__name__}: {exc}"
     return f"{nd.serialize(out)}\nbefore={before}\nafter={after}"
+
+
+def _stability(net_text: str, nd) -> str:
+    """The stability report, the class flags and the census of one
+    network (or the error raised), as text."""
+    try:
+        rep = nd.stability(nd.parse_network(net_text))
+        net = nd.parse_network(net_text)
+        flags = [nd.in_class(net, name) for name in nd.CLASSES]
+        stats = nd.class_stats(nd.parse_network(net_text))
+    except nd.NetworkError as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    return (
+        f"witness={list(rep.witness.items())}\nstable={list(rep.stable.items())}"
+        f"\nclasses={flags}\nstats={stats}"
+    )
 
 
 def _parse_corpus():
