@@ -164,12 +164,6 @@ class Network:
     def parents(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
-    def out_degree(self, v: int) -> int:
-        return len(self._out[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self._in[v])
-
     def is_leaf(self, v: int) -> bool:
         return not self._out[v]
 
@@ -209,10 +203,6 @@ class Network:
         for v in self.vertices:
             for c in self._out[v]:
                 yield Branch(v, c)
-
-    @property
-    def num_branches(self) -> int:
-        return sum(len(cs) for cs in self._out.values())
 
     def has_branch(self, tail: int, head: int) -> bool:
         return head in self._out.get(tail, ())
@@ -322,18 +312,6 @@ class NetworkEditor:
         out, ins = self.out, self.ins
         out[tail] = _without(out[tail], head)
         ins[head] = _without(ins[head], tail)
-
-    def delete_vertex(self, v: int) -> None:
-        out, ins = self.out, self.ins
-        for p in ins[v]:
-            out[p] = _without(out[p], v)
-        for c in out[v]:
-            ins[c] = _without(ins[c], v)
-        del out[v]
-        del ins[v]
-        self.labels.pop(v, None)
-        if self.root == v:
-            self.root = None
 
     def contract(self, v: int) -> None:
         """Remove an (indeg 1, outdeg 1) vertex and join its parent to its

@@ -134,30 +134,45 @@ def _cherry_at(out, ins, v: int):
 
 
 class _TreeEditor:
-    """The working state's tree side: a cherry collapse only deletes two
-    leaves and relabels their parent, so it keeps a vertex -> parent map
-    (None at the root), the leaf labels both ways and the label -> parent
-    map, but no child lists. freeze() filters the source tree's child
-    lists by the live vertices, which keeps ids and child order."""
+    """The working state's tree side: the label -> leaf vertex map `leaf`
+    over the source tree's own parent tuples `tin`, which no edit changes.
+
+    A cherry collapse deletes two sibling leaves and turns their parent
+    into a leaf; it drops their labels and maps the new label to the
+    parent. So the live tree is the closure of the leaf vertices under
+    `tin`, and each live internal vertex keeps both of its source
+    children: a vertex loses children only when it becomes a leaf. A
+    leaf's parent is always its source parent. live() builds that
+    closure when it is called."""
 
     def __init__(self, tree: PhyloTree):
-        self.par = {v: ps[0] if ps else None for v, ps in tree._in.items()}
-        self.labels = dict(tree._labels)
-        self.leaf = {lab: v for v, lab in self.labels.items()}
-        self.parent_of = {lab: self.par[v] for lab, v in self.leaf.items()}
-        self.root = tree._root
+        self.tin = tree._in
+        self.leaf = {lab: v for v, lab in tree._labels.items()}
         self._src = tree
 
+    def live(self) -> dict:
+        """Vertex -> parent tuple over the live tree: the closure of the
+        leaves under `tin`."""
+        tin, live = self.tin, {}
+        for v in self.leaf.values():
+            while v not in live:
+                live[v] = ps = tin[v]
+                if not ps:
+                    break
+                v = ps[0]
+        return live
+
     def freeze(self) -> PhyloTree:
-        src, par = self._src, self.par
-        out = {v: [c for c in src._out[v] if c in par] for v in par}
-        return type(src)(out, self.labels, next_id=src.next_id)
+        src, live = self._src, self.live()
+        out = {v: [c for c in cs if c in live] for v, cs in src._out.items() if v in live}
+        labels = {v: lab for lab, v in self.leaf.items()}
+        return type(src)(out, labels, next_id=src.next_id)
 
 
 def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
     """Do two net leaves sit under one parent in the tree?"""
-    parent_of, labels = ted.parent_of, ned.labels
-    return parent_of[labels[x]] == parent_of[labels[y]]
+    tin, leaf, labels = ted.tin, ted.leaf, ned.labels
+    return tin[leaf[labels[x]]] == tin[leaf[labels[y]]]
 
 
 def _collapse_cherry(
@@ -172,20 +187,17 @@ def _collapse_cherry(
     del out[l1], ins[l1], out[l2], ins[l2]
     out[p] = ()
     labels[p] = lab
-    q = ted.parent_of.pop(lab1)
-    del ted.parent_of[lab2]
-    t1, t2 = ted.leaf.pop(lab1), ted.leaf.pop(lab2)
-    del ted.par[t1], ted.par[t2], ted.labels[t1], ted.labels[t2]
-    ted.labels[q] = lab
-    ted.leaf[lab] = q
-    ted.parent_of[lab] = ted.par[q]
+    leaf = ted.leaf
+    t1 = leaf.pop(lab1)
+    del leaf[lab2]
+    leaf[lab] = ted.tin[t1][0]
     return (p, l1, l2, lab)
 
 
 class ReductionState:
     """The reduction loop's working state, edited in place.
 
-    `net` is an editor of the net and `tree` the parent-map tree side
+    `net` is an editor of the net and `tree` the label-map tree side
     (_TreeEditor). Beside them it keeps the reticulations of the net, its
     cherries split into a heap of the common ones (l1, l2, p) and the set
     of parents of the one-sided ones, and the number of the next fresh
@@ -206,7 +218,7 @@ class ReductionState:
         # tree side, file a cherry as _note_cherry would on meeting a tree
         # vertex's second leaf child, and set the next fresh label above
         # the reserved ``__r<k>`` ones (each new label is the largest).
-        tleaf, parent_of = ted.leaf, ted.parent_of
+        tleaf, tin = ted.leaf, ted.tin
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
         first: dict[int, int] = {}  # leaf parent -> the leaf met under it
@@ -225,7 +237,7 @@ class ReductionState:
             other = first.setdefault(p, leaf)
             if other == leaf or len(ins[p]) != 1 or len(out[p]) != 2:
                 continue
-            if parent_of[lab] == parent_of[labels[other]]:
+            if tin[tleaf[lab]] == tin[tleaf[labels[other]]]:
                 self.common.append((other, leaf, p) if other < leaf else (leaf, other, p))
             else:
                 self.one_sided.add(p)
@@ -252,10 +264,10 @@ class ReductionState:
         Each replaces the cherry (l1, l2, p) by a fresh reserved leaf on
         both sides, keeping the leaf label sets equal.
         """
-        # A collapse deletes only l1 and l2 and relabels p (and t1, t2, q in
-        # the tree), so every other common cherry stays common, one-sided
-        # ones stay one-sided, and the only new candidate is the one holding
-        # p's new label, under p's parent. The heap therefore yields the
+        # A collapse deletes only l1 and l2 and relabels p (and t1, t2 and
+        # their parent in the tree), so every other common cherry stays
+        # common, one-sided ones stay one-sided, and the only new candidate
+        # is the one holding p's new label, under p's parent. The heap therefore yields the
         # same smallest cherry a full rescan would.
         trace = ReductionTrace()
         rows, common, ned, ted = trace._rows, self.common, self.net, self.tree

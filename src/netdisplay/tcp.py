@@ -181,22 +181,23 @@ def _tail_displays(state: ReductionState) -> Resolution | None:
     """oracle_displays on the working state, read in place: the first
     displaying resolution in the oracle's order, or None.
 
-    The tree side gets child lists from its parent map. Both sides pass
-    the oracle's validation (a parent map has no reticulation) and share
-    one leaf label set. The folds run in other topological orders than
-    the oracle's, which give each vertex the same mask, so each
+    The tree side's child lists come from the closure of its leaves under
+    the source tree's parent tuples (_TreeEditor.live). Both sides
+    pass the oracle's validation (the closure has no reticulation) and
+    share one leaf label set. The folds run in other topological orders
+    than the oracle's, which give each vertex the same mask, so each
     resolution gets the same answer.
     """
-    ned, par = state.net, state.tree.par
-    kids: dict = {v: [] for v in par}
-    for v, p in par.items():
-        if p is not None:
-            kids[p].append(v)
-    tins = {v: [] if p is None else [p] for v, p in par.items()}
-    tlabels = state.tree.labels
+    ned, ted = state.net, state.tree
+    tins = ted.live()
+    kids: dict = {v: [] for v in tins}
+    for v, ps in tins.items():
+        if ps:
+            kids[ps[0]].append(v)
+    tlabels = {v: lab for lab, v in ted.leaf.items()}
     tree_order = _require_valid_side(kids, tins, tlabels, "tree")
     net_order = _require_valid_side(ned.out, ned.ins, ned.labels, "net")
-    if set(ned.labels.values()) != set(tlabels.values()):
+    if set(ned.labels.values()) != ted.leaf.keys():
         raise InternalConsistencyError(
             "invalid working state: the two sides' leaf label sets differ"
         )
@@ -495,9 +496,10 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     """The branches the matched case removes.
 
     `ed` and `tree` are the working state's two sides, read through their
-    maps: the editor's adjacency and labels, and the parent-map
-    _TreeEditor's label -> parent map (_siblings, parent_of), vertex ->
-    parent map (par) and root. The tree has no child lists.
+    maps: the editor's adjacency and labels, and the _TreeEditor's label
+    -> leaf map over the source tree's parent tuples (_siblings, and case
+    D's grandparent test). A collapse never changes a live vertex's
+    parent, so those tuples stay current.
     """
     b = m.bindings
     case = m.case_id
@@ -515,11 +517,11 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     elif case == "D":
         keep_together = _siblings(ed, tree, b["l"], b["lpp"])
         if not keep_together and _siblings(ed, tree, b["l"], b["lp"]):
-            pair_parent = tree.parent_of[ed.labels[b["l"]]]
-            lpp_parent = tree.parent_of[ed.labels[b["lpp"]]]
-            keep_together = (
-                pair_parent != tree.root and tree.par[pair_parent] == lpp_parent
-            )
+            # is the pair's parent a sibling of lpp? The root's empty
+            # parent tuple matches no leaf's
+            tin, leaf = tree.tin, tree.leaf
+            pair_parent = tin[leaf[ed.labels[b["l"]]]][0]
+            keep_together = tin[pair_parent] == tin[leaf[ed.labels[b["lpp"]]]]
         if keep_together:
             removed = (Branch(_other_parent(ed, b["v"], b["u"]), b["v"]),)
         else:

@@ -17,6 +17,7 @@ from netdisplay.core import (
     StabilityReport,
     ValidationOutcome,
     Violation,
+    _without,
     validate,
 )
 from netdisplay.errors import InternalConsistencyError, NewickParseError
@@ -244,7 +245,7 @@ def reference_subphylogeny_free(net: Network) -> bool:
     for v in net.vertices:
         below = net.reachable_from(v)
         if net.is_leaf(v) or any(
-            net.in_degree(x) >= 2 and not net.is_leaf(x) for x in below
+            len(net.parents(x)) >= 2 and not net.is_leaf(x) for x in below
         ):
             continue
         if sum(net.is_leaf(x) for x in below) >= 2:
@@ -265,6 +266,22 @@ def class_sample(count: int, seed: int) -> list[Network]:
         for c in _CONSTRAINTS
         for i in range(count)
     ]
+
+
+def delete_vertex(ed: NetworkEditor, v: int) -> None:
+    """Delete v and every branch at it from an editor's maps. The
+    references use it; no library path deletes a vertex with its
+    branches, so NetworkEditor has no such edit."""
+    out, ins = ed.out, ed.ins
+    for p in ins[v]:
+        out[p] = _without(out[p], v)
+    for c in out[v]:
+        ins[c] = _without(ins[c], v)
+    del out[v]
+    del ins[v]
+    ed.labels.pop(v, None)
+    if ed.root == v:
+        ed.root = None
 
 
 def reference_suppress(ed: NetworkEditor) -> list[int]:
@@ -297,7 +314,7 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
                     raise InternalConsistencyError(
                         f"root chain child {child} has extra parents"
                     )
-                ed.delete_vertex(v)
+                delete_vertex(ed, v)
                 contracted.append(v)
                 ed.root = child
                 enqueue(child)
@@ -308,7 +325,7 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
             if v in ed.labels:
                 continue
             parents = list(ed.ins[v])
-            ed.delete_vertex(v)
+            delete_vertex(ed, v)
             for p in parents:
                 enqueue(p)
             continue
@@ -341,19 +358,19 @@ class ReferenceTreeEditor(NetworkEditor):
 def reference_collapse_cherry(
     ned: NetworkEditor, ted: ReferenceTreeEditor, l1: int, l2: int, p: int, lab: str
 ):
-    """Reference for reductions._collapse_cherry, through the editors'
-    delete_vertex and set_label: replace the net cherry p -> {l1, l2} and
+    """Reference for reductions._collapse_cherry, through delete_vertex
+    and the editors' set_label: replace the net cherry p -> {l1, l2} and
     the tree cherry holding the same two labels by one leaf labelled lab
     on each side."""
     from netdisplay.reductions import ReductionStep
 
     q = ted.parent_of.pop(ned.labels[l1])
     del ted.parent_of[ned.labels[l2]]
-    ned.delete_vertex(l1)
-    ned.delete_vertex(l2)
+    delete_vertex(ned, l1)
+    delete_vertex(ned, l2)
     ned.set_label(p, lab)
     for t in list(ted.out[q]):
-        ted.delete_vertex(t)
+        delete_vertex(ted, t)
     ted.set_label(q, lab)
     ted.parent_of[lab] = (ted.ins[q] or [None])[0]
     return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
@@ -366,7 +383,7 @@ def reference_validate(net: Network, require_binary: bool = False):
     verts = net.vertices
     single = len(verts) == 1
 
-    roots = [v for v in verts if net.in_degree(v) == 0]
+    roots = [v for v in verts if not net.parents(v)]
     if not roots:
         vs.append(Violation("no root: every vertex has a parent"))
     elif len(roots) > 1:
@@ -384,7 +401,7 @@ def reference_validate(net: Network, require_binary: bool = False):
 
     seen_labels: dict[str, int] = {}
     for v in verts:
-        ind, outd = net.in_degree(v), net.out_degree(v)
+        ind, outd = len(net.parents(v)), len(net.children(v))
         lab = net.label(v)
         if outd == 0:
             if lab is None:
@@ -411,7 +428,7 @@ def reference_validate(net: Network, require_binary: bool = False):
 
     if require_binary and not single:
         for v in verts:
-            ind, outd = net.in_degree(v), net.out_degree(v)
+            ind, outd = len(net.parents(v)), len(net.children(v))
             ok = (
                 (ind == 0 and outd == 2)
                 or (ind == 1 and outd == 0)
@@ -593,7 +610,7 @@ def reference_transform(net: Network):
         if target is None:
             break
         child = cur.children(target)[0]
-        if not (cur.in_degree(child) >= 2 and cur.out_degree(child) == 1):
+        if not (len(cur.parents(child)) >= 2 and len(cur.children(child)) == 1):
             raise InternalConsistencyError(
                 f"unstable reticulation {target} lacks a reticulation child"
             )

@@ -151,7 +151,7 @@ def test_criterion_4_dummy_free_removal(rv_networks):
                     ed.remove_branch(p, r)
         raw = ed.freeze()
         dummy = any(
-            raw.out_degree(v) == 0 and raw.label(v) is None
+            not raw.children(v) and raw.label(v) is None
             for v in raw.vertices
         )
         if dummy or len(tails) != len(set(tails)):

@@ -168,7 +168,7 @@ def _has_dummy_before_suppression(net, res):
                 ed.remove_branch(p, r)
     raw = ed.freeze()
     return any(
-        raw.out_degree(v) == 0 and raw.label(v) is None for v in raw.vertices
+        not raw.children(v) and raw.label(v) is None for v in raw.vertices
     )
 
 

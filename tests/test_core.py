@@ -304,7 +304,7 @@ def test_require_valid_raises():
 
 
 def _is_tree_vertex(net, v):
-    return net.in_degree(v) == 1 and net.out_degree(v) >= 2
+    return len(net.parents(v)) == 1 and len(net.children(v)) >= 2
 
 
 def test_vertex_kind_running_example():
@@ -323,8 +323,8 @@ def test_vertex_kind_running_example():
     assert all(sum(kind) == 1 for kind in kinds)
     assert all(any(column) for column in zip(*kinds))
     (h1,) = net.reticulations
-    assert net.in_degree(h1) == 2 and net.out_degree(h1) == 1
-    assert net.in_degree(net.root) == 0
+    assert len(net.parents(h1)) == 2 and len(net.children(h1)) == 1
+    assert len(net.parents(net.root)) == 0
     a = {lab: v for v, lab in net.leaf_labels.items()}["a"]
     assert net.is_leaf(a)
 
@@ -536,20 +536,25 @@ def test_topological_order_respects_branches():
 
 def test_phylo_tree_parent_map():
     # the case rules read the tree through the working state's tree side,
-    # which keeps no child lists: its vertex -> parent and label -> parent
-    # maps must follow cherry collapses
+    # a label -> leaf map over the parsed tree's parent tuples with no
+    # child lists: the parents it reads must follow cherry collapses
     text = "((a,b),c);"
-    state = ReductionState(parse_network(text), parse_tree(text))
-    tree = state.tree
-    c = {lab: v for v, lab in tree.labels.items()}["c"]
-    assert tree.par[c] == tree.root
-    assert tree.parent_of["c"] == tree.root
-    assert tree.parent_of["a"] == tree.parent_of["b"]
-    assert tree.parent_of["a"] != tree.root
+    parsed = parse_tree(text)
+    state = ReductionState(parse_network(text), parsed)
+    tree, root = state.tree, parsed.root
+
+    def parent_of(lab):
+        return tree.tin[tree.leaf[lab]][0]
+
+    c = tree.leaf["c"]
+    assert tree.tin[c] == (root,)
+    assert parent_of("c") == root
+    assert parent_of("a") == parent_of("b")
+    assert parent_of("a") != root
     state.collapse_cherries()
-    assert set(tree.labels.values()) == {"c", "__r0"}
-    assert tree.parent_of["__r0"] == tree.parent_of["c"] == tree.root
-    assert tree.par == {tree.root: None, c: tree.root, tree.leaf["__r0"]: tree.root}
+    assert set(tree.leaf) == {"c", "__r0"}
+    assert parent_of("__r0") == parent_of("c") == root
+    assert tree.live() == {root: (), c: (root,), tree.leaf["__r0"]: (root,)}
 
 
 def test_random_tree_is_valid_binary():

@@ -129,7 +129,7 @@ def test_spec_validation():
 def test_random_tree_labels_and_shape():
     tree = random_tree(["c", "a", "b"], seed=9)
     assert tree.label_set() == {"a", "b", "c"}
-    assert tree.num_branches == 4
+    assert len(list(tree.branches())) == 4
     assert serialize(random_tree(["c", "a", "b"], seed=9)) == serialize(tree)
 
 

@@ -205,15 +205,19 @@ def test_displays_matches_frozen_loop_on_generated(n, path_queries):
 
 
 def _assert_same_tree_side(ted, ref: ReferenceTreeEditor) -> None:
-    """The parent-map tree side holds what the full tree editor holds."""
-    assert ted.par == {v: (ps or [None])[0] for v, ps in ref.ins.items()}
-    assert ted.labels == ref.labels
+    """The label-map tree side holds what the full tree editor holds: the
+    same label -> leaf map, the same label -> parent map read through the
+    source tree's parent tuples, the same live vertices and parents, and
+    the same frozen tree."""
     assert ted.leaf == {lab: v for v, lab in ref.labels.items()}
-    assert ted.parent_of == ref.parent_of
-    assert ted.root == ref.root
+    assert list(ted.leaf) == list(ref.labels.values())
+    assert {lab: (ted.tin[v] or [None])[0] for lab, v in ted.leaf.items()} == ref.parent_of
+    assert ted.live() == {v: tuple(ps) for v, ps in ref.ins.items()}
+    assert [v for v, ps in ted.live().items() if not ps] == [ref.root]
     got, want = ted.freeze(), ref.freeze()
     assert type(got) is type(want) and got.next_id == want.next_id
     assert got._out == want._out and got._labels == want._labels
+    assert list(got._labels.items()) == list(want._labels.items())
 
 
 @pytest.fixture
@@ -283,6 +287,26 @@ def test_tree_side_matches_full_editor_on_generated(shadowed_collapses):
         cherries += _decide_and_replay(net, pos, shadowed_collapses)
         cherries += _decide_and_replay(net, _swapped(pos, rng), shadowed_collapses)
     assert cherries > 1000
+
+
+def test_tree_side_is_one_label_map_over_the_parsed_tree():
+    """Set-up builds one n-entry map on the tree side and holds the parsed
+    tree's parent map itself; each collapse removes one entry, and no
+    collapse edits the parsed tree."""
+    net, tree = _n200_pair()
+    tree = parse_tree(serialize(tree))
+    tin = dict(tree._in)
+    state = ReductionState(net, tree)
+    ted = state.tree
+    maps = {k for k, v in vars(ted).items() if isinstance(v, dict)}
+    assert maps == {"tin", "leaf"}
+    assert ted.tin is tree._in and len(ted.leaf) == 200
+    l1, l2, p = heapq.heappop(state.common)
+    reductions._collapse_cherry(state.net, ted, l1, l2, p, "x0")
+    assert ted.tin is tree._in and len(ted.leaf) == 199
+    cherries = len(state.collapse_cherries())
+    assert cherries > 10 and len(ted.leaf) == 199 - cherries
+    assert ted.tin is tree._in and tree._in == tin
 
 
 class _CountingDict(dict):
@@ -569,8 +593,7 @@ def _relabel_net_leaf(state):
 
 def _drop_tree_leaf(state):
     ted = state.tree
-    leaf = min(ted.labels)
-    del ted.par[leaf], ted.labels[leaf]
+    del ted.leaf[min(ted.leaf, key=ted.leaf.get)]  # the smallest leaf's label
 
 
 @pytest.mark.parametrize(
