@@ -143,12 +143,15 @@ class _TreeEditor:
     `tin`, and each live internal vertex keeps both of its source
     children: a vertex loses children only when it becomes a leaf. A
     leaf's parent is always its source parent. live() builds that
-    closure when it is called."""
+    closure when it is called. freeze() keeps the live vertices of the
+    last frozen tree (at first the source), in its order, with their
+    child lists there, emptied at the leaves; so a freeze costs the live
+    size."""
 
     def __init__(self, tree: PhyloTree):
         self.tin = tree._in
         self.leaf = {lab: v for v, lab in tree._labels.items()}
-        self._src = tree
+        self._frozen = tree
 
     def live(self) -> dict:
         """Vertex -> parent tuple over the live tree: the closure of the
@@ -163,10 +166,11 @@ class _TreeEditor:
         return live
 
     def freeze(self) -> PhyloTree:
-        src, live = self._src, self.live()
-        out = {v: [c for c in cs if c in live] for v, cs in src._out.items() if v in live}
+        prev, live = self._frozen, self.live()
         labels = {v: lab for lab, v in self.leaf.items()}
-        return type(src)(out, labels, next_id=src.next_id)
+        out = {v: () if v in labels else cs for v, cs in prev._out.items() if v in live}
+        self._frozen = tree = type(prev)(out, labels, next_id=prev.next_id)
+        return tree
 
 
 def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:

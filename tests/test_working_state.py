@@ -235,7 +235,8 @@ def shadowed_collapses(monkeypatch):
 
     def shadowed(ned, ted, l1, l2, p, lab):
         if id(ted) not in shadows:
-            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted._src))
+            # no freeze yet, so the tree side's frozen tree is its source
+            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted._frozen))
         ref_ted = shadows[id(ted)][1]
         ref_ned = copy.deepcopy(ned)
         row = real(ned, ted, l1, l2, p, lab)

@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Time `displays` of two checkouts against each other, interleaved.
 
-    python3 tools/ab_decides.py <other-checkout> [--seed 1] [--reps 20]
+    python3 tools/ab_decides.py <other-checkout>
 
 Loads this checkout's `src/netdisplay` and the other checkout's into one
-process, as `tools/same_outputs.py` does, and builds the ns-scaling
-inputs of one seed with `bench/inputs.py`, as the benchmark builds them:
-the classes n100, n200, n400 and n800 (positive pairs, m = n / 4) and
-neg800 (split-cherry negatives at n = 800). Every repetition runs each
-instance of each class once on each side, back to back, and the side that
-goes first alternates. Each decide gets a freshly parsed pair, so its
-memos are cold, and only the `displays` call is timed.
+process, as `tools/same_outputs.py` does, and takes the seed-1 inputs of
+the ns-scaling workload from its own builder (`NsScaling.setup` in
+`bench/workloads.py`): the classes n100, n200, n400 and n800 (positive
+pairs, m = n / 4) and neg800 (split-cherry negatives at n = 800). Each of
+20 repetitions runs each instance of each class once on each side, back
+to back, and the side that goes first alternates. Each decide gets a
+freshly parsed pair, so its memos are cold, and only the `displays` call
+is timed.
 
 It prints one JSON object. Per class: the median ms of each side, the
 change of this side against the other in percent, and in how many pairs
 this side was faster. `rate` is the share-weighted decide rate of each
-side, the sum over classes of share / median seconds, with the shares of
-the ns-scaling workload, whose `ops_per_s` weights its classes so.
+side, the sum over classes of share / median seconds, with the workload's
+`SHARES`, by which its `ops_per_s` weights its classes.
 """
 
 from __future__ import annotations
@@ -25,35 +26,23 @@ import argparse
 import json
 import os
 import platform
-import random
 import statistics
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from same_outputs import NS_INSTANCES, ROOT, _load  # noqa: E402
+from same_outputs import ROOT, _load  # noqa: E402
 
-# as bench/workloads.py's NsScaling.SHARES
-SHARES = {"n100": 0.12, "n200": 0.10, "n400": 0.28, "n800": 0.40, "neg800": 0.10}
+SEED = 1
+REPS = 20
 
 
-def _classes(nd, inputs, seed: int) -> dict:
-    """Class -> [(net text, tree text, expected verdict)]."""
-    def flags_of(g):
-        return nd.core.classify(nd.core.Network(g.out, g.label))
+def _ns_scaling():
+    """The ns-scaling workload, imported with this checkout's package."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    import workloads
 
-    data: dict = {k: [] for k in SHARES}
-    for n, count in NS_INSTANCES.items():
-        for i in range(count):
-            rng = random.Random(f"ns-scaling:{seed}:{n}:{i}")
-            g = inputs.build_network(n, n // 4, rng, flags_of)
-            tree = inputs.resolve(g, rng)
-            net_text = inputs.enewick(g)
-            data[f"n{n}"].append((net_text, inputs.enewick(tree), True))
-            if n == 800:
-                swap = inputs.split_cherry_swap(g, rng)
-                data["neg800"].append((net_text, inputs.enewick(tree, swap), False))
-    return data
+    return workloads.NsScaling()
 
 
 def _time_decide(nd, net_text: str, tree_text: str, expected: bool) -> int:
@@ -69,8 +58,6 @@ def _time_decide(nd, net_text: str, tree_text: str, expected: bool) -> int:
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--reps", type=int, default=20)
     args = ap.parse_args(argv)
     other_root = os.path.abspath(args.other)
     sides = []
@@ -80,13 +67,14 @@ def main(argv: list[str]) -> int:
             print(f"no netdisplay sources under {root}", file=sys.stderr)
             return 2
         sides.append(_load(pkg, f"netdisplay_{tag}", True))
-    inputs = _load(os.path.join(ROOT, "bench", "inputs.py"), "bench_inputs", False)
-    data = _classes(sides[0], inputs, args.seed)
+    ns = _ns_scaling()
+    shares = ns.SHARES
+    data = ns.setup(SEED, workdir=None).data  # ns-scaling writes no files
 
-    times: dict = {k: ([], []) for k in SHARES}  # class -> (this ns, other ns)
-    for rep in range(args.reps):
+    times: dict = {k: ([], []) for k in shares}  # class -> (this ns, other ns)
+    for rep in range(REPS):
         for k, cases in data.items():
-            for i, case in enumerate(cases):
+            for i, (_, *case) in enumerate(cases):
                 first = (rep + i) % 2
                 got = {}
                 for s in (first, 1 - first):
@@ -98,15 +86,15 @@ def main(argv: list[str]) -> int:
         "other": other_root,
         "machine": f"{platform.machine()} {platform.processor() or platform.system()}",
         "python": platform.python_version(),
-        "seed": args.seed,
-        "reps": args.reps,
+        "seed": SEED,
+        "reps": REPS,
         "classes": {},
         "rate": {},
     }
     for k, (mine, theirs) in times.items():
         this_ms, other_ms = statistics.median(mine) / 1e6, statistics.median(theirs) / 1e6
         report["classes"][k] = {
-            "share": SHARES[k],
+            "share": shares[k],
             "pairs": len(mine),
             "this_ms": round(this_ms, 4),
             "other_ms": round(other_ms, 4),
@@ -115,7 +103,7 @@ def main(argv: list[str]) -> int:
         }
     for tag, j in (("this", 0), ("other", 1)):
         report["rate"][tag] = round(
-            sum(SHARES[k] / (statistics.median(ts[j]) / 1e9) for k, ts in times.items()), 2
+            sum(shares[k] / (statistics.median(ts[j]) / 1e9) for k, ts in times.items()), 2
         )
     print(json.dumps(report, indent=1))
     return 0
