@@ -277,7 +277,7 @@ class NetworkEditor:
     collide with deleted ones. freeze() builds the source's class, so an
     edited PhyloTree comes back as a PhyloTree (unvalidated, like any
     frozen result). Readers read its maps: `out` and `ins` (vertex ->
-    child and parent tuples), `labels` and `root`.
+    child and parent tuples), `labels` (written to label a vertex) and `root`.
 
     The adjacency values are immutable tuples that an edit rebinds, never
     mutates, so building an editor copies two dicts and shares every tuple
@@ -312,21 +312,6 @@ class NetworkEditor:
         out, ins = self.out, self.ins
         out[tail] = _without(out[tail], head)
         ins[head] = _without(ins[head], tail)
-
-    def contract(self, v: int) -> None:
-        """Remove an (indeg 1, outdeg 1) vertex and join its parent to its
-        child; the new branch goes last in both tuples."""
-        out, ins = self.out, self.ins
-        (p,) = ins[v]
-        (c,) = out[v]
-        if c in out[p]:
-            raise InternalConsistencyError(
-                f"contracting {v} would duplicate branch {p}->{c}"
-            )
-        del out[v], ins[v]
-        self.labels.pop(v, None)
-        out[p] = _without(out[p], v) + (c,)
-        ins[c] = _without(ins[c], v) + (p,)
 
     def subdivide(self, tail: int, head: int) -> int:
         """Replace tail->head with tail->s->head; returns the new vertex s."""
@@ -418,8 +403,7 @@ class NetworkEditor:
                     ins[c] = _without(ins[c], v)
                     nxt = (v, c)
                 else:
-                    # contract v: p->c goes last on both tuples, as
-                    # contract() puts it, which keeps child order
+                    # contract v: p->c goes last on both tuples
                     del out[v], ins[v]
                     labels.pop(v, None)
                     out[p] = _without(out[p], v) + (c,)
@@ -437,12 +421,6 @@ class NetworkEditor:
                     else:
                         tail.append(u)
         return contracted
-
-    def set_label(self, v: int, label: str | None) -> None:
-        if label is None:
-            self.labels.pop(v, None)
-        else:
-            self.labels[v] = label
 
     def freeze(self) -> Network:
         return self._cls(self.out, self.labels, next_id=self._next)

@@ -68,7 +68,7 @@ def _grow_tree(labels, rng: random.Random) -> Network:
         s = ed.subdivide(tail, head)
         leaf = ed.new_vertex()
         ed.add_branch(s, leaf)
-        ed.set_label(leaf, lab)
+        ed.labels[leaf] = lab
     return ed.freeze()
 
 

@@ -2,8 +2,8 @@
 
 The reduction loop edits one ReductionState in place from entry to
 verdict, the oracle tail included, which reads the state's maps and
-freezes nothing. Every reduction is recorded in a ReductionTrace, as a
-plain row that becomes a ReductionStep when the trace is read; traces replay
+freezes nothing. Every reduction appends a plain row to the state's one
+trace list, built into a ReductionStep when the trace is read; traces replay
 deterministically on frozen structures (see replay_trace), which checks
 that each cherry step names a common cherry and each case step's
 contracted vertices against the record. Branch removals go
@@ -23,6 +23,7 @@ from .core import Branch, Network, NetworkEditor, PhyloTree, require_tree
 from .errors import InternalConsistencyError, LeafSetMismatchError
 
 _FRESH_RE = re.compile(r"^__r(\d+)$")
+_CASE_KINDS = frozenset(f"case_{c}" for c in "ABCDEFGHIJ")
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,6 @@ class ReductionStep:
     removed_branches: tuple[Branch, ...] = ()
     contracted: tuple[int, ...] = ()
     introduced_leaf: tuple[int, str] | None = None
-
-    def __init__(self, kind, removed_branches=(), contracted=(), introduced_leaf=None):
-        # a trace read builds hundreds of steps; one dict update is cheaper than
-        # the frozen dataclass's object.__setattr__ per field
-        self.__dict__.update(kind=kind, removed_branches=removed_branches,
-                             contracted=contracted, introduced_leaf=introduced_leaf)
 
     def to_line(self) -> str:
         removed = ",".join(str(b) for b in self.removed_branches)
@@ -70,40 +65,32 @@ def _step_of(row) -> ReductionStep:
 class ReductionTrace:
     """The steps of a reduction, in order.
 
-    The loop records each step as a row, a plain tuple (see _step_of),
-    after the steps already built. Reading `steps` builds the pending rows
-    into ReductionSteps, once, and moves them onto the list it returns; so
-    a decide whose trace nobody reads builds no step, and a later read
-    builds only the rows recorded since. Equality, repr and to_text read
-    `steps`. A trace is mutable, so unhashable, and ReductionTrace(steps)
-    keeps the list it is given.
+    A trace keeps one list. The reduction loop appends a row, a plain
+    tuple (see _step_of), to its working state's list where each edit
+    happens, and displays hands that list to the trace. Reading `steps`
+    builds the rows into ReductionSteps in that list, once, so a decide
+    whose trace nobody reads builds no step. Equality, repr and to_text
+    read `steps`. A trace is mutable, so unhashable, and
+    ReductionTrace(steps) keeps the list it is given.
     """
 
-    __slots__ = ("_steps", "_rows")
+    __slots__ = ("_steps",)
 
-    def __init__(self, steps: list[ReductionStep] | None = None):
+    def __init__(self, steps: list | None = None):
         self._steps = [] if steps is None else steps
-        self._rows: list = []  # pending, after _steps
 
     @property
     def steps(self) -> list[ReductionStep]:
-        rows = self._rows
-        if rows:
-            self._steps.extend(map(_step_of, rows))
-            rows.clear()
-        return self._steps
-
-    def append(self, step: ReductionStep) -> None:
-        self._rows.append(step)
-
-    def extend(self, other: "ReductionTrace") -> None:
-        self._rows += other._steps + other._rows  # rows stay unbuilt
+        steps = self._steps
+        if steps and type(steps[-1]) is tuple:  # rows go after built steps
+            steps[:] = map(_step_of, steps)
+        return steps
 
     def to_text(self) -> str:
         return "\n".join(s.to_line() for s in self.steps)
 
     def __len__(self) -> int:
-        return len(self._steps) + len(self._rows)
+        return len(self._steps)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -135,7 +122,8 @@ def _cherry_at(out, ins, v: int):
 
 class _TreeEditor:
     """The working state's tree side: the label -> leaf vertex map `leaf`
-    over the source tree's own parent tuples `tin`, which no edit changes.
+    over the source tree's own parent and child tuples `tin` and `tout`,
+    which no edit changes.
 
     A cherry collapse deletes two sibling leaves and turns their parent
     into a leaf; it drops their labels and maps the new label to the
@@ -143,15 +131,12 @@ class _TreeEditor:
     `tin`, and each live internal vertex keeps both of its source
     children: a vertex loses children only when it becomes a leaf. A
     leaf's parent is always its source parent. live() builds that
-    closure when it is called. freeze() keeps the live vertices of the
-    last frozen tree (at first the source), in its order, with their
-    child lists there, emptied at the leaves; so a freeze costs the live
-    size."""
+    closure, and freeze() the tree on it, when they are called."""
 
     def __init__(self, tree: PhyloTree):
-        self.tin = tree._in
+        self.tin, self.tout = tree._in, tree._out
         self.leaf = {lab: v for v, lab in tree._labels.items()}
-        self._frozen = tree
+        self._cls, self._next = type(tree), tree.next_id
 
     def live(self) -> dict:
         """Vertex -> parent tuple over the live tree: the closure of the
@@ -166,11 +151,12 @@ class _TreeEditor:
         return live
 
     def freeze(self) -> PhyloTree:
-        prev, live = self._frozen, self.live()
+        """The live tree, each vertex with its source children (none at
+        the leaves)."""
         labels = {v: lab for lab, v in self.leaf.items()}
-        out = {v: () if v in labels else cs for v, cs in prev._out.items() if v in live}
-        self._frozen = tree = type(prev)(out, labels, next_id=prev.next_id)
-        return tree
+        tout = self.tout
+        out = {v: () if v in labels else tout[v] for v in self.live()}
+        return self._cls(out, labels, next_id=self._next)
 
 
 def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
@@ -207,7 +193,8 @@ class ReductionState:
     of parents of the one-sided ones, and the number of the next fresh
     ``__r<k>`` label. Each edit re-checks these only where it changed the
     net, and adds to `changed` every net vertex whose in-list or leafness
-    it changed, for a reader to drain. The leaf label sets are checked
+    it changed, for a reader to drain; `rows` is the trace, one row per
+    edit (see ReductionTrace). The leaf label sets are checked
     once, here, against the tree side's label -> leaf map. The net must be
     valid and binary and the tree a valid tree, as displays checks first.
     """
@@ -249,6 +236,7 @@ class ReductionState:
             _check_same_leaves(net, tree)
         heapq.heapify(self.common)
         self.changed: set[int] = set()
+        self.rows: list[tuple] = []
 
     def _note_cherry(self, v: int) -> None:
         """File the cherry under v, if any, as common or one-sided."""
@@ -262,8 +250,9 @@ class ReductionState:
         else:
             self.one_sided.add(v)
 
-    def collapse_cherries(self) -> ReductionTrace:
-        """Collapse common cherries, smallest first, until none remains.
+    def collapse_cherries(self) -> None:
+        """Collapse common cherries, smallest first, until none remains,
+        appending each step's row to `rows`.
 
         Each replaces the cherry (l1, l2, p) by a fresh reserved leaf on
         both sides, keeping the leaf label sets equal.
@@ -273,8 +262,7 @@ class ReductionState:
         # common, one-sided ones stay one-sided, and the only new candidate
         # is the one holding p's new label, under p's parent. The heap therefore yields the
         # same smallest cherry a full rescan would.
-        trace = ReductionTrace()
-        rows, common, ned, ted = trace._rows, self.common, self.net, self.tree
+        rows, common, ned, ted = self.rows, self.common, self.net, self.tree
         while common:
             l1, l2, p = heapq.heappop(common)
             lab = f"__r{self.fresh}"
@@ -282,7 +270,6 @@ class ReductionState:
             rows.append(_collapse_cherry(ned, ted, l1, l2, p, lab))
             self.changed.add(p)  # p became a leaf; l1, l2 are gone
             self._note_cherry(ned.ins[p][0])
-        return trace
 
     def remove(self, branches) -> list[int]:
         """Remove branches of the net and suppress from their ends
@@ -317,10 +304,11 @@ def replay_trace(
     Returns every intermediate state, starting with the inputs; the final
     pair reproduces the original run bit-for-bit under `serialize`. The
     working state's two sides carry the steps, with the loop's collapse
-    primitive. Each cherry step must name a net cherry whose labels are
-    tree siblings, and each case step must remove distinct branches of
-    the network and contract exactly the vertices it recorded; else
-    InternalConsistencyError.
+    primitive. Each cherry step must remove two branches, name a net
+    cherry whose labels are tree siblings and introduce a label neither
+    side has; each case step must be one of case_A to case_J, remove one
+    or more distinct branches of the network and contract exactly the
+    vertices it recorded; else InternalConsistencyError, naming the step.
     """
     net.require_valid()
     require_tree(tree)
@@ -328,21 +316,27 @@ def replay_trace(
     states = [(net, tree)]
     ned, ted = NetworkEditor(net), _TreeEditor(tree)
     for step in trace.steps:
+        removed, intro = step.removed_branches, step.introduced_leaf
         if step.kind == "cherry":
-            (p1, l1), (p2, l2) = step.removed_branches
-            p, lab = step.introduced_leaf
+            # every step keeps the two sides' label sets equal, so the
+            # tree side's label map answers for both
+            if len(removed) != 2 or intro is None or intro[1] in ted.leaf:
+                raise InternalConsistencyError(f"{step.to_line()}: malformed cherry step")
+            (p1, l1), (p2, l2) = removed
+            p, lab = intro
             if {p1, p2} != {p} or _cherry_at(ned.out, ned.ins, p) != (l1, l2, p):
                 raise InternalConsistencyError(f"{step.to_line()}: no net cherry")
             if not _siblings(ned, ted, l1, l2):
                 raise InternalConsistencyError(f"{step.to_line()}: no tree cherry")
             _collapse_cherry(ned, ted, l1, l2, p, lab)
             tree = ted.freeze()
+        elif step.kind not in _CASE_KINDS or not removed:
+            raise InternalConsistencyError(f"{step.to_line()}: malformed case step")
+        elif len(set(removed)) != len(removed) or any(
+            h not in ned.out.get(t, ()) for t, h in removed
+        ):
+            raise InternalConsistencyError(f"{step.to_line()}: no such branch")
         else:
-            removed = step.removed_branches
-            if len(set(removed)) != len(removed) or any(
-                h not in ned.out.get(t, ()) for t, h in removed
-            ):
-                raise InternalConsistencyError(f"{step.to_line()}: no such branch")
             contracted, _ = ned.prune(removed)
             if tuple(contracted) != step.contracted:
                 raise InternalConsistencyError(

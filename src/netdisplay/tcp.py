@@ -545,15 +545,13 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     return removed
 
 
-def _simplify_in_place(
-    state: ReductionState, m: CaseMatch, trace: ReductionTrace
-) -> None:
+def _simplify_in_place(state: ReductionState, m: CaseMatch) -> None:
     """Remove the branches the matched case prescribes from the working state
-    and suppress, and record the step's row in `trace`. The reticulation
-    count strictly drops, and whether the tree is displayed does not
-    change."""
+    and suppress, and append the step's row to the state's `rows`. The
+    reticulation count strictly drops, and whether the tree is displayed
+    does not change."""
     removed = _case_removals(state.net, state.tree, m)
-    trace._rows.append((f"case_{m.case_id}", removed, tuple(state.remove(removed))))
+    state.rows.append((f"case_{m.case_id}", removed, tuple(state.remove(removed))))
 
 
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
@@ -582,7 +580,6 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     paths = LongestPaths(
         state.net.out, state.net.ins, net.topological_order(), state.changed
     )
-    trace = ReductionTrace()
     iterations = 0
     certificate = None
     while True:
@@ -591,7 +588,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             raise InternalConsistencyError(
                 "reduction loop exceeded its iteration bound"
             )
-        trace.extend(state.collapse_cherries())
+        state.collapse_cherries()
         if state.one_sided:
             # a cherry no common-cherry round removed survives every
             # resolution, and the tree has no matching sibling pair
@@ -615,17 +612,19 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
         if len(state.rets) < 3:
             found = _tail_displays(state)
             displayed = found is not None
-            if len(trace) == 0:
+            if not state.rows:
                 certificate = found
             break
         tail = find_longest_root_leaf_path(paths)  # the last four vertices
         matched = match_case(state.net, tail)
         before = len(state.rets)
-        _simplify_in_place(state, matched, trace)
+        _simplify_in_place(state, matched)
         if len(state.rets) >= before:
             raise InternalConsistencyError(
                 f"case {matched.case_id} removed no reticulation"
             )
     if displayed and m0 == 0:
         certificate = Resolution(())
-    return ContainmentVerdict(displayed, trace, certificate, iterations, m0)
+    return ContainmentVerdict(
+        displayed, ReductionTrace(state.rows), certificate, iterations, m0
+    )

@@ -284,6 +284,23 @@ def delete_vertex(ed: NetworkEditor, v: int) -> None:
         ed.root = None
 
 
+def contract(ed: NetworkEditor, v: int) -> None:
+    """Remove an (indeg 1, outdeg 1) vertex from an editor's maps and join
+    its parent to its child; the new branch goes last in both tuples. The
+    reference suppress uses it; NetworkEditor.suppress contracts inline."""
+    out, ins = ed.out, ed.ins
+    (p,) = ins[v]
+    (c,) = out[v]
+    if c in out[p]:
+        raise InternalConsistencyError(
+            f"contracting {v} would duplicate branch {p}->{c}"
+        )
+    del out[v], ins[v]
+    ed.labels.pop(v, None)
+    out[p] = _without(out[p], v) + (c,)
+    ins[c] = _without(ins[c], v) + (p,)
+
+
 def reference_suppress(ed: NetworkEditor) -> list[int]:
     """Reference for NetworkEditor.suppress: the full sweep, which
     queues every vertex in id order and re-queues each changed vertex at
@@ -336,7 +353,7 @@ def reference_suppress(ed: NetworkEditor) -> list[int]:
                 enqueue(v)
                 enqueue(c)
                 continue
-            ed.contract(v)
+            contract(ed, v)
             contracted.append(v)
             enqueue(p)
             enqueue(c)
@@ -359,7 +376,7 @@ def reference_collapse_cherry(
     ned: NetworkEditor, ted: ReferenceTreeEditor, l1: int, l2: int, p: int, lab: str
 ):
     """Reference for reductions._collapse_cherry, through delete_vertex
-    and the editors' set_label: replace the net cherry p -> {l1, l2} and
+    and the editors' label maps: replace the net cherry p -> {l1, l2} and
     the tree cherry holding the same two labels by one leaf labelled lab
     on each side."""
     from netdisplay.reductions import ReductionStep
@@ -368,10 +385,10 @@ def reference_collapse_cherry(
     del ted.parent_of[ned.labels[l2]]
     delete_vertex(ned, l1)
     delete_vertex(ned, l2)
-    ned.set_label(p, lab)
+    ned.labels[p] = lab
     for t in list(ted.out[q]):
         delete_vertex(ted, t)
-    ted.set_label(q, lab)
+    ted.labels[q] = lab
     ted.parent_of[lab] = (ted.ins[q] or [None])[0]
     return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, lab))
 
@@ -490,14 +507,15 @@ def reference_displays(net: Network, tree: PhyloTree):
     if not classify(net).nearly_stable:
         raise ClassPreconditionError("not nearly stable")
     m0 = net.num_reticulations
-    trace = ReductionTrace()
+    rows: list = []  # each round's state rows, in order
     iterations = 0
     oracle_cert = None
     while True:
         iterations += 1
         assert iterations <= m0 + net.n_leaves + 2
         state = ReductionState(net, tree)
-        trace.extend(state.collapse_cherries())
+        state.collapse_cherries()
+        rows += state.rows
         net, tree = state.net.freeze(), state.tree.freeze()
         net.require_valid(require_binary=True)
         tree.require_valid(require_binary=True)
@@ -511,11 +529,12 @@ def reference_displays(net: Network, tree: PhyloTree):
         if len(path) < 4 or net.num_reticulations < 3:
             sub = oracle_displays(net, tree)
             displayed = sub.displayed
-            if displayed and len(trace) == 0:
+            if displayed and not rows:
                 oracle_cert = sub.certificate
             break
         state = ReductionState(net, tree)
-        _simplify_in_place(state, match_case(net, path), trace)
+        _simplify_in_place(state, match_case(net, path))
+        rows += state.rows
         reduced = state.net.freeze()
         assert reduced.num_reticulations < net.num_reticulations
         net = reduced
@@ -525,7 +544,7 @@ def reference_displays(net: Network, tree: PhyloTree):
             certificate = oracle_cert
         elif m0 == 0:
             certificate = Resolution(())
-    return ContainmentVerdict(displayed, trace, certificate, iterations, m0)
+    return ContainmentVerdict(displayed, ReductionTrace(rows), certificate, iterations, m0)
 
 
 def _canon_resolved(net: Network, kept: dict) -> str:

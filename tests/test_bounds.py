@@ -128,9 +128,9 @@ def _variants(net):
     ed = NetworkEditor(net)
     leaf = ed.new_vertex()
     ed.add_branch(net.root, leaf)
-    ed.set_label(leaf, "extra")
+    ed.labels[leaf] = "extra"
     wide = ed.freeze()
-    ed.set_label(min(net.leaves), None)
+    del ed.labels[min(net.leaves)]
     return net, wide, ed.freeze()
 
 

@@ -38,9 +38,9 @@ def _suppressed(net):
 def _uncle_nephew(net, tree, site):
     """The uncle-nephew rule below `site`, as case C applies it, on a fresh
     working state; returns the frozen, validated net and the step."""
-    state, trace = ReductionState(net, tree), ReductionTrace()
-    _simplify_in_place(state, CaseMatch("C", {"u": site}), trace)
-    [step] = trace.steps
+    state = ReductionState(net, tree)
+    _simplify_in_place(state, CaseMatch("C", {"u": site}))
+    [step] = ReductionTrace(state.rows).steps
     reduced = state.net.freeze()
     reduced.require_valid(require_binary=True)
     return reduced, step
@@ -118,8 +118,8 @@ def test_cherry_reduce_no_common_cherry_is_noop():
     net = parse_network(RUNNING)
     tree = parse_tree("((a,b),c);")
     state = ReductionState(net, tree)
-    trace = state.collapse_cherries()
-    assert len(trace) == 0
+    state.collapse_cherries()
+    assert state.rows == []
     assert canonical_equal(state.net.freeze(), net)
     assert canonical_equal(state.tree.freeze(), tree)
 
@@ -128,7 +128,8 @@ def test_cherry_reduce_collapses_both_cherries():
     net = parse_network("((a,b),(c,d));")
     tree = parse_tree("((a,b),(c,d));")
     state = ReductionState(net, tree)
-    trace = state.collapse_cherries()
+    state.collapse_cherries()
+    trace = ReductionTrace(state.rows)
     out_net, out_tree = state.net.freeze(), state.tree.freeze()
     # the root is not a strict tree vertex, so (__r0,__r1) stays put
     assert len(trace) == 2
@@ -143,7 +144,8 @@ def test_cherry_reduce_keeps_leaf_sets_aligned():
     net = parse_network("(((a,b),(c)#H1),(#H1,d));")
     tree = parse_tree("(((a,b),c),d);")
     state = ReductionState(net, tree)
-    trace = state.collapse_cherries()
+    state.collapse_cherries()
+    trace = ReductionTrace(state.rows)
     out_net, out_tree = state.net.freeze(), state.tree.freeze()
     assert len(trace) == 1
     assert out_net.label_set() == out_tree.label_set()
@@ -155,8 +157,9 @@ def test_cherry_reduce_keeps_leaf_sets_aligned():
 def test_cherry_reduce_ignores_one_sided_cherries():
     net = parse_network("((a,b),c);")
     tree = parse_tree("(a,(b,c));")
-    trace = ReductionState(net, tree).collapse_cherries()
-    assert len(trace) == 0
+    state = ReductionState(net, tree)
+    state.collapse_cherries()
+    assert state.rows == []
 
 
 def test_uncle_nephew_nonsibling_removes_site_branch():
@@ -210,9 +213,10 @@ def test_reduction_step_line_format():
 def test_trace_text_one_line_per_step():
     net = parse_network("((a,b),(c,d));")
     tree = parse_tree("((a,b),(c,d));")
-    trace = ReductionState(net, tree).collapse_cherries()
-    text = trace.to_text()
-    assert len(text.splitlines()) == len(trace)
+    state = ReductionState(net, tree)
+    state.collapse_cherries()
+    text = ReductionTrace(state.rows).to_text()
+    assert len(text.splitlines()) == len(state.rows)
     assert all(line.startswith("cherry") for line in text.splitlines())
 
 
@@ -220,7 +224,8 @@ def test_replay_trace_reproduces_states():
     net = parse_network("((a,b),(c,d));")
     tree = parse_tree("((a,b),(c,d));")
     state = ReductionState(net, tree)
-    trace = state.collapse_cherries()
+    state.collapse_cherries()
+    trace = ReductionTrace(state.rows)
     out_net, out_tree = state.net.freeze(), state.tree.freeze()
     states = replay_trace(
         parse_network("((a,b),(c,d));"), parse_tree("((a,b),(c,d));"), trace
@@ -288,19 +293,6 @@ def test_unread_trace_matches_its_built_steps_on_golden():
         assert [(serialize(n), serialize(t)) for n, t in got_states] == want_states
 
 
-def test_trace_append_and_extend_after_a_read():
-    rec = next(r for r in GOLDEN if r["trace"].count("\n") > 20)
-    trace = _unread_trace(rec)
-    first = list(trace.steps)
-    extra = ReductionStep("case_C", (Branch(5, 3),), (4, 5))
-    trace.append(extra)
-    trace.extend(_unread_trace(rec))
-    assert len(trace) == 2 * len(first) + 1
-    trace.extend(trace)
-    assert trace.steps == 2 * (first + [extra] + first)
-    assert len(trace) == len(trace.steps)
-
-
 def test_trace_constructor_repr_and_equality():
     steps = [
         ReductionStep("cherry", (Branch(1, 2), Branch(1, 3)), (), (1, "__r0")),
@@ -308,6 +300,11 @@ def test_trace_constructor_repr_and_equality():
     ]
     trace = ReductionTrace(steps)
     assert trace.steps is steps and ReductionTrace(steps=steps).steps is steps
+    # the rows a working state records build in place into the given list
+    rows = [(1, 2, 3, "__r0"), ("case_C", (Branch(5, 3),), (4, 5))]
+    lazy = ReductionTrace(rows)
+    assert len(lazy) == 2 and rows[0] == (1, 2, 3, "__r0")
+    assert lazy.steps is rows and rows == steps
     assert repr(ReductionTrace()) == "ReductionTrace(steps=[])"
     assert repr(trace) == (
         "ReductionTrace(steps=[ReductionStep(kind='cherry', removed_branches="
@@ -365,3 +362,22 @@ def test_replay_trace_rejects_a_case_step_on_an_absent_branch():
         with pytest.raises(InternalConsistencyError, match="no such branch") as err:
             replay_trace(net, tree, ReductionTrace([step]))
         assert str(err.value).startswith(step.to_line())
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        ReductionStep("cherry", (Branch(1, 2),), (), (1, "__r0")),
+        ReductionStep("cherry", (Branch(1, 2), Branch(1, 3)), (), None),
+        ReductionStep("cherry", (Branch(1, 2), Branch(1, 3)), (), (1, "c")),
+        ReductionStep("case_Z", (), ()),
+        ReductionStep("case_C", (), ()),
+    ],
+    ids=["one-branch", "no-introduced-leaf", "live-label", "unknown-case", "no-branch"],
+)
+def test_replay_trace_rejects_a_malformed_step(step):
+    # ids in ((a,b),(c,d)) as above; c is a live label
+    text = "((a,b),(c,d));"
+    with pytest.raises(InternalConsistencyError, match="malformed") as err:
+        replay_trace(parse_network(text), parse_tree(text), ReductionTrace([step]))
+    assert str(err.value).startswith(step.to_line())

@@ -240,9 +240,9 @@ def test_simplify_preserves_verdict(name):
     m = match_case(net, path)
     for tree in trees:
         before = oracle_displays(net, tree).displayed
-        state, trace = ReductionState(net, tree), ReductionTrace()
-        _simplify_in_place(state, m, trace)
-        [step] = trace.steps
+        state = ReductionState(net, tree)
+        _simplify_in_place(state, m)
+        [step] = ReductionTrace(state.rows).steps
         reduced = state.net.freeze()
         reduced.require_valid(require_binary=True)
         assert reduced.num_reticulations < net.num_reticulations
@@ -258,12 +258,13 @@ def test_simplify_case_a_variants():
     labels = sorted(net.label_set())
     sib = tree_from_shape((("l", "lp"), "z"))
     non = tree_from_shape((("l", "z"), "lp"))
-    trace = ReductionTrace()
+    rows = []
     for tree in (sib, non):
         state = ReductionState(net, tree)
-        _simplify_in_place(state, m, trace)
+        _simplify_in_place(state, m)
+        rows += state.rows
         state.net.freeze().require_valid(require_binary=True)
-    step_sib, step_non = trace.steps
+    step_sib, step_non = ReductionTrace(rows).steps
     assert len(step_sib.removed_branches) == 2
     assert step_non.removed_branches == (Branch(m.bindings["w"], m.bindings["u"]),)
     assert set(labels) == {"l", "lp", "z"}

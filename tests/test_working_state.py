@@ -235,8 +235,8 @@ def shadowed_collapses(monkeypatch):
 
     def shadowed(ned, ted, l1, l2, p, lab):
         if id(ted) not in shadows:
-            # no freeze yet, so the tree side's frozen tree is its source
-            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted._frozen))
+            # before its first collapse the tree side freezes to its source
+            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted.freeze()))
         ref_ted = shadows[id(ted)][1]
         ref_ned = copy.deepcopy(ned)
         row = real(ned, ted, l1, l2, p, lab)
@@ -290,24 +290,52 @@ def test_tree_side_matches_full_editor_on_generated(shadowed_collapses):
     assert cherries > 1000
 
 
+def test_tree_side_freezes_without_history_on_golden():
+    """Carry every step of each golden decide on a net editor and a tree
+    side that never freezes in between, with the reference collapse on
+    full editors beside them; one freeze at the end equals the
+    reference's."""
+    cherries = 0
+    for rec in GOLDEN:
+        net, tree = parse_network(rec["net"]), parse_tree(rec["tree"])
+        ned, ted = NetworkEditor(net), reductions._TreeEditor(tree)
+        ref_ned, ref_ted = NetworkEditor(net), ReferenceTreeEditor(tree)
+        for step in displays(net, tree).trace.steps:
+            if step.kind != "cherry":
+                ned.prune(step.removed_branches)
+                ref_ned.prune(step.removed_branches)
+                continue
+            (p, l1), (_, l2) = step.removed_branches
+            lab = step.introduced_leaf[1]
+            reductions._collapse_cherry(ned, ted, l1, l2, p, lab)
+            reference_collapse_cherry(ref_ned, ref_ted, l1, l2, p, lab)
+            cherries += 1
+        got, want = ted.freeze(), ref_ted.freeze()
+        assert got._out == want._out and got.next_id == want.next_id
+        assert list(got._labels.items()) == list(want._labels.items())
+    assert cherries > 300
+
+
 def test_tree_side_is_one_label_map_over_the_parsed_tree():
     """Set-up builds one n-entry map on the tree side and holds the parsed
-    tree's parent map itself; each collapse removes one entry, and no
-    collapse edits the parsed tree."""
+    tree's parent and child maps themselves; each collapse removes one
+    entry, and no collapse edits the parsed tree."""
     net, tree = _n200_pair()
     tree = parse_tree(serialize(tree))
-    tin = dict(tree._in)
+    tin, tout = dict(tree._in), dict(tree._out)
     state = ReductionState(net, tree)
     ted = state.tree
     maps = {k for k, v in vars(ted).items() if isinstance(v, dict)}
-    assert maps == {"tin", "leaf"}
-    assert ted.tin is tree._in and len(ted.leaf) == 200
+    assert maps == {"tin", "tout", "leaf"}
+    assert ted.tin is tree._in and ted.tout is tree._out and len(ted.leaf) == 200
     l1, l2, p = heapq.heappop(state.common)
     reductions._collapse_cherry(state.net, ted, l1, l2, p, "x0")
     assert ted.tin is tree._in and len(ted.leaf) == 199
-    cherries = len(state.collapse_cherries())
+    state.collapse_cherries()
+    cherries = len(state.rows)
     assert cherries > 10 and len(ted.leaf) == 199 - cherries
     assert ted.tin is tree._in and tree._in == tin
+    assert ted.tout is tree._out and tree._out == tout
 
 
 class _CountingDict(dict):

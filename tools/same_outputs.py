@@ -31,10 +31,11 @@ and runs each side on the same inputs:
   text and every diagnostic.
 
 Inputs are eNewick text, made once and parsed by each side. Each decide
-yields a record of `displayed`, `iterations`, `certificate`,
-`reticulations_initial`, the trace text and every `replay_trace` state
-serialized (or the error raised). The script prints one sha256 over the
-records per side and exits 1 at the first record that differs.
+yields a record of `displayed`, `iterations`, the trace's length read
+before anything reads its steps, `certificate`, `reticulations_initial`,
+the trace text and every `replay_trace` state serialized (or the error
+raised). The script prints one sha256 over the records per side and
+exits 1 at the first record that differs.
 """
 
 from __future__ import annotations
@@ -205,6 +206,7 @@ def _decide(net_text: str, tree_text: str, nd) -> str:
         v = nd.displays(net, tree)
     except nd.NetworkError as exc:
         return f"error {type(exc).__name__}: {exc}"
+    rows = len(v.trace)  # of the unread row list; the reads below build steps
     cert = None if v.certificate is None else [
         (r, tuple(b)) for r, b in v.certificate.kept_in_branch
     ]
@@ -214,7 +216,7 @@ def _decide(net_text: str, tree_text: str, nd) -> str:
     ]
     return "\n".join(
         [
-            f"displayed={v.displayed} iterations={v.iterations}",
+            f"displayed={v.displayed} iterations={v.iterations} rows={rows}",
             f"certificate={cert} reticulations_initial={v.reticulations_initial}",
             v.trace.to_text(),
             *states,
