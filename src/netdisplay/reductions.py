@@ -67,21 +67,35 @@ class ReductionTrace:
 
     A trace keeps one list. The reduction loop appends a row, a plain
     tuple (see _step_of), to its working state's list where each edit
-    happens, and displays hands that list to the trace. Reading `steps`
-    builds the rows into ReductionSteps in that list, once, so a decide
-    whose trace nobody reads builds no step. Equality, repr and to_text
-    read `steps`. A trace is mutable, so unhashable, and
-    ReductionTrace(steps) keeps the list it is given.
+    happens, and displays hands that list to the trace. When displays
+    decides negatively before a round's common-cherry collapses, it leaves
+    them pending in `_pending`, the working state's bound
+    collapse_cherries, which appends their rows to the same list: the
+    first `len` or read of `steps` runs it, once, and until then the trace
+    keeps that working state alive. Reading `steps` builds the rows into
+    ReductionSteps in that list, once, so a decide whose trace nobody
+    reads builds no step. Equality, repr and to_text read `steps`. A
+    trace is mutable, so unhashable, and ReductionTrace(steps) keeps the
+    list it is given.
     """
 
-    __slots__ = ("_steps",)
+    __slots__ = ("_steps", "_pending")
 
     def __init__(self, steps: list | None = None):
         self._steps = [] if steps is None else steps
+        self._pending = None
+
+    def _list(self) -> list:
+        """The list, after running the pending collapses, if any."""
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            pending()
+        return self._steps
 
     @property
     def steps(self) -> list[ReductionStep]:
-        steps = self._steps
+        steps = self._list()
         if steps and type(steps[-1]) is tuple:  # rows go after built steps
             steps[:] = map(_step_of, steps)
         return steps
@@ -90,7 +104,7 @@ class ReductionTrace:
         return "\n".join(s.to_line() for s in self.steps)
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self._list())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -557,8 +557,8 @@ def _simplify_in_place(state: ReductionState, m: CaseMatch) -> None:
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     """Decide whether the network displays the tree, in quadratic time.
 
-    Loop: collapse cherries common to both sides; a remaining one-sided
-    cherry decides negatively (it survives every resolution); a
+    Loop: collapse cherries common to both sides; a one-sided cherry
+    decides negatively (it survives every resolution); a
     reticulation-free network without one is displayed; a state with one
     or two reticulations goes to the oracle tail, which tries their at
     most four resolutions on the working state; otherwise one case match
@@ -566,6 +566,12 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     Every round, and the tail, edits or reads one ReductionState, which is
     never frozen, and the longest-path search is kept across rounds. The
     trace replays to the same verdict at every step.
+
+    A one-sided cherry found at the start of a round decides before that
+    round's common-cherry collapses, which only feed the trace: their rows
+    stay pending until the trace's first `len` or read of its steps (or
+    to_text, ==, repr), and a negative verdict keeps its working state
+    alive until then.
     """
     net.require_valid(require_binary=True)
     require_tree(tree)
@@ -588,10 +594,11 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             raise InternalConsistencyError(
                 "reduction loop exceeded its iteration bound"
             )
-        state.collapse_cherries()
+        if not state.one_sided:
+            state.collapse_cherries()
         if state.one_sided:
-            # a cherry no common-cherry round removed survives every
-            # resolution, and the tree has no matching sibling pair
+            # a one-sided cherry survives every resolution, and the tree
+            # has no matching sibling pair; collapses keep it one-sided
             displayed = False
             break
         if not state.rets:
@@ -625,6 +632,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             )
     if displayed and m0 == 0:
         certificate = Resolution(())
-    return ContainmentVerdict(
-        displayed, ReductionTrace(state.rows), certificate, iterations, m0
-    )
+    trace = ReductionTrace(state.rows)
+    if state.common:  # only a negative stops with common cherries left
+        trace._pending = state.collapse_cherries
+    return ContainmentVerdict(displayed, trace, certificate, iterations, m0)

@@ -193,10 +193,14 @@ def _generated_pairs(n, rng):
 def test_displays_matches_frozen_loop_on_generated(n, path_queries):
     rng = random.Random(n)
     rounds = cases = 0
-    for net, pos, swapped in _generated_pairs(n, rng):
-        for tree in (pos, swapped):
+    for i, (net, pos, swapped) in enumerate(_generated_pairs(n, rng)):
+        trees = [pos, swapped]
+        if n <= 40:
+            # a random tree's negative may stop with collapses pending
+            trees.append(random_tree(sorted(net.label_set()), seed=i))
+        for tree in trees:
             got = _assert_same_run(net, tree)
-            assert got.displayed or tree is swapped
+            assert got.displayed or tree is not pos
             rounds += got.iterations
             cases += sum(step.kind != "cherry" for step in got.trace.steps)
     assert rounds > n // 4
@@ -456,7 +460,9 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     """Counts over one split-cherry negative decide at n = 200: the net
     cherry whose labels the tree splits is filed one-sided at set-up, so
     the decide runs the stability pass (dominators) once, builds no
-    StabilityReport and never runs LongestPaths' first pass."""
+    StabilityReport, never runs LongestPaths' first pass and collapses no
+    cherry. The first len of its trace runs the pending collapses, one per
+    row; later reads run none."""
     import netdisplay.core as core
 
     net, tree = _n200_pair()
@@ -474,7 +480,9 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     )))
     passes: list = []
     firsts: list = []
+    collapses: list = []
     real_stability, real_first = core._stability, LongestPaths._first
+    real_collapse = reductions._collapse_cherry
 
     def counting_stability(n):
         if "stab" not in n._cache:
@@ -485,17 +493,29 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
         firsts.append(self)
         return real_first(self)
 
+    def counting_collapse(*args):
+        collapses.append(args)
+        return real_collapse(*args)
+
     def no_report(*args):
         raise AssertionError("the decide built a StabilityReport")
 
     monkeypatch.setattr(core, "_stability", counting_stability)
     monkeypatch.setattr(core, "StabilityReport", no_report)
     monkeypatch.setattr(LongestPaths, "_first", counting_first)
+    monkeypatch.setattr(reductions, "_collapse_cherry", counting_collapse)
     got = displays(net, tree)
     assert not got.displayed
     assert got.iterations == 1
     assert passes == [net]
     assert firsts == []
+    assert collapses == []
+    rows = len(got.trace)
+    assert rows > 10 and len(collapses) == rows
+    assert len(got.trace) == rows
+    text = got.trace.to_text()
+    assert len(collapses) == rows
+    assert [line.split()[0] for line in text.splitlines()] == ["cherry"] * rows
 
 
 def test_removal_rounds_refile_only_live_vertices(monkeypatch):

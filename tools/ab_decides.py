@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Time `displays` of two checkouts against each other, interleaved.
 
-    python3 tools/ab_decides.py <other-checkout>
+    python3 tools/ab_decides.py <other-checkout> [--seed N]
 
 Loads this checkout's `src/netdisplay` and the other checkout's into one
-process, as `tools/same_outputs.py` does, and takes the seed-1 inputs of
-the ns-scaling workload from its own builder (`NsScaling.setup` in
-`bench/workloads.py`): the classes n100, n200, n400 and n800 (positive
-pairs, m = n / 4) and neg800 (split-cherry negatives at n = 800). Each of
-20 repetitions runs each instance of each class once on each side, back
-to back, and the side that goes first alternates. Each decide gets a
-freshly parsed pair, so its memos are cold, and only the `displays` call
-is timed.
+process, as `tools/same_outputs.py` does, and takes the inputs of the
+ns-scaling workload for `--seed` (default 1) from its own builder
+(`NsScaling.setup` in `bench/workloads.py`): the classes n100, n200, n400
+and n800 (positive pairs, m = n / 4) and neg800 (split-cherry negatives
+at n = 800). Each of 20 repetitions runs each instance of each class
+once on each side, back to back, and the side that goes first
+alternates. Each decide gets a freshly parsed pair, so its memos are
+cold, and only the `displays` call is timed.
 
 It prints one JSON object. Per class: the median ms of each side, the
 change of this side against the other in percent, and in how many pairs
-this side was faster. `rate` is the share-weighted decide rate of each
-side, the sum over classes of share / median seconds, with the workload's
-`SHARES`, by which its `ops_per_s` weights its classes.
+this side was faster; beside them the same for the median over the
+class's instances of each instance's minimum ms, which a slow host phase
+during some repetitions raises less than the plain median. `rate` is the
+share-weighted decide rate of each side, the sum over classes of share /
+median seconds, with the workload's `SHARES`, by which its `ops_per_s`
+weights its classes.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from same_outputs import ROOT, _load  # noqa: E402
 
-SEED = 1
 REPS = 20
 
 
@@ -58,6 +60,7 @@ def _time_decide(nd, net_text: str, tree_text: str, expected: bool) -> int:
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other")
+    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     other_root = os.path.abspath(args.other)
     sides = []
@@ -69,9 +72,10 @@ def main(argv: list[str]) -> int:
         sides.append(_load(pkg, f"netdisplay_{tag}", True))
     ns = _ns_scaling()
     shares = ns.SHARES
-    data = ns.setup(SEED, workdir=None).data  # ns-scaling writes no files
+    data = ns.setup(args.seed, workdir=None).data  # ns-scaling writes no files
 
-    times: dict = {k: ([], []) for k in shares}  # class -> (this ns, other ns)
+    # class -> instance -> (this ns, other ns), one entry per repetition
+    times: dict = {k: [([], []) for _ in data[k]] for k in shares}
     for rep in range(REPS):
         for k, cases in data.items():
             for i, (_, *case) in enumerate(cases):
@@ -79,20 +83,28 @@ def main(argv: list[str]) -> int:
                 got = {}
                 for s in (first, 1 - first):
                     got[s] = _time_decide(sides[s], *case)
-                times[k][0].append(got[0])
-                times[k][1].append(got[1])
+                times[k][i][0].append(got[0])
+                times[k][i][1].append(got[1])
     report = {
         "this": ROOT,
         "other": other_root,
         "machine": f"{platform.machine()} {platform.processor() or platform.system()}",
         "python": platform.python_version(),
-        "seed": SEED,
+        "seed": args.seed,
         "reps": REPS,
         "classes": {},
         "rate": {},
     }
-    for k, (mine, theirs) in times.items():
-        this_ms, other_ms = statistics.median(mine) / 1e6, statistics.median(theirs) / 1e6
+    medians = {}  # class -> (this ms, other ms)
+    for k, per_instance in times.items():
+        mine = [t for ts in per_instance for t in ts[0]]
+        theirs = [t for ts in per_instance for t in ts[1]]
+        medians[k] = this_ms, other_ms = (
+            statistics.median(mine) / 1e6, statistics.median(theirs) / 1e6
+        )
+        this_min, other_min = (
+            statistics.median(min(ts[j]) for ts in per_instance) / 1e6 for j in (0, 1)
+        )
         report["classes"][k] = {
             "share": shares[k],
             "pairs": len(mine),
@@ -100,10 +112,15 @@ def main(argv: list[str]) -> int:
             "other_ms": round(other_ms, 4),
             "change_pct": round((this_ms / other_ms - 1) * 100, 2),
             "this_wins": sum(a < b for a, b in zip(mine, theirs)),
+            "instances": len(per_instance),
+            "this_min_ms": round(this_min, 4),
+            "other_min_ms": round(other_min, 4),
+            "min_change_pct": round((this_min / other_min - 1) * 100, 2),
+            "this_min_wins": sum(min(ts[0]) < min(ts[1]) for ts in per_instance),
         }
     for tag, j in (("this", 0), ("other", 1)):
         report["rate"][tag] = round(
-            sum(shares[k] / (statistics.median(ts[j]) / 1e9) for k, ts in times.items()), 2
+            sum(shares[k] / (ms[j] / 1e3) for k, ms in medians.items()), 2
         )
     print(json.dumps(report, indent=1))
     return 0

@@ -32,10 +32,11 @@ and runs each side on the same inputs:
 
 Inputs are eNewick text, made once and parsed by each side. Each decide
 yields a record of `displayed`, `iterations`, the trace's length read
-before anything reads its steps, `certificate`, `reticulations_initial`,
-the trace text and every `replay_trace` state serialized (or the error
-raised). The script prints one sha256 over the records per side and
-exits 1 at the first record that differs.
+before anything reads its steps, then its text, then both again (pending
+work that runs twice, or two reads that disagree, show there),
+`certificate`, `reticulations_initial` and every `replay_trace` state
+serialized (or the error raised). The script prints one sha256 over the
+records per side and exits 1 at the first record that differs.
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ def _decide(net_text: str, tree_text: str, nd) -> str:
         v = nd.displays(net, tree)
     except nd.NetworkError as exc:
         return f"error {type(exc).__name__}: {exc}"
-    rows = len(v.trace)  # of the unread row list; the reads below build steps
+    trace = v.trace
+    # len first: it may run pending collapses, and it builds no step
+    reads = [len(trace), trace.to_text(), len(trace), trace.to_text()]
     cert = None if v.certificate is None else [
         (r, tuple(b)) for r, b in v.certificate.kept_in_branch
     ]
@@ -216,9 +219,11 @@ def _decide(net_text: str, tree_text: str, nd) -> str:
     ]
     return "\n".join(
         [
-            f"displayed={v.displayed} iterations={v.iterations} rows={rows}",
+            f"displayed={v.displayed} iterations={v.iterations} rows={reads[0]}",
+            reads[1],
+            f"rows={reads[2]}",
+            reads[3],
             f"certificate={cert} reticulations_initial={v.reticulations_initial}",
-            v.trace.to_text(),
             *states,
         ]
     )
