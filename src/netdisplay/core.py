@@ -155,9 +155,6 @@ class Network:
     def __len__(self) -> int:
         return len(self._out)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._out
-
     def children(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 

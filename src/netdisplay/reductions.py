@@ -50,12 +50,9 @@ class ReductionStep:
         return line
 
 
-def _step_of(row) -> ReductionStep:
+def _step_of(row: tuple) -> ReductionStep:
     """The ReductionStep a trace row records: (p, l1, l2, label) for a
-    cherry collapse, (kind, removed, contracted) for a case step. A step
-    given as it is passes through."""
-    if type(row) is not tuple:
-        return row
+    cherry collapse, (kind, removed, contracted) for a case step."""
     if len(row) == 4:
         p, l1, l2, label = row
         return ReductionStep("cherry", (Branch(p, l1), Branch(p, l2)), (), (p, label))
@@ -67,16 +64,16 @@ class ReductionTrace:
 
     A trace keeps one list. The reduction loop appends a row, a plain
     tuple (see _step_of), to its working state's list where each edit
-    happens, and displays hands that list to the trace. When displays
-    decides negatively before a round's common-cherry collapses, it leaves
-    them pending in `_pending`, the working state's bound
-    collapse_cherries, which appends their rows to the same list: the
-    first `len` or read of `steps` runs it, once, and until then the trace
-    keeps that working state alive. Reading `steps` builds the rows into
-    ReductionSteps in that list, once, so a decide whose trace nobody
-    reads builds no step. Equality, repr and to_text read `steps`. A
-    trace is mutable, so unhashable, and ReductionTrace(steps) keeps the
-    list it is given.
+    happens, and ReductionState.trace hands that list to a trace, with
+    the common-cherry collapses still due pending in `_pending` (the
+    working state's bound collapse_cherries, which appends their rows to
+    the same list) when displays decided negatively before them: the
+    first `len` or read of `steps` runs it, once, and until then the
+    trace keeps that working state alive. Reading `steps` builds the
+    rows, all appended by then, into ReductionSteps in that list, once,
+    so a decide whose trace nobody reads builds no step. Equality, repr
+    and to_text read `steps`. A trace is mutable, so unhashable, and
+    ReductionTrace(steps) keeps the list it is given.
     """
 
     __slots__ = ("_steps", "_pending")
@@ -96,7 +93,7 @@ class ReductionTrace:
     @property
     def steps(self) -> list[ReductionStep]:
         steps = self._list()
-        if steps and type(steps[-1]) is tuple:  # rows go after built steps
+        if steps and type(steps[-1]) is tuple:  # not built yet
             steps[:] = map(_step_of, steps)
         return steps
 
@@ -207,10 +204,10 @@ class ReductionState:
     of parents of the one-sided ones, and the number of the next fresh
     ``__r<k>`` label. Each edit re-checks these only where it changed the
     net, and adds to `changed` every net vertex whose in-list or leafness
-    it changed, for a reader to drain; `rows` is the trace, one row per
-    edit (see ReductionTrace). The leaf label sets are checked
-    once, here, against the tree side's label -> leaf map. The net must be
-    valid and binary and the tree a valid tree, as displays checks first.
+    it changed, for a reader to drain; `rows` is the trace (trace()), one
+    row per edit. The leaf label sets are checked once, here, against the
+    tree side's label -> leaf map. The net must be valid and binary and
+    the tree a valid tree, as displays checks first.
     """
 
     def __init__(self, net: Network, tree: PhyloTree):
@@ -285,13 +282,14 @@ class ReductionState:
             self.changed.add(p)  # p became a leaf; l1, l2 are gone
             self._note_cherry(ned.ins[p][0])
 
-    def remove(self, branches) -> list[int]:
+    def remove(self, kind: str, branches: tuple) -> None:
         """Remove branches of the net and suppress from their ends
-        (NetworkEditor.prune); returns the contracted vertices. The net
-        must be valid beforehand, and no cherry, common or one-sided, may
-        be pending."""
+        (NetworkEditor.prune), and append the step's row (kind, branches,
+        contracted vertices) to `rows`. The net must be valid beforehand,
+        and no cherry, common or one-sided, may be pending."""
         ned = self.net
         contracted, touched = ned.prune(branches)
+        self.rows.append((kind, branches, tuple(contracted)))
         self.changed.update(touched)
         # prune reports each vertex whose in- or out-list it edited, and a
         # leaf stays one until deleted, which edits its parents' lists: so
@@ -307,7 +305,14 @@ class ReductionState:
             else:
                 rets.discard(v)
             self._note_cherry(v)
-        return contracted
+
+    def trace(self) -> ReductionTrace:
+        """The trace over `rows`, with the common cherries still filed,
+        which only a negative verdict leaves, pending (see ReductionTrace)."""
+        trace = ReductionTrace(self.rows)
+        if self.common:
+            trace._pending = self.collapse_cherries
+        return trace
 
 
 def replay_trace(

@@ -117,13 +117,16 @@ def _branching_clusters(order: tuple, kept: dict, clusters=None) -> frozenset | 
     return frozenset(found)
 
 
+def _clusters(out, labels, order) -> frozenset:
+    """A tree's clusters as leaf-set bitmasks (see _branching_clusters),
+    from its adjacency maps and a topological `order`."""
+    return _branching_clusters(_fold_order(out, labels, order), {})
+
+
 def trees_equal(t1: PhyloTree, t2: PhyloTree) -> bool:
     """Rooted isomorphism respecting leaf labels: equal label sets and
     equal cluster sets."""
-    c1, c2 = (
-        _branching_clusters(_fold_order(t._out, t._labels, t.topological_order()), {})
-        for t in (t1, t2)
-    )
+    c1, c2 = (_clusters(t._out, t._labels, t.topological_order()) for t in (t1, t2))
     return t1.label_set() == t2.label_set() and c1 == c2
 
 
@@ -156,9 +159,7 @@ def oracle_displays(
         raise OracleCapExceededError(
             f"{len(rets)} reticulations exceed the oracle cap of {cap}"
         )
-    target = _branching_clusters(
-        _fold_order(tree._out, tree._labels, tree.topological_order()), {}
-    )
+    target = _clusters(tree._out, tree._labels, tree.topological_order())
     order = _fold_order(net._out, net._labels, net.topological_order())
     cert = _first_displaying(order, net._in, rets, target)
     return ContainmentVerdict(cert is not None, ReductionTrace(), cert, 0, len(rets))
@@ -201,7 +202,7 @@ def _tail_displays(state: ReductionState) -> Resolution | None:
         raise InternalConsistencyError(
             "invalid working state: the two sides' leaf label sets differ"
         )
-    target = _branching_clusters(_fold_order(kids, tlabels, tree_order), {})
+    target = _clusters(kids, tlabels, tree_order)
     order = _fold_order(ned.out, ned.labels, net_order)
     return _first_displaying(order, ned.ins, state.rets, target)
 
@@ -493,7 +494,9 @@ def _uncle_nephew_branch(ed: NetworkEditor, tree, site: int) -> Branch:
 
 
 def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
-    """The branches the matched case removes.
+    """The branches the matched case removes. Removing them
+    (ReductionState.remove) strictly drops the reticulation count and
+    keeps whether the tree is displayed.
 
     `ed` and `tree` are the working state's two sides, read through their
     maps: the editor's adjacency and labels, and the _TreeEditor's label
@@ -545,24 +548,14 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     return removed
 
 
-def _simplify_in_place(state: ReductionState, m: CaseMatch) -> None:
-    """Remove the branches the matched case prescribes from the working state
-    and suppress, and append the step's row to the state's `rows`. The
-    reticulation count strictly drops, and whether the tree is displayed
-    does not change."""
-    removed = _case_removals(state.net, state.tree, m)
-    state.rows.append((f"case_{m.case_id}", removed, tuple(state.remove(removed))))
-
-
 def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     """Decide whether the network displays the tree, in quadratic time.
 
     Loop: collapse cherries common to both sides; a one-sided cherry
-    decides negatively (it survives every resolution); a
-    reticulation-free network without one is displayed; a state with one
-    or two reticulations goes to the oracle tail, which tries their at
-    most four resolutions on the working state; otherwise one case match
-    prunes at least one reticulation.
+    decides negatively (it survives every resolution); a state with fewer
+    than three reticulations goes to the oracle tail, which tries their
+    at most four resolutions on the working state; otherwise one case
+    match prunes at least one reticulation.
     Every round, and the tail, edits or reads one ReductionState, which is
     never frozen, and the longest-path search is kept across rounds. The
     trace replays to the same verdict at every step.
@@ -571,7 +564,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     round's common-cherry collapses, which only feed the trace: their rows
     stay pending until the trace's first `len` or read of its steps (or
     to_text, ==, repr), and a negative verdict keeps its working state
-    alive until then.
+    alive until then (ReductionState.trace).
     """
     net.require_valid(require_binary=True)
     require_tree(tree)
@@ -601,38 +594,27 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             # has no matching sibling pair; collapses keep it one-sided
             displayed = False
             break
-        if not state.rets:
-            # a binary tree with three or more leaves has a cherry below
-            # its root, and every such cherry was common and collapsed, so
-            # each side is one leaf or one root cherry over the same labels
-            if len(state.net.out) > 3:
-                raise InternalConsistencyError(
-                    "a reticulation-free network kept a cherry"
-                )
-            displayed = True
-            break
-        # only the reticulation count sends a state to the tail: with one
-        # left the longest path has four vertices or more, as a
+        # only the reticulation count sends a state to the tail, whose
+        # cluster check covers a reticulation-free state too; with three
+        # or more left the longest path has four vertices or more, as a
         # reticulation's two parents are distinct, so one is below the
         # root, and the root, that parent, the reticulation and a leaf
         # under it lie on one root-leaf path (match_case checks this)
         if len(state.rets) < 3:
             found = _tail_displays(state)
             displayed = found is not None
-            if not state.rows:
+            # the tail's resolution is the input's when no step ran, or
+            # when there was nothing to resolve: Resolution(())
+            if not state.rows or not m0:
                 certificate = found
             break
         tail = find_longest_root_leaf_path(paths)  # the last four vertices
         matched = match_case(state.net, tail)
         before = len(state.rets)
-        _simplify_in_place(state, matched)
+        removed = _case_removals(state.net, state.tree, matched)
+        state.remove(f"case_{matched.case_id}", removed)
         if len(state.rets) >= before:
             raise InternalConsistencyError(
                 f"case {matched.case_id} removed no reticulation"
             )
-    if displayed and m0 == 0:
-        certificate = Resolution(())
-    trace = ReductionTrace(state.rows)
-    if state.common:  # only a negative stops with common cherries left
-        trace._pending = state.collapse_cherries
-    return ContainmentVerdict(displayed, trace, certificate, iterations, m0)
+    return ContainmentVerdict(displayed, state.trace(), certificate, iterations, m0)

@@ -497,7 +497,7 @@ def reference_displays(net: Network, tree: PhyloTree):
     from netdisplay.tcp import (
         ContainmentVerdict,
         Resolution,
-        _simplify_in_place,
+        _case_removals,
         match_case,
         oracle_displays,
         trees_equal,
@@ -533,7 +533,8 @@ def reference_displays(net: Network, tree: PhyloTree):
                 oracle_cert = sub.certificate
             break
         state = ReductionState(net, tree)
-        _simplify_in_place(state, match_case(net, path))
+        m = match_case(net, path)
+        state.remove(f"case_{m.case_id}", _case_removals(state.net, state.tree, m))
         rows += state.rows
         reduced = state.net.freeze()
         assert reduced.num_reticulations < net.num_reticulations

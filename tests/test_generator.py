@@ -124,6 +124,8 @@ def test_spec_validation():
         GenSpec(3, 1, "tree-child")
     with pytest.raises(ValueError):
         GenSpec(3, 1, max_rejections=-2)
+    with pytest.raises(ValueError, match="leaf labels must be distinct"):
+        random_tree(["a", "a"])
 
 
 def test_random_tree_labels_and_shape():

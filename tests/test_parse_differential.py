@@ -68,6 +68,9 @@ HAND_CASES = [
     "(a,b)(c);#Hq",
     "(a,b);(c,__r1);",
     "((a,b),c);#H1__r",
+    # '__r' inside a label that does not start with it: no error
+    "(a__r1,b);",
+    "((x__r,y),z);",
     # a dangling tag together with a duplicate label
     "((a,#H1),(a,c));",
     "((a,(b)#H1),(a,c));",

@@ -15,7 +15,7 @@ from netdisplay.reductions import (
     _cherry_at,
     replay_trace,
 )
-from netdisplay.tcp import CaseMatch, _simplify_in_place, displays, oracle_displays
+from netdisplay.tcp import CaseMatch, _case_removals, displays, oracle_displays
 
 from helpers import GOLDEN, RUNNING
 
@@ -39,7 +39,8 @@ def _uncle_nephew(net, tree, site):
     """The uncle-nephew rule below `site`, as case C applies it, on a fresh
     working state; returns the frozen, validated net and the step."""
     state = ReductionState(net, tree)
-    _simplify_in_place(state, CaseMatch("C", {"u": site}))
+    removed = _case_removals(state.net, state.tree, CaseMatch("C", {"u": site}))
+    state.remove("case_C", removed)
     [step] = ReductionTrace(state.rows).steps
     reduced = state.net.freeze()
     reduced.require_valid(require_binary=True)

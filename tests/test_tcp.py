@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from netdisplay import tcp
 from netdisplay.core import Branch, PhyloTree, classify
 from netdisplay.errors import (
     ClassPreconditionError,
@@ -17,7 +18,7 @@ from netdisplay.newick_io import parse_network, parse_tree, serialize
 from netdisplay.reductions import ReductionState, ReductionTrace
 from netdisplay.tcp import (
     Resolution,
-    _simplify_in_place,
+    _case_removals,
     apply_resolution,
     displays,
     find_longest_root_leaf_path,
@@ -188,6 +189,9 @@ def test_oracle_cap():
 def test_oracle_requires_same_leaves():
     with pytest.raises(LeafSetMismatchError):
         oracle_displays(parse_network(RUNNING), parse_tree("((a,b),d);"))
+    # every label of the network, and one more
+    with pytest.raises(LeafSetMismatchError, match=r"differ: \['d'\]"):
+        oracle_displays(parse_network(RUNNING), parse_tree("(((a,b),c),d);"))
 
 
 def test_longest_path_running_example():
@@ -241,7 +245,7 @@ def test_simplify_preserves_verdict(name):
     for tree in trees:
         before = oracle_displays(net, tree).displayed
         state = ReductionState(net, tree)
-        _simplify_in_place(state, m)
+        state.remove(f"case_{m.case_id}", _case_removals(state.net, state.tree, m))
         [step] = ReductionTrace(state.rows).steps
         reduced = state.net.freeze()
         reduced.require_valid(require_binary=True)
@@ -261,7 +265,7 @@ def test_simplify_case_a_variants():
     rows = []
     for tree in (sib, non):
         state = ReductionState(net, tree)
-        _simplify_in_place(state, m)
+        state.remove(f"case_{m.case_id}", _case_removals(state.net, state.tree, m))
         rows += state.rows
         state.net.freeze().require_valid(require_binary=True)
     step_sib, step_non = ReductionTrace(rows).steps
@@ -290,13 +294,19 @@ def test_displays_tree_against_itself():
 
 
 @pytest.mark.parametrize("k", range(1, 6))
-def test_displays_matches_tree_equality_on_every_tree_pair(k):
-    # m = 0: the loop decides without comparing trees
+def test_displays_matches_tree_equality_on_every_tree_pair(k, monkeypatch):
+    # m = 0: a one-sided cherry decides each negative, and the oracle
+    # tail, comparing the one resolution's clusters, each positive
+    tails = []
+    real_tail = tcp._tail_displays
+    monkeypatch.setattr(tcp, "_tail_displays", lambda s: tails.append(s) or real_tail(s))
     trees = all_trees([chr(ord("a") + i) for i in range(k)])
     for net in trees:
         for tree in trees:
+            before = len(tails)
             verdict = displays(net, tree)
             assert verdict.displayed == trees_equal(net, tree)
+            assert len(tails) - before == verdict.displayed
             assert verdict.certificate == (
                 Resolution(()) if verdict.displayed else None
             )
@@ -305,6 +315,9 @@ def test_displays_matches_tree_equality_on_every_tree_pair(k):
 def test_displays_rejects_leaf_mismatch():
     with pytest.raises(LeafSetMismatchError):
         displays(parse_network(RUNNING), parse_tree("((a,b),d);"))
+    # every label of the network, and one more
+    with pytest.raises(LeafSetMismatchError, match=r"differ: \['d'\]"):
+        displays(parse_network(RUNNING), parse_tree("(((a,b),c),d);"))
 
 
 def test_displays_rejects_not_nearly_stable():

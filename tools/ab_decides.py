@@ -34,17 +34,9 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from same_outputs import ROOT, _load  # noqa: E402
+from same_outputs import ROOT, _load, _ns_scaling  # noqa: E402
 
 REPS = 20
-
-
-def _ns_scaling():
-    """The ns-scaling workload, imported with this checkout's package."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-    import workloads
-
-    return workloads.NsScaling()
 
 
 def _time_decide(nd, net_text: str, tree_text: str, expected: bool) -> int:
@@ -69,7 +61,7 @@ def main(argv: list[str]) -> int:
         if not os.path.isfile(os.path.join(pkg, "__init__.py")):
             print(f"no netdisplay sources under {root}", file=sys.stderr)
             return 2
-        sides.append(_load(pkg, f"netdisplay_{tag}", True))
+        sides.append(_load(pkg, f"netdisplay_{tag}"))
     ns = _ns_scaling()
     shares = ns.SHARES
     data = ns.setup(args.seed, workdir=None).data  # ns-scaling writes no files

@@ -8,9 +8,9 @@ process, under two package names (the package imports only relatively),
 and runs each side on the same inputs:
 
 - `displays` on the golden pairs of `tests/data/golden_traces.json`;
-- `displays` on the ns-scaling builder inputs of seeds 1 and 101,
-  positive and split-cherry negative pairs, built by `bench/inputs.py` as
-  the benchmark builds them;
+- `displays` on the ns-scaling inputs of seeds 1 and 101, positive and
+  split-cherry negative pairs, from the workload's own builder
+  (`NsScaling.setup` in `bench/workloads.py`);
 - 2000 generator specs (n = 3 to 60, nearly stable). Each side runs
   `generate` on the spec and `random_tree` on its labels, and each
   side's bytes (or error) are a record. From this checkout's network,
@@ -51,25 +51,28 @@ from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# as bench/workloads.py's NsScaling.setup: instances per size, m = n / 4
-NS_INSTANCES = {100: 8, 200: 6, 400: 4, 800: 3}
 NS_SEEDS = (1, 101)
 DRAWS = 2000
 DRAW_SEED = 17
 
 
-def _load(path: str, name: str, package: bool):
-    """Import a file, or a package directory, under `name`."""
-    if package:
-        spec = importlib.util.spec_from_file_location(
-            name, os.path.join(path, "__init__.py"), submodule_search_locations=[path]
-        )
-    else:
-        spec = importlib.util.spec_from_file_location(name, path)
+def _load(path: str, name: str):
+    """Import a package directory under `name`."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path]
+    )
     mod = importlib.util.module_from_spec(spec)
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
     return mod
+
+
+def _ns_scaling():
+    """The ns-scaling workload, imported with this checkout's package."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    import workloads
+
+    return workloads.NsScaling()
 
 
 def _golden_pairs():
@@ -79,23 +82,19 @@ def _golden_pairs():
             yield f"golden:{rec['name']}:stability", partial(_stability, rec["net"])
 
 
-def _ns_scaling_pairs(nd, inputs):
-    def flags_of(g):
-        return nd.core.classify(nd.core.Network(g.out, g.label))
-
+def _ns_scaling_pairs():
+    """Each positive pair, per size and instance, then its network's
+    stability record and, at n = 800, its split-cherry negative."""
+    ns = _ns_scaling()
     for seed in NS_SEEDS:
-        for n, count in NS_INSTANCES.items():
-            for i in range(count):
-                rng = random.Random(f"ns-scaling:{seed}:{n}:{i}")
-                g = inputs.build_network(n, n // 4, rng, flags_of)
-                tree = inputs.resolve(g, rng)
-                net_text = inputs.enewick(g)
-                yield f"ns:{seed}:{n}:{i}", partial(_decide, net_text, inputs.enewick(tree))
+        data = ns.setup(seed, workdir=None).data  # ns-scaling writes no files
+        for n in ns.SIZES:
+            for i, (_, net_text, tree_text, _) in enumerate(data[f"n{n}"]):
+                yield f"ns:{seed}:{n}:{i}", partial(_decide, net_text, tree_text)
                 yield f"ns:{seed}:{n}:{i}:stability", partial(_stability, net_text)
                 if n == 800:
-                    swap = inputs.split_cherry_swap(g, rng)
-                    neg = partial(_decide, net_text, inputs.enewick(tree, swap))
-                    yield f"ns:{seed}:{n}:{i}:neg", neg
+                    neg_text = data["neg800"][i][2]
+                    yield f"ns:{seed}:{n}:{i}:neg", partial(_decide, net_text, neg_text)
 
 
 def _generated(nd):
@@ -240,14 +239,13 @@ def main(argv: list[str]) -> int:
         if not os.path.isfile(os.path.join(pkg, "__init__.py")):
             print(f"no netdisplay sources under {root}", file=sys.stderr)
             return 2
-        sides.append((tag, _load(pkg, f"netdisplay_{tag}", True)))
+        sides.append((tag, _load(pkg, f"netdisplay_{tag}")))
     mine = sides[0][1]
-    inputs = _load(os.path.join(ROOT, "bench", "inputs.py"), "bench_inputs", False)
 
     hashes = {tag: hashlib.sha256() for tag, _ in sides}
     count = 0
     groups_in_order = (
-        _parse_corpus(), _golden_pairs(), _ns_scaling_pairs(mine, inputs), _generated(mine)
+        _parse_corpus(), _golden_pairs(), _ns_scaling_pairs(), _generated(mine)
     )
     for groups in groups_in_order:
         for name, record in groups:
