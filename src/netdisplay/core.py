@@ -211,14 +211,11 @@ class Network:
         among the ready set, so the order is deterministic."""
         if "topo" in self._cache:
             return self._cache["topo"]
-        order = self._try_topological_order()
+        order = _topological_order(self._out, self._in)
         if order is None:
             raise InvalidNetworkError("network contains a directed cycle")
         self._cache["topo"] = order
         return order
-
-    def _try_topological_order(self) -> tuple[int, ...] | None:
-        return _topological_order(self._out, self._in)
 
     def reachable_from(self, start: int) -> set[int]:
         """Vertices reachable from start."""
@@ -455,7 +452,7 @@ def validate(net: Network, require_binary: bool = False) -> ValidationOutcome:
     """
     found = net._cache.get("valid")
     if found is None:
-        order = net._try_topological_order()
+        order = _topological_order(net._out, net._in)
         if order is not None:
             net._cache["topo"] = order
         plain, degree = _violations(net._out, net._in, net._labels, order)

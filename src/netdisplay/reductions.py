@@ -121,8 +121,7 @@ def _check_same_leaves(net: Network, tree: Network) -> None:
 
 def _cherry_at(out, ins, v: int):
     """(l1, l2, v) with l1 < l2 when v is a strict tree vertex over two
-    leaves, else None (also when v is gone). Takes adjacency maps, so that
-    frozen networks and editors share it."""
+    leaves in a NetworkEditor's `out` and `ins`, else None (also when v is gone)."""
     cs = out.get(v, ())
     if len(cs) == 2 and len(ins[v]) == 1:
         a, b = cs
@@ -141,32 +140,40 @@ class _TreeEditor:
     parent. So the live tree is the closure of the leaf vertices under
     `tin`, and each live internal vertex keeps both of its source
     children: a vertex loses children only when it becomes a leaf. A
-    leaf's parent is always its source parent. live() builds that
-    closure, and freeze() the tree on it, when they are called."""
+    leaf's parent is always its source parent. live() and freeze() build
+    the live tree when called; only this module reads the three maps."""
 
     def __init__(self, tree: PhyloTree):
         self.tin, self.tout = tree._in, tree._out
         self.leaf = {lab: v for v, lab in tree._labels.items()}
         self._cls, self._next = type(tree), tree.next_id
 
-    def live(self) -> dict:
-        """Vertex -> parent tuple over the live tree: the closure of the
-        leaves under `tin`."""
-        tin, live = self.tin, {}
-        for v in self.leaf.values():
-            while v not in live:
-                live[v] = ps = tin[v]
+    def live(self) -> tuple[dict, dict, dict]:
+        """The live tree's child, parent and label maps: the closure of the
+        leaves under `tin`, each vertex with its source parents and its live
+        source children in source order (none at a leaf; one where a broken
+        state lost a child)."""
+        tin, ins = self.tin, {}
+        labels = {v: lab for lab, v in self.leaf.items()}
+        for v in labels:
+            while v not in ins:
+                ins[v] = ps = tin[v]
                 if not ps:
                     break
                 v = ps[0]
-        return live
+        tout, out, is_live = self.tout, {}, ins.__contains__
+        for v in ins:
+            cs = tout[v]
+            for c in cs:
+                if c not in ins:
+                    cs = tuple(filter(is_live, cs))
+                    break
+            out[v] = cs
+        return out, ins, labels
 
     def freeze(self) -> PhyloTree:
-        """The live tree, each vertex with its source children (none at
-        the leaves)."""
-        labels = {v: lab for lab, v in self.leaf.items()}
-        tout = self.tout
-        out = {v: () if v in labels else tout[v] for v in self.live()}
+        """The live tree (see live)."""
+        out, _, labels = self.live()
         return self._cls(out, labels, next_id=self._next)
 
 
@@ -174,6 +181,13 @@ def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
     """Do two net leaves sit under one parent in the tree?"""
     tin, leaf, labels = ted.tin, ted.leaf, ned.labels
     return tin[leaf[labels[x]]] == tin[leaf[labels[y]]]
+
+
+def _beside_parent(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
+    """Does net leaf y sit in the tree under the parent of net leaf x's
+    parent? The root's empty parent tuple matches no leaf's."""
+    tin, leaf, labels = ted.tin, ted.leaf, ned.labels
+    return tin[tin[leaf[labels[x]]][0]] == tin[leaf[labels[y]]]
 
 
 def _collapse_cherry(

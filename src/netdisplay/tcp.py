@@ -24,6 +24,7 @@ from .errors import (
 from .reductions import (
     ReductionState,
     ReductionTrace,
+    _beside_parent,
     _check_same_leaves,
     _siblings,
 )
@@ -182,27 +183,21 @@ def _tail_displays(state: ReductionState) -> Resolution | None:
     """oracle_displays on the working state, read in place: the first
     displaying resolution in the oracle's order, or None.
 
-    The tree side's child lists come from the closure of its leaves under
-    the source tree's parent tuples (_TreeEditor.live). Both sides
-    pass the oracle's validation (the closure has no reticulation) and
-    share one leaf label set. The folds run in other topological orders
-    than the oracle's, which give each vertex the same mask, so each
-    resolution gets the same answer.
+    The tree side's maps are those of its live tree (_TreeEditor.live).
+    Both sides pass the oracle's validation and share one leaf label set.
+    The folds run in other topological orders than the oracle's, which
+    give each vertex the same mask, so each resolution gets the same
+    answer.
     """
-    ned, ted = state.net, state.tree
-    tins = ted.live()
-    kids: dict = {v: [] for v in tins}
-    for v, ps in tins.items():
-        if ps:
-            kids[ps[0]].append(v)
-    tlabels = {v: lab for lab, v in ted.leaf.items()}
-    tree_order = _require_valid_side(kids, tins, tlabels, "tree")
+    ned = state.net
+    tout, tins, tlabels = state.tree.live()
+    tree_order = _require_valid_side(tout, tins, tlabels, "tree")
     net_order = _require_valid_side(ned.out, ned.ins, ned.labels, "net")
-    if set(ned.labels.values()) != ted.leaf.keys():
+    if set(ned.labels.values()) != set(tlabels.values()):
         raise InternalConsistencyError(
             "invalid working state: the two sides' leaf label sets differ"
         )
-    target = _clusters(kids, tlabels, tree_order)
+    target = _clusters(tout, tlabels, tree_order)
     order = _fold_order(ned.out, ned.labels, net_order)
     return _first_displaying(order, ned.ins, state.rets, target)
 
@@ -384,22 +379,20 @@ def _uncle_nephew_site(ed: NetworkEditor, site: int):
     )
 
 
-def match_case(net: NetworkEditor | Network, path: list) -> CaseMatch:
+def match_case(ed: NetworkEditor, path: list) -> CaseMatch:
     """Identify which of the ten tail patterns the network exhibits.
 
-    `net` is the working state's editor, whose adjacency maps the rules
-    read; a frozen Network is read through an editor of it. `path` must
-    come from find_longest_root_leaf_path and hold at least four
-    vertices; the last four are examined as w, u, v, leaf. Expects a
-    binary nearly-stable network with no cherry (so no leaf-bearing
-    reticulation-free subtree either). A failure to match signals a broken
-    precondition, not a negative verdict.
+    `ed` is the working state's editor, whose adjacency maps the rules
+    read. `path` must come from find_longest_root_leaf_path and hold at
+    least four vertices; the last four are examined as w, u, v, leaf.
+    Expects a binary nearly-stable network with no cherry (so no
+    leaf-bearing reticulation-free subtree either). A failure to match
+    signals a broken precondition, not a negative verdict.
     """
     if len(path) < 4:
         raise InternalConsistencyError(
             "case dispatch needs a root-leaf path of at least 4 vertices"
         )
-    ed = NetworkEditor(net) if isinstance(net, Network) else net
     out, ins = ed.out, ed.ins
     l, v, u, w = path[-1], path[-2], path[-3], path[-4]
     around = [l, v, u, w]
@@ -498,11 +491,9 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     (ReductionState.remove) strictly drops the reticulation count and
     keeps whether the tree is displayed.
 
-    `ed` and `tree` are the working state's two sides, read through their
-    maps: the editor's adjacency and labels, and the _TreeEditor's label
-    -> leaf map over the source tree's parent tuples (_siblings, and case
-    D's grandparent test). A collapse never changes a live vertex's
-    parent, so those tuples stay current.
+    `ed` and `tree` are the working state's two sides: the editor's
+    adjacency and labels are read here, and the _TreeEditor only through
+    _siblings and, for case D's grandparent test, _beside_parent.
     """
     b = m.bindings
     case = m.case_id
@@ -520,11 +511,8 @@ def _case_removals(ed: NetworkEditor, tree, m: CaseMatch) -> tuple[Branch, ...]:
     elif case == "D":
         keep_together = _siblings(ed, tree, b["l"], b["lpp"])
         if not keep_together and _siblings(ed, tree, b["l"], b["lp"]):
-            # is the pair's parent a sibling of lpp? The root's empty
-            # parent tuple matches no leaf's
-            tin, leaf = tree.tin, tree.leaf
-            pair_parent = tin[leaf[ed.labels[b["l"]]]][0]
-            keep_together = tin[pair_parent] == tin[leaf[ed.labels[b["lpp"]]]]
+            # is the pair's parent a sibling of lpp?
+            keep_together = _beside_parent(ed, tree, b["l"], b["lpp"])
         if keep_together:
             removed = (Branch(_other_parent(ed, b["v"], b["u"]), b["v"]),)
         else:

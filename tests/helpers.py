@@ -17,6 +17,7 @@ from netdisplay.core import (
     StabilityReport,
     ValidationOutcome,
     Violation,
+    _topological_order,
     _without,
     validate,
 )
@@ -407,7 +408,7 @@ def reference_validate(net: Network, require_binary: bool = False):
         for r in roots[1:]:
             vs.append(Violation("multiple indegree-0 vertices", vertex=r))
 
-    order = net._try_topological_order()
+    order = _topological_order(net._out, net._in)
     if order is None:
         vs.append(Violation("directed cycle present"))
     elif roots and len(roots) == 1:
@@ -533,7 +534,7 @@ def reference_displays(net: Network, tree: PhyloTree):
                 oracle_cert = sub.certificate
             break
         state = ReductionState(net, tree)
-        m = match_case(net, path)
+        m = match_case(NetworkEditor(net), path)
         state.remove(f"case_{m.case_id}", _case_removals(state.net, state.tree, m))
         rows += state.rows
         reduced = state.net.freeze()

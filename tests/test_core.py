@@ -20,7 +20,11 @@ from netdisplay.core import (
     stability,
     validate,
 )
-from netdisplay.errors import InvalidNetworkError, NewickParseError
+from netdisplay.errors import (
+    InternalConsistencyError,
+    InvalidNetworkError,
+    NewickParseError,
+)
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import parse_network, parse_tree
 from netdisplay.reductions import ReductionState, replay_trace
@@ -97,12 +101,22 @@ def test_validate_flags_parallel_branches():
     outcome = validate(net)
     assert not outcome.ok
     assert any("parallel" in str(v) for v in outcome.violations)
+    # an editor refuses to make one
+    ed = NetworkEditor(parse_network("(a,b);"))
+    with pytest.raises(InternalConsistencyError, match="would create a parallel"):
+        ed.add_branch(0, 1)
+    assert ed.out[0] == (1, 2)
 
 
 def test_validate_flags_cycle():
     net = Network({0: [1], 1: [2, 3], 2: [1], 3: []}, {3: "a"})
     outcome = validate(net)
     assert not outcome.ok
+    # every vertex of this one is on the cycle, so it has no root either
+    rootless = Network({0: [1], 1: [0]}, {})
+    assert not validate(rootless).ok
+    with pytest.raises(InvalidNetworkError, match="network has no root"):
+        rootless.root
 
 
 def test_validate_flags_second_root():
@@ -244,26 +258,28 @@ def test_validate_keeps_an_acyclic_order_only():
     with pytest.raises(InvalidNetworkError):
         cyclic.topological_order()
     net = parse_network(RUNNING)
-    assert net.topological_order() == net._try_topological_order()
+    assert net.topological_order() == _topological_order(net._out, net._in)
 
 
 def test_one_topological_sort_per_network_through_displays(monkeypatch):
+    import netdisplay.core as core
+
     sorts = {}
-    real = Network._try_topological_order
+    real = core._topological_order
 
-    def counting(self):
-        # the network stays referenced, so its id is not reused
-        sorts.setdefault(id(self), [self, 0])[1] += 1
-        return real(self)
+    def counting(out, ins):
+        # the map stays referenced, so its id is not reused
+        sorts.setdefault(id(out), [out, 0])[1] += 1
+        return real(out, ins)
 
-    monkeypatch.setattr(Network, "_try_topological_order", counting)
+    monkeypatch.setattr(core, "_topological_order", counting)
     trees = []
     for rec in GOLDEN:
         trees.append(parse_tree(rec["tree"]))
         displays(parse_network(rec["net"]), trees[-1])
     assert len(sorts) >= len(GOLDEN)  # each net, as parsed
     # a parsed tree comes with its order, so it is never sorted
-    assert not any(id(tree) in sorts for tree in trees)
+    assert not any(id(tree._out) in sorts for tree in trees)
     assert {n for _, n in sorts.values()} == {1}
 
 
@@ -301,6 +317,11 @@ def test_require_valid_raises():
     net = Network({0: [1], 1: [2], 2: []}, {2: "a"})
     with pytest.raises(InvalidNetworkError):
         net.require_valid()
+    # maps that do not agree are refused at construction, before validation
+    with pytest.raises(ValueError, match="adjacency references unknown vertex 3"):
+        Network({0: [1, 3], 1: []}, {1: "a"})
+    with pytest.raises(ValueError, match="label references unknown vertex 5"):
+        Network({0: []}, {5: "a"})
 
 
 def _is_tree_vertex(net, v):
@@ -554,7 +575,11 @@ def test_phylo_tree_parent_map():
     state.collapse_cherries()
     assert set(tree.leaf) == {"c", "__r0"}
     assert parent_of("__r0") == parent_of("c") == root
-    assert tree.live() == {root: (), c: (root,), tree.leaf["__r0"]: (root,)}
+    r0 = tree.leaf["__r0"]
+    out, ins, labels = tree.live()
+    assert ins == {root: (), c: (root,), r0: (root,)}
+    assert out == {root: tree.tout[root], c: (), r0: ()} and set(out[root]) == {c, r0}
+    assert labels == {c: "c", r0: "__r0"}
 
 
 def test_random_tree_is_valid_binary():

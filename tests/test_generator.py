@@ -183,21 +183,42 @@ def _reduction_inputs():
 def test_every_reduction_input_matches_some_case():
     # totality: any cherry-free nearly-stable network with enough structure
     # is accepted by the dispatcher
-    matched = {match_case(net, path).case_id for net, path in _reduction_inputs()}
+    inputs = _reduction_inputs()
+    matched = {match_case(NetworkEditor(net), path).case_id for net, path in inputs}
     assert matched >= {"A", "C"}
     assert matched <= set("ABCDEFGHIJ")
 
 
-def test_match_case_reads_a_network_as_an_editor_of_it():
-    # the rules read an editor's maps; a frozen network goes through one
+def test_match_case_reads_a_network_as_an_editor_of_it(monkeypatch):
+    # the rules read only the editor's maps, and leave them as they were:
+    # the working state's editor, edited in place by earlier rounds,
+    # matches as a fresh editor of the network it freezes to
+    from netdisplay import tcp
     from netdisplay.newick_io import parse_network
     from helpers import CASE_FIXTURES
 
-    fixtures = [parse_network(text) for text in CASE_FIXTURES.values()]
-    inputs = [(net, find_longest_root_leaf_path(net)) for net in fixtures]
-    inputs += _reduction_inputs()
-    for net, path in inputs:
-        assert match_case(net, path) == match_case(NetworkEditor(net), path)
+    real = tcp.match_case
+    cases: list = []
+
+    def checked(ed, path):
+        before = (dict(ed.out), dict(ed.ins), dict(ed.labels))
+        got = real(ed, path)
+        assert (ed.out, ed.ins, ed.labels) == before
+        assert real(NetworkEditor(ed.freeze()), path) == got
+        cases.append(got.case_id)
+        return got
+
+    monkeypatch.setattr(tcp, "match_case", checked)
+    nets = [parse_network(text) for text in CASE_FIXTURES.values()]
+    nets += [net for net, _ in _reduction_inputs()]
+    per_decide = []
+    for i, net in enumerate(nets):
+        start = len(cases)
+        displays(net, random_tree(sorted(net.label_set()), seed=i))
+        per_decide.append(len(cases) - start)
+    assert set(cases) >= {"A", "C"}
+    # a decide's second match reads an editor that its first case edited
+    assert sum(k > 1 for k in per_decide) > len(nets) // 2
 
 
 def test_case_coverage_with_fixture_supplement():
@@ -207,7 +228,8 @@ def test_case_coverage_with_fixture_supplement():
     seen = set()
     for text in CASE_FIXTURES.values():
         net = parse_network(text)
-        seen.add(match_case(net, find_longest_root_leaf_path(net)).case_id)
+        path = find_longest_root_leaf_path(net)
+        seen.add(match_case(NetworkEditor(net), path).case_id)
     assert seen == set("ABCDEFGHIJ")
 
 

@@ -128,7 +128,7 @@ def test_decide_keeps_untouched_input_tuples(monkeypatch):
 def test_fail_match_prints_adjacency_as_lists():
     net = parse_network("(((a,b),c),d);")
     with pytest.raises(InternalConsistencyError) as err:
-        match_case(net, find_longest_root_leaf_path(net))
+        match_case(NetworkEditor(net), find_longest_root_leaf_path(net))
     assert str(err.value) == (
         "parent 2 of the path leaf is not a reticulation; local structure:\n"
         "  0: in=[] out=[1, 6]\n"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from netdisplay import tcp
-from netdisplay.core import Branch, PhyloTree, classify
+from netdisplay.core import Branch, NetworkEditor, PhyloTree, classify
 from netdisplay.errors import (
     ClassPreconditionError,
     InternalConsistencyError,
@@ -210,7 +210,7 @@ def test_match_case_fixture(name):
     net.require_valid(require_binary=True)
     assert classify(net).nearly_stable
     path = find_longest_root_leaf_path(net)
-    m = match_case(net, path)
+    m = match_case(NetworkEditor(net), path)
     assert m.case_id == name.split("_")[0]
     b = m.bindings
     assert path[-4:] == [b["w"], b["u"], b["v"], b["l"]]
@@ -221,14 +221,125 @@ def test_match_case_fixture(name):
 def test_match_case_needs_long_path():
     net = parse_network("(a,b);")
     with pytest.raises(Exception):
-        match_case(net, find_longest_root_leaf_path(net))
+        match_case(NetworkEditor(net), find_longest_root_leaf_path(net))
 
 
 def test_match_case_dumps_local_structure_on_failure():
     net = parse_network("(((a,b),c),d);")
     with pytest.raises(InternalConsistencyError, match="local structure") as err:
-        match_case(net, find_longest_root_leaf_path(net))
+        match_case(NetworkEditor(net), find_longest_root_leaf_path(net))
     assert "is not a reticulation" in str(err.value)
+
+
+def _leaf_under(ed, v, label):
+    x = ed.new_vertex()
+    ed.add_branch(v, x)
+    ed.labels[x] = label
+
+
+def _label_below(ed, v):
+    """Move leaf v's label to a new child of v."""
+    _leaf_under(ed, v, ed.labels.pop(v))
+
+
+def _cherry_under(ed, v):
+    """Turn leaf v into the parent of two new leaves."""
+    label = ed.labels.pop(v)
+    _leaf_under(ed, v, label + "1")
+    _leaf_under(ed, v, label + "2")
+
+
+# every check of match_case that fails: the fixture, the edit of its
+# editor (the path stays the fixture's), the message and the vertices
+# the local structure dump shows
+MISMATCHES = {
+    "leaf_has_a_child": (
+        "C",
+        lambda ed: _label_below(ed, 4),
+        "path does not end in a leaf (4)",
+        [1, 2, 3, 4],
+    ),
+    "leaf_parent_is_a_tree_vertex": (
+        "C",
+        lambda ed: ed.remove_branch(7, 3),
+        "parent 3 of the path leaf is not a reticulation",
+        [1, 2, 3, 4],
+    ),
+    "chain_top_has_two_children": (
+        "A",
+        lambda ed: _leaf_under(ed, 2, "y"),
+        "vertex 2 is not a reticulation onto 3",
+        [1, 2, 3, 4],
+    ),
+    "chain_parent_has_three_children": (
+        "A",
+        lambda ed: _leaf_under(ed, 1, "y"),
+        "vertex 1 is not a binary parent of 2",
+        [1, 2, 3, 4],
+    ),
+    "chain_sibling_heads_no_uncle_nephew": (
+        "A",
+        lambda ed: _cherry_under(ed, 5),
+        "vertex 5 does not head an uncle-nephew pattern",
+        [1, 2, 3, 4, 5],
+    ),
+    "tree_parent_has_three_children": (
+        "C",
+        lambda ed: _leaf_under(ed, 2, "y"),
+        "vertex 2 is not a binary parent of 3",
+        [1, 2, 3, 4],
+    ),
+    "sibling_is_a_cherry": (
+        "C",
+        lambda ed: _cherry_under(ed, 5),
+        "sibling 5 of 3 is neither a leaf nor a reticulation onto a leaf",
+        [1, 2, 3, 4, 5],
+    ),
+    "grandparent_has_three_children": (
+        "D",
+        lambda ed: _leaf_under(ed, 1, "y"),
+        "vertex 1 is not a binary parent of 2",
+        [1, 2, 3, 4],
+    ),
+    "uncle_is_unary": (
+        "D",
+        lambda ed: _label_below(ed, 7),
+        "vertex 7 is neither a leaf nor a tree vertex",
+        [1, 2, 3, 4, 7],
+    ),
+    "cousin_is_a_cherry": (
+        "G",
+        lambda ed: _cherry_under(ed, 8),
+        "vertex 8 is neither a leaf nor a reticulation onto a leaf",
+        [1, 2, 3, 4, 7, 8],
+    ),
+    "uncle_heads_no_uncle_nephew": (
+        "J",
+        lambda ed: _cherry_under(ed, 10),
+        "vertex 7 does not head an uncle-nephew pattern",
+        [1, 2, 3, 4, 7],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, message, dumped", MISMATCHES.values(), ids=MISMATCHES
+)
+def test_match_case_names_each_mismatch(fixture, edit, message, dumped):
+    net = parse_network(CASE_FIXTURES[fixture])
+    path = find_longest_root_leaf_path(net)
+    assert path[-4:] == [1, 2, 3, 4]
+    ed = NetworkEditor(net)
+    edit(ed)
+    with pytest.raises(InternalConsistencyError) as err:
+        match_case(ed, path)
+    head, *rows = str(err.value).split("\n")
+    assert head == f"{message}; local structure:"
+    want = []
+    for x in dumped:
+        row = f"  {x}: in={list(ed.ins[x])} out={list(ed.out[x])}"
+        want.append(row + (f" label={ed.labels[x]}" if x in ed.labels else ""))
+    assert rows == want
 
 
 @pytest.mark.parametrize("name", sorted(CASE_FIXTURES))
@@ -241,7 +352,7 @@ def test_simplify_preserves_verdict(name):
         rng = random.Random(hash(name) & 0xFFFF)
         trees = [_random_tree(labels, rng) for _ in range(60)]
     path = find_longest_root_leaf_path(net)
-    m = match_case(net, path)
+    m = match_case(NetworkEditor(net), path)
     for tree in trees:
         before = oracle_displays(net, tree).displayed
         state = ReductionState(net, tree)
@@ -258,7 +369,7 @@ def test_simplify_preserves_verdict(name):
 def test_simplify_case_a_variants():
     net = parse_network(CASE_FIXTURES["A"])
     path = find_longest_root_leaf_path(net)
-    m = match_case(net, path)
+    m = match_case(NetworkEditor(net), path)
     labels = sorted(net.label_set())
     sib = tree_from_shape((("l", "lp"), "z"))
     non = tree_from_shape((("l", "z"), "lp"))

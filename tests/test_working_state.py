@@ -216,8 +216,9 @@ def _assert_same_tree_side(ted, ref: ReferenceTreeEditor) -> None:
     assert ted.leaf == {lab: v for v, lab in ref.labels.items()}
     assert list(ted.leaf) == list(ref.labels.values())
     assert {lab: (ted.tin[v] or [None])[0] for lab, v in ted.leaf.items()} == ref.parent_of
-    assert ted.live() == {v: tuple(ps) for v, ps in ref.ins.items()}
-    assert [v for v, ps in ted.live().items() if not ps] == [ref.root]
+    ins = ted.live()[1]
+    assert ins == {v: tuple(ps) for v, ps in ref.ins.items()}
+    assert [v for v, ps in ins.items() if not ps] == [ref.root]
     got, want = ted.freeze(), ref.freeze()
     assert type(got) is type(want) and got.next_id == want.next_id
     assert got._out == want._out and got._labels == want._labels
@@ -388,10 +389,12 @@ class _KeyLog(dict):
 def test_displays_builds_one_lean_working_state(monkeypatch):
     """Counts, not times, over one decide at n = 200 that ends in the
     oracle tail: one NetworkEditor (the net side), no Network built, no
-    tree-side freeze, no call of oracle_displays and no read of the tree's
-    child lists; and the set-up cherry scan reads child lists only at
-    parents of leaves, once each at most, with no cherry test call, and
-    files exactly the cherries a cherry test of every vertex finds."""
+    tree-side freeze, no call of oracle_displays, and the tree's child
+    lists read only by the tail, once per vertex of the live tree, which
+    is a small part of the tree; and the set-up cherry scan reads child
+    lists only at parents of leaves, once each at most, with no cherry
+    test call, and files exactly the cherries a cherry test of every
+    vertex finds."""
     net, tree = _n200_pair()
     require_tree(tree)  # memoizes the checks displays makes of the tree
     events: list = []
@@ -413,7 +416,14 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
     logged(Network, "__init__", "network")
     logged(reductions._TreeEditor, "freeze", "tree freeze")
     logged(tcp, "oracle_displays", "oracle")
-    logged(tcp, "_tail_displays", "tail")
+    real_tail, tail_leaves = tcp._tail_displays, []
+
+    def tail(state):
+        events.append("tail")
+        tail_leaves.append(len(state.tree.leaf))
+        return real_tail(state)
+
+    monkeypatch.setattr(tcp, "_tail_displays", tail)
     setup_cherry_tests: list = []
     states: list = []
     real_init, real_cherry_at = ReductionState.__init__, reductions._cherry_at
@@ -432,7 +442,9 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
     monkeypatch.setattr(ReductionState, "__init__", init)
     monkeypatch.setattr(reductions, "_cherry_at", cherry_at)
     assert displays(net, tree).displayed
-    assert events == ["editor", "tail"]
+    (k,) = tail_leaves  # a binary tree on k leaves has 2k - 1 vertices
+    assert events == ["editor", "tail"] + ["tree child list"] * (2 * k - 1)
+    assert 2 * k - 1 < len(tree) // 4
     assert setup_cherry_tests == []
     leaf_parents = {net.parents(v)[0] for v in net.leaves}
     assert len(setup_child_reads) == len(set(setup_child_reads)) > 10

@@ -15,12 +15,13 @@ cold, and only the `displays` call is timed.
 
 It prints one JSON object. Per class: the median ms of each side, the
 change of this side against the other in percent, and in how many pairs
-this side was faster; beside them the same for the median over the
-class's instances of each instance's minimum ms, which a slow host phase
-during some repetitions raises less than the plain median. `rate` is the
-share-weighted decide rate of each side, the sum over classes of share /
-median seconds, with the workload's `SHARES`, by which its `ops_per_s`
-weights its classes.
+this side was faster; beside them the quartiles and the median of the
+per-pair change (this / other - 1, in percent) over every back-to-back
+pair of the class, which a slow host phase during some repetitions moves
+less than it moves either side's median, since both sides of a pair run
+in it. `rate` is the share-weighted decide rate of each side, the sum
+over classes of share / median seconds, with the workload's `SHARES`, by
+which its `ops_per_s` weights its classes.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def main(argv: list[str]) -> int:
     shares = ns.SHARES
     data = ns.setup(args.seed, workdir=None).data  # ns-scaling writes no files
 
-    # class -> instance -> (this ns, other ns), one entry per repetition
-    times: dict = {k: [([], []) for _ in data[k]] for k in shares}
+    # class -> (this ns, other ns) per back-to-back pair
+    times: dict = {k: [] for k in shares}
     for rep in range(REPS):
         for k, cases in data.items():
             for i, (_, *case) in enumerate(cases):
@@ -75,8 +76,7 @@ def main(argv: list[str]) -> int:
                 got = {}
                 for s in (first, 1 - first):
                     got[s] = _time_decide(sides[s], *case)
-                times[k][i][0].append(got[0])
-                times[k][i][1].append(got[1])
+                times[k].append((got[0], got[1]))
     report = {
         "this": ROOT,
         "other": other_root,
@@ -88,27 +88,23 @@ def main(argv: list[str]) -> int:
         "rate": {},
     }
     medians = {}  # class -> (this ms, other ms)
-    for k, per_instance in times.items():
-        mine = [t for ts in per_instance for t in ts[0]]
-        theirs = [t for ts in per_instance for t in ts[1]]
+    for k, pairs in times.items():
+        mine, theirs = zip(*pairs)
         medians[k] = this_ms, other_ms = (
             statistics.median(mine) / 1e6, statistics.median(theirs) / 1e6
         )
-        this_min, other_min = (
-            statistics.median(min(ts[j]) for ts in per_instance) / 1e6 for j in (0, 1)
-        )
+        q1, mid, q3 = statistics.quantiles([(a / b - 1) * 100 for a, b in pairs], n=4)
         report["classes"][k] = {
             "share": shares[k],
-            "pairs": len(mine),
+            "pairs": len(pairs),
             "this_ms": round(this_ms, 4),
             "other_ms": round(other_ms, 4),
             "change_pct": round((this_ms / other_ms - 1) * 100, 2),
-            "this_wins": sum(a < b for a, b in zip(mine, theirs)),
-            "instances": len(per_instance),
-            "this_min_ms": round(this_min, 4),
-            "other_min_ms": round(other_min, 4),
-            "min_change_pct": round((this_min / other_min - 1) * 100, 2),
-            "this_min_wins": sum(min(ts[0]) < min(ts[1]) for ts in per_instance),
+            "this_wins": sum(a < b for a, b in pairs),
+            "instances": len(data[k]),
+            "pair_change_q1_pct": round(q1, 2),
+            "pair_change_median_pct": round(mid, 2),
+            "pair_change_q3_pct": round(q3, 2),
         }
     for tag, j in (("this", 0), ("other", 1)):
         report["rate"][tag] = round(
