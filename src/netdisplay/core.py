@@ -12,6 +12,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import filterfalse
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InternalConsistencyError, InvalidNetworkError
@@ -519,34 +520,90 @@ def _violations(
 
 
 def _stability(net: Network) -> tuple[list, list]:
-    """Every vertex's witness and the unstable vertices, memoized: a list
-    indexed by vertex id (ids are below next_id) of the smallest leaf each
-    vertex dominates (None if none), and the vertices without one in
-    topological order. InvalidNetworkError on an invalid network.
+    """Every vertex's stable flag and the unstable vertices, memoized: a
+    list indexed by vertex id (ids are below next_id) of whether the
+    vertex dominates some leaf, and the vertices that do not, in
+    topological order. Fills the `reticulations` memo on the way.
+    InvalidNetworkError on an invalid network.
 
-    Immediate dominators take one pass in topological order: every parent
-    is final before its child. A vertex dominates exactly the leaves whose
-    dominator chains (leaf, its idom, that one's idom, ..., root) hold it.
-    Leaves walk their chains in ascending order and stop at the first
-    vertex reached before. By induction over the walks, every vertex on
-    the chain above a reached one is reached, so a stop skips no
-    unreached vertex, and the first leaf to reach a vertex is its
-    smallest dominated leaf.
+    A vertex with one parent is dominated by it, so walking up from each
+    leaf while the vertex has one parent, and stopping at a vertex marked
+    before, marks only stable vertices. A walk stops at the root or at a
+    reticulation, whose immediate dominator it does not know. The marks
+    are exact unless some unmarked vertex with one parent has an unmarked
+    parent:
+
+    Lemma. If an unmarked vertex u is stable, then u has an unmarked
+    child with one parent.
+    Proof. Let w be the first vertex in topological order that u strictly
+    dominates. Every parent of w is dominated by u and comes before w, so
+    u does not strictly dominate it: it is u. A valid network has no
+    parallel branches, so w has exactly one parent, u. If w were marked, the walk through w would have marked
+    u.
+
+    Otherwise the walks resume from the reticulations they stopped at,
+    through immediate dominators (_dominators), each up to a vertex marked
+    before. Then the idom of every marked vertex is marked, so the marks
+    are the union of the leaves' dominator chains: the stable vertices.
+    Only a marked reticulation may resume, as an unmarked one dominates
+    no leaf and neither need its dominators.
     """
     found = net._cache.get("stab")
     if found is not None:
         return found
     net.require_valid()
-    order = net.topological_order()
-    root = net.root
     ins = net._in
-    idom, depth = [root] * net._next_id, [0] * net._next_id
-    for v in order:
+    stable = [False] * net._next_id
+    stops = []  # the reticulations the walks stopped at
+    # a valid network labels exactly its leaves
+    for v in net._labels:
+        while not stable[v]:
+            stable[v] = True
+            ps = ins[v]
+            if len(ps) != 1:
+                if ps:
+                    stops.append(v)
+                break
+            v = ps[0]
+    unstable = list(filterfalse(stable.__getitem__, net.topological_order()))
+    rets, exact = [], True  # the unstable reticulations; the lemma's test
+    for v in unstable:
         ps = ins[v]
-        if len(ps) == 1:  # a vertex with one parent is dominated by it
-            d = ps[0]
-        elif ps:  # meet the parents up the dominator tree
-            d = ps[0]
+        if len(ps) > 1:
+            rets.append(v)
+        elif ps and not stable[ps[0]]:
+            exact = False
+    net._cache["rets"] = tuple(sorted(stops + rets))
+    if not exact:
+        idom = _dominators(net)
+        for v in stops:
+            v = idom[v]
+            while not stable[v]:
+                stable[v] = True
+                v = idom[v]
+        unstable = list(filterfalse(stable.__getitem__, unstable))
+    found = net._cache["stab"] = (stable, unstable)
+    return found
+
+
+def _dominators(net: Network) -> list:
+    """Every vertex's immediate dominator, memoized: a list indexed by
+    vertex id, whose entry for the root is the root. The network must be
+    valid.
+
+    One pass in topological order: every parent is final before its
+    child, and a vertex's dominator is the meet of its parents up the
+    dominator tree.
+    """
+    found = net._cache.get("idom")
+    if found is not None:
+        return found
+    order, ins = net.topological_order(), net._in
+    idom, depth = [order[0]] * net._next_id, [0] * net._next_id
+    for v in order[1:]:  # after the root, the one vertex without parents
+        ps = ins[v]
+        d = ps[0]  # a vertex with one parent is dominated by it
+        if len(ps) > 1:  # meet the parents up the dominator tree
             for b in ps[1:]:
                 da, db = depth[d], depth[b]
                 while da > db:
@@ -555,27 +612,33 @@ def _stability(net: Network) -> tuple[list, list]:
                     b, db = idom[b], db - 1
                 while d != b:
                     d, b = idom[d], idom[b]
-        else:  # the root, the one vertex without parents
-            continue
         idom[v] = d
         depth[v] = depth[d] + 1
-    # a valid network labels exactly its leaves; idom[root] is the root
-    witness = [None] * net._next_id
-    for leaf in sorted(net._labels):
-        v = leaf
-        while witness[v] is None:
-            witness[v] = leaf
-            v = idom[v]
-    found = net._cache["stab"] = (witness, [v for v in order if witness[v] is None])
-    return found
+    net._cache["idom"] = idom
+    return idom
 
 
 def stability(net: Network) -> StabilityReport:
     """Stability flags and witness leaves (the smallest dominated leaf) for
-    every vertex, keyed in topological order. Built from _stability's memo
-    on the first call, and memoized in turn."""
+    every vertex, keyed in topological order. Memoized.
+
+    A vertex dominates exactly the leaves whose dominator chains (leaf,
+    its idom, that one's idom, ..., root) hold it. Leaves walk their
+    chains in ascending order and stop at the first vertex reached before.
+    By induction over the walks, every vertex on the chain above a
+    reached one is reached, so a stop skips no unreached vertex, and the
+    first leaf to reach a vertex is its smallest dominated leaf.
+    """
     if "stab_report" not in net._cache:
-        witness = _stability(net)[0]
+        net.require_valid()
+        idom = _dominators(net)
+        witness = [None] * net._next_id
+        # a valid network labels exactly its leaves; idom[root] is the root
+        for leaf in sorted(net._labels):
+            v = leaf
+            while witness[v] is None:
+                witness[v] = leaf
+                v = idom[v]
         wit = {v: witness[v] for v in net.topological_order()}
         stable = {v: w is not None for v, w in wit.items()}
         net._cache["stab_report"] = StabilityReport(stable, wit)
@@ -608,17 +671,18 @@ def _subphylogeny_free(net: Network) -> bool:
 
 
 # The network classes of the paper, each read off the parent tuples and
-# _stability's memo: tree-child (every vertex stable), reticulation-visible
-# (every reticulation stable; a leaf is its own witness, so an unstable
-# vertex with two parents is a reticulation) and nearly stable (every
-# vertex stable or all its parents stable).
+# _stability's memo, the stable flags and the unstable vertices; none
+# needs a witness leaf: tree-child (every vertex stable),
+# reticulation-visible (every reticulation stable; a leaf is stable, so
+# an unstable vertex with two parents is a reticulation) and nearly
+# stable (every vertex stable or all its parents stable).
 _CLASS_TESTS = {
-    "tree_child": lambda ins, witness, unstable: not unstable,
-    "reticulation_visible": lambda ins, witness, unstable: all(
+    "tree_child": lambda ins, stable, unstable: not unstable,
+    "reticulation_visible": lambda ins, stable, unstable: all(
         len(ins[v]) < 2 for v in unstable
     ),
-    "nearly_stable": lambda ins, witness, unstable: all(
-        witness[p] is not None for v in unstable for p in ins[v]
+    "nearly_stable": lambda ins, stable, unstable: all(
+        stable[p] for v in unstable for p in ins[v]
     ),
 }
 CLASSES = tuple(_CLASS_TESTS)
@@ -640,11 +704,11 @@ def classify(net: Network) -> ClassFlags:
     nearly stable, subphylogeny-free. Memoized on the (immutable) network."""
     if "class" in net._cache:
         return net._cache["class"]
-    ins, (witness, unstable) = net._in, _stability(net)
+    ins, (stable, unstable) = net._in, _stability(net)
     flags = ClassFlags(
         binary=validate(net, require_binary=True).ok,
         subphylogeny_free=_subphylogeny_free(net),
-        **{name: test(ins, witness, unstable) for name, test in _CLASS_TESTS.items()},
+        **{name: test(ins, stable, unstable) for name, test in _CLASS_TESTS.items()},
     )
     net._cache["class"] = flags
     return flags

@@ -228,8 +228,7 @@ class ReductionState:
         self.tree = ted = _TreeEditor(tree)
         self.net = NetworkEditor(net)
         out, ins, labels = net._out, net._in, net._labels
-        # a valid network has no leaf with two parents
-        self.rets = {v for v, ps in ins.items() if len(ps) > 1}
+        self.rets = set(net.reticulations)  # the stability pass memoizes them
         # One loop over the labelled leaves: check each label against the
         # tree side, file a cherry as _note_cherry would on meeting a tree
         # vertex's second leaf child, and set the next fresh label above

@@ -556,8 +556,11 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     """
     net.require_valid(require_binary=True)
     require_tree(tree)
+    # the class test memoizes the reticulations that the state reads; a
+    # leaf label mismatch is still reported first
+    nearly_stable = in_class(net, "nearly_stable")
     state = ReductionState(net, tree)  # checks the leaf label sets
-    if not in_class(net, "nearly_stable"):
+    if not nearly_stable:
         raise ClassPreconditionError(
             "containment reduction requires a nearly stable network"
         )

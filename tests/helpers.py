@@ -36,6 +36,12 @@ UNSTABLE_OVER_STABLE_RV = "((d,x1),(((lb)#H1,x3),#H1));"
 # parents an unstable reticulation, so the network is not nearly stable
 NOT_NEARLY_STABLE = "((((a)#H3)#H1,(b)#H2),(#H1,(#H2,(#H3,c))));"
 
+# nearly stable, but vertex 1 (over #H1's two parents) is stable only
+# through the meet at #H1: walking up one-parent chains from the leaves
+# stops at the three reticulations and marks neither vertex 1 nor the
+# root, so chain marks alone would call it not nearly stable
+MEET_STABLE = "((((x)#H1,(y)#H2),(#H1,(z)#H3)),(#H2,#H3));"
+
 # (net, tree) eNewick pairs whose displays traces are pinned, see
 # test_golden_traces.py
 GOLDEN = json.loads(

@@ -284,9 +284,9 @@ def test_contains_auto_folds_near_stability_once_per_call(files, capsys, monkeyp
     calls = []
     real = core._CLASS_TESTS["nearly_stable"]
 
-    def counting(ins, witness, unstable):
+    def counting(ins, stable, unstable):
         calls.append(ins)
-        return real(ins, witness, unstable)
+        return real(ins, stable, unstable)
 
     monkeypatch.setitem(core._CLASS_TESTS, "nearly_stable", counting)
     for rec in GOLDEN:

@@ -32,6 +32,7 @@ from netdisplay.tcp import Resolution, apply_resolution, displays
 
 from helpers import (
     GOLDEN,
+    MEET_STABLE,
     NOT_NEARLY_STABLE,
     RUNNING,
     UNSTABLE_OVER_STABLE,
@@ -324,6 +325,22 @@ def test_require_valid_raises():
         Network({0: []}, {5: "a"})
 
 
+@pytest.mark.parametrize(
+    "text, branches, message",
+    [
+        ("((a)#H1,(#H1,b));", [(0, 3)], "root chain child 1 has extra parents"),
+        ("(a,b);", [(0, 1), (0, 2)], "network degenerated to nothing"),
+        ("((a,b),c);", [(0, 1)], "vertex 1 lost all parents but is not the root"),
+    ],
+)
+def test_prune_names_each_broken_suppression(text, branches, message):
+    # removals that no reduction rule makes: each leaves a state that
+    # suppression cannot bring back to a network
+    ed = NetworkEditor(parse_network(text))
+    with pytest.raises(InternalConsistencyError, match=message):
+        ed.prune([Branch(*b) for b in branches])
+
+
 def _is_tree_vertex(net, v):
     return len(net.parents(v)) == 1 and len(net.children(v)) >= 2
 
@@ -440,6 +457,30 @@ def test_stability_local_structure_invariants():
                 assert len(ret_kids) < 2
 
 
+def test_nearly_stable_through_a_meet_takes_the_dominator_pass(monkeypatch):
+    import netdisplay.core as core
+
+    passes = []
+    real = core._dominators
+    monkeypatch.setattr(core, "_dominators", lambda net: passes.append(net) or real(net))
+    net = parse_network(MEET_STABLE)
+    h1 = 3
+    assert net.children(1) == net.parents(h1) == (2, 7)
+    stable, unstable = core._stability(net)
+    assert passes == [net]
+    assert stable[1] and stable[net.root]
+    assert unstable == [2, 7, 10]
+    assert [in_class(net, name) for name in CLASSES] == [False, True, True]
+    assert net.reticulations == (3, 5, 8)
+    # a network the leaf chains decide alone takes no dominator pass
+    chained = parse_network(RUNNING)
+    assert core._stability(chained)[1] == []
+    assert passes == [net]
+    # the witness report reads the same dominators, once
+    assert stability(net).stable == {v: stable[v] for v in net.topological_order()}
+    assert passes == [net, net] and "idom" in net._cache
+
+
 def test_classify_running_example_all_flags():
     flags = classify(parse_network(RUNNING))
     assert flags.to_dict() == {
@@ -504,15 +545,37 @@ def test_classify_monotone_tree_child_implies_nearly_stable():
     assert hits > 50
 
 
-def test_in_class_matches_reference_and_classify():
-    sample = class_sample(40, 500)
+def test_in_class_matches_reference_and_classify(monkeypatch):
+    """in_class against reference_in_class and classify, and under it
+    _stability's flags themselves, its unstable list and the reticulation
+    memo it fills against deletion_stability, on networks that the leaf
+    chains decide alone and on networks that need the dominator pass."""
+    import netdisplay.core as core
+
+    passes = []
+    real = core._dominators
+    monkeypatch.setattr(core, "_dominators", lambda net: passes.append(net) or real(net))
+    texts = [rec["net"] for rec in GOLDEN] + [MEET_STABLE, NOT_NEARLY_STABLE]
+    sample = class_sample(40, 500) + [parse_network(text) for text in texts]
     seen = set()
+    taken = {False: 0, True: 0}  # by whether the dominator pass ran
     for net in sample:
+        fresh = Network(net._out, net._labels, net.next_id)  # cold memo
+        before = len(passes)
+        stable, unstable = core._stability(fresh)
+        taken[len(passes) > before] += 1
+        ref = deletion_stability(net).stable
+        assert {v: stable[v] for v in net.vertices} == ref
+        assert unstable == [v for v in net.topological_order() if not ref[v]]
+        assert fresh._cache["rets"] == tuple(
+            v for v in net.vertices if len(net.parents(v)) > 1 and net.children(v)
+        )
         flags = classify(net).to_dict()
-        member = tuple(in_class(net, name) for name in CLASSES)
+        member = tuple(in_class(fresh, name) for name in CLASSES)
         assert member == tuple(reference_in_class(net, name) for name in CLASSES)
         assert member == tuple(flags[name] for name in CLASSES)
         seen.add(member)
+    assert taken[False] >= 50 and taken[True] >= 50
     # tree-child, visible but not tree-child, nearly stable only, neither,
     # and visible but not nearly stable all occur
     assert seen >= {

@@ -12,11 +12,13 @@ from netdisplay.errors import (
     InvalidNetworkError,
     LeafSetMismatchError,
     OracleCapExceededError,
+    PatternMismatchError,
 )
 from netdisplay.generator import GenSpec, generate
 from netdisplay.newick_io import parse_network, parse_tree, serialize
 from netdisplay.reductions import ReductionState, ReductionTrace
 from netdisplay.tcp import (
+    CaseMatch,
     Resolution,
     _case_removals,
     apply_resolution,
@@ -436,6 +438,9 @@ def test_displays_rejects_not_nearly_stable():
     tree = _random_tree(sorted(net.label_set()), random.Random(0))
     with pytest.raises(ClassPreconditionError):
         displays(net, tree)
+    # the class is tested first, but a leaf label mismatch is reported first
+    with pytest.raises(LeafSetMismatchError):
+        displays(parse_network(NOT_NEARLY_STABLE), parse_tree("((a,b),d);"))
 
 
 def test_deciders_reject_a_tree_argument_that_is_not_a_tree():
@@ -472,6 +477,62 @@ def test_displays_asks_only_for_near_stability(monkeypatch):
     # classify still folds every class flag of the same network
     assert classify(net).nearly_stable
     assert calls == [net]
+
+
+def test_case_helpers_refuse_a_missing_structure():
+    # ids: root 0 -> {1 -> {a=2, b=3}, c=4}
+    text = "((a,b),c);"
+    state = ReductionState(parse_network(text), parse_tree(text))
+    ed = state.net
+    with pytest.raises(PatternMismatchError, match="vertex 1 lacks a unique child besides 9"):
+        tcp._other_child(ed, 1, 9)
+    with pytest.raises(PatternMismatchError, match="vertex 1 lacks a unique parent besides 0"):
+        tcp._other_parent(ed, 1, 0)
+    with pytest.raises(PatternMismatchError, match="unknown case id 'K'"):
+        _case_removals(ed, state.tree, CaseMatch("K", {}))
+    bound = {"u": 0, "e": 3, "g": 1, "v": 2}
+    with pytest.raises(PatternMismatchError, match="bound branch 0->3 is absent"):
+        _case_removals(ed, state.tree, CaseMatch("E", bound))
+    with pytest.raises(InternalConsistencyError) as err:
+        tcp._fail_match(ed, "no match", [99, 1])
+    assert str(err.value).splitlines() == [
+        "no match; local structure:",
+        "  1: in=[0] out=[2, 3]",
+        "  99: <absent>",
+    ]
+
+
+def test_displays_loop_guards(monkeypatch):
+    # three reticulations: one case step, then the tail. No case rule can
+    # trip these guards, so the working state is made to misbehave.
+    (rec,) = (r for r in GOLDEN if r["name"] == "case_B")
+
+    def decide():
+        return displays(parse_network(rec["net"]), parse_tree(rec["tree"]))
+
+    with monkeypatch.context() as m:
+        m.setattr(tcp, "_case_removals", lambda ed, tree, match: ())
+        with pytest.raises(InternalConsistencyError, match="case B removed no reticulation"):
+            decide()
+
+    class Stalling(ReductionState):
+        """Each case step removes nothing but hides one reticulation, and
+        the next round's cherry collapses show it again, so every step
+        passes the progress guard and the loop never ends by itself."""
+
+        hidden = None
+
+        def remove(self, kind, branches):
+            self.hidden = self.rets.pop()
+
+        def collapse_cherries(self):
+            if self.hidden is not None:
+                self.rets.add(self.hidden)
+            super().collapse_cherries()
+
+    monkeypatch.setattr(tcp, "ReductionState", Stalling)
+    with pytest.raises(InternalConsistencyError, match="exceeded its iteration bound"):
+        decide()
 
 
 def test_displays_rejects_nonbinary():

@@ -471,9 +471,9 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
 ):
     """Counts over one split-cherry negative decide at n = 200: the net
     cherry whose labels the tree splits is filed one-sided at set-up, so
-    the decide runs the stability pass (dominators) once, builds no
-    StabilityReport, never runs LongestPaths' first pass and collapses no
-    cherry. The first len of its trace runs the pending collapses, one per
+    the decide runs the stability pass once, decided by the leaf chains
+    without the dominator pass, builds no StabilityReport, never runs
+    LongestPaths' first pass and collapses no cherry. The first len of its trace runs the pending collapses, one per
     row; later reads run none."""
     import netdisplay.core as core
 
@@ -491,15 +491,21 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
         tree._out, {v: swap.get(lab, lab) for v, lab in tree._labels.items()}
     )))
     passes: list = []
+    dominated: list = []
     firsts: list = []
     collapses: list = []
     real_stability, real_first = core._stability, LongestPaths._first
+    real_dominators = core._dominators
     real_collapse = reductions._collapse_cherry
 
     def counting_stability(n):
         if "stab" not in n._cache:
             passes.append(n)
         return real_stability(n)
+
+    def counting_dominators(n):
+        dominated.append(n)
+        return real_dominators(n)
 
     def counting_first(self):
         firsts.append(self)
@@ -513,6 +519,7 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
         raise AssertionError("the decide built a StabilityReport")
 
     monkeypatch.setattr(core, "_stability", counting_stability)
+    monkeypatch.setattr(core, "_dominators", counting_dominators)
     monkeypatch.setattr(core, "StabilityReport", no_report)
     monkeypatch.setattr(LongestPaths, "_first", counting_first)
     monkeypatch.setattr(reductions, "_collapse_cherry", counting_collapse)
@@ -520,6 +527,7 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     assert not got.displayed
     assert got.iterations == 1
     assert passes == [net]
+    assert dominated == []
     assert firsts == []
     assert collapses == []
     rows = len(got.trace)

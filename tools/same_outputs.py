@@ -22,6 +22,12 @@ and runs each side on the same inputs:
   key order), the three `in_class` flags and `class_stats`, each read
   from a freshly parsed network so that none answers from another's
   memo.
+- 300 generator specs for each of the classes "any",
+  "reticulation_visible" and "tree_child" (n = 3 to 30), whose networks
+  the class test often cannot decide from leaf chains alone, and
+  `MEET_STABLE`, which is nearly stable only through a dominator meet.
+  Each spec gives each side's draw, and each network a stability record
+  as above, followed by `reticulations` read after the class test.
 - the differential parse corpus of `tests/test_parse_differential.py`
   (valid texts, multi-statement streams, grammar-aware mutants, hand
   cases, fuzz-lite and random latin-1 strings), each text through
@@ -54,6 +60,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NS_SEEDS = (1, 101)
 DRAWS = 2000
 DRAW_SEED = 17
+CLASS_DRAWS = 300
+# nearly stable, but vertex 1 is stable only through the meet at #H1
+MEET_STABLE = "((((x)#H1,(y)#H2),(#H1,(z)#H3)),(#H2,#H3));"
 
 
 def _load(path: str, name: str):
@@ -123,6 +132,23 @@ def _generated(nd):
         yield f"gen:{i}:random", partial(_decide, net_text, nd.serialize(other))
 
 
+def _class_networks(nd):
+    """Per spec of each other class: each side's draw, then, on this
+    side's draw, each side's class record; last the hand network's."""
+    rng = random.Random(DRAW_SEED + 1)
+    for cls in ("any", "reticulation_visible", "tree_child"):
+        for i in range(CLASS_DRAWS):
+            n = rng.randint(3, 30)
+            spec = (n, rng.randint(0, n // 2 + 1), cls, DRAW_SEED * 100_000 + i)
+            yield f"cls:{cls}:{i}:generate", partial(_generate, spec, i)
+            try:
+                net_text = nd.serialize(nd.generate(nd.GenSpec(*spec)))
+            except nd.GenerationExhaustedError:
+                continue
+            yield f"cls:{cls}:{i}:stability", partial(_class_record, net_text)
+    yield "meet:stability", partial(_class_record, MEET_STABLE)
+
+
 def _kept(nd, kept) -> tuple:
     return tuple((r, nd.Branch(*b)) for r, b in kept)
 
@@ -166,6 +192,15 @@ def _stability(net_text: str, nd) -> str:
         f"witness={list(rep.witness.items())}\nstable={list(rep.stable.items())}"
         f"\nclasses={flags}\nstats={stats}"
     )
+
+
+def _class_record(net_text: str, nd) -> str:
+    """_stability's record and the reticulations of the network whose
+    class flags it read, as text."""
+    net = nd.parse_network(net_text)
+    for name in nd.CLASSES:
+        nd.in_class(net, name)
+    return f"{_stability(net_text, nd)}\nreticulations={net.reticulations}"
 
 
 def _parse_corpus():
@@ -245,7 +280,8 @@ def main(argv: list[str]) -> int:
     hashes = {tag: hashlib.sha256() for tag, _ in sides}
     count = 0
     groups_in_order = (
-        _parse_corpus(), _golden_pairs(), _ns_scaling_pairs(), _generated(mine)
+        _parse_corpus(), _golden_pairs(), _ns_scaling_pairs(), _generated(mine),
+        _class_networks(mine),
     )
     for groups in groups_in_order:
         for name, record in groups:
