@@ -115,7 +115,8 @@ class Network:
 
     @classmethod
     def _from_maps(
-        cls, out: dict, ins: dict, labels: dict, root: int | None, topo=None
+        cls, out: dict, ins: dict, labels: dict, root: int | None, topo=None,
+        leaf_of=None,
     ) -> "Network":
         """A network on maps its builder assembled, taken as they are.
 
@@ -127,12 +128,17 @@ class Network:
         before it compares values, and ids above 256 are distinct int
         objects of equal value. A builder that has proved
         the network valid and binary passes its topological order as
-        `topo`, and validate then answers from the memo.
+        `topo`, and validate then answers from the memo. One that has
+        proved it a tree also passes its label -> vertex map as `leaf_of`,
+        the memo _leaf_of answers from, and `reticulations` then answers
+        from the memo ().
         """
         net = object.__new__(cls)
         net._out, net._in, net._labels, net._root = out, ins, labels, root
         net._next_id = len(out)
-        net._cache = {} if topo is None else {"topo": topo, "valid": _CLEAN}
+        cache = net._cache = {} if topo is None else {"topo": topo, "valid": _CLEAN}
+        if leaf_of is not None:
+            cache["rets"], cache["leaf_of"] = (), leaf_of
         return net
 
     # -- structure accessors ------------------------------------------------
@@ -242,11 +248,26 @@ class Network:
 def require_tree(net: Network) -> None:
     """Raise InvalidNetworkError unless the network has the shape of a
     phylogenetic tree: no reticulation, valid and binary. Checks structure,
-    not type, so a reticulation-free binary Network passes. Sorts no
-    vertex unless some vertex has two parents."""
-    if max(map(len, net._in.values()), default=0) > 1 and net.num_reticulations:
+    not type, so a reticulation-free binary Network passes and a PhyloTree
+    constructed with a reticulation fails. Answers from the reticulation
+    memo when there is one, as on a parsed tree, which the parser proved
+    to have none; else sorts no vertex unless some vertex has two parents."""
+    rets = net._cache.get("rets")
+    if rets is None and max(map(len, net._in.values()), default=0) > 1:
+        rets = net.reticulations
+    if rets:
         raise InvalidNetworkError("network has reticulations; not a tree")
     net.require_valid(require_binary=True)
+
+
+def _leaf_of(net: Network) -> dict[str, int]:
+    """The label -> leaf vertex map of a network with distinct labels,
+    memoized; a parsed tree has it from the parser (see _from_maps).
+    Shared with the network: a reader that edits it edits a copy."""
+    found = net._cache.get("leaf_of")
+    if found is None:
+        found = net._cache["leaf_of"] = {lab: v for v, lab in net._labels.items()}
+    return found
 
 
 class PhyloTree(Network):

@@ -17,7 +17,8 @@ tag, child count); `_assemble` walks the arrays once, giving out vertex ids
 and building the child, parent and label maps, which
 `Network._from_maps` takes as they are. A parsed network is validated
 once, which fills the memo `validate` answers from; a parsed tree is valid
-by construction (see `_assemble`) and gets that memo without the checks.
+by construction (see `_assemble`) and gets that memo without the checks,
+with the memos of its label -> vertex map and of no reticulation.
 
 Serialization emits children smallest reachable leaf label first (stable
 for ties), renumbers hybrid tags 1..m in emission order, and prints each
@@ -244,6 +245,8 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
     reticulate, no branch is parallel and every degree is binary: both
     validate flavours are clean. Its topological order is 0..V-1, since a
     parent precedes its child and the smallest ready id is the next one.
+    The tree keeps that order, the label -> vertex map that found the
+    duplicates, and no reticulation as memos (see Network._from_maps).
     """
     par, lab, tag, kids, at = arrays
     out: list[list[int]] = []  # vertex -> children
@@ -254,7 +257,7 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
     # identity (ids above 256 are distinct objects of equal value)
     ids: list[int] = []
     labels: dict[int, str] = {}
-    names: set[str] = set()
+    leaf_of: dict[str, int] = {}  # label -> vertex
     tag_vertex: dict[int, int] = {}
     uses: dict[int, int] = {}
     carried: set[int] = set()
@@ -266,9 +269,9 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
             out.append([])
             if not kids[i]:
                 name = lab[i]
-                if name in names:
+                if name in leaf_of:
                     src.fail(at[i], f"duplicate leaf label {name!r}")
-                names.add(name)
+                leaf_of[name] = v
                 labels[v] = name
             if p < 0:
                 ins.append(())
@@ -314,7 +317,7 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
     out_map = dict(zip(ids, map(tuple, out)))
     ins_map = dict(zip(ids, ins))
     if cls is PhyloTree:
-        return cls._from_maps(out_map, ins_map, labels, root, tuple(ids))
+        return cls._from_maps(out_map, ins_map, labels, root, tuple(ids), leaf_of)
     net = cls._from_maps(out_map, ins_map, labels, root)
     outcome = validate(net)
     if not outcome.ok:

@@ -19,7 +19,7 @@ import heapq
 import re
 from dataclasses import dataclass
 
-from .core import Branch, Network, NetworkEditor, PhyloTree, require_tree
+from .core import Branch, Network, NetworkEditor, PhyloTree, _leaf_of, require_tree
 from .errors import InternalConsistencyError, LeafSetMismatchError
 
 _FRESH_RE = re.compile(r"^__r(\d+)$")
@@ -141,11 +141,13 @@ class _TreeEditor:
     `tin`, and each live internal vertex keeps both of its source
     children: a vertex loses children only when it becomes a leaf. A
     leaf's parent is always its source parent. live() and freeze() build
-    the live tree when called; only this module reads the three maps."""
+    the live tree when called; only this module reads the three maps.
+    `leaf` starts as a copy of the tree's label map (core._leaf_of), which
+    a parsed tree has from the parser."""
 
     def __init__(self, tree: PhyloTree):
         self.tin, self.tout = tree._in, tree._out
-        self.leaf = {lab: v for v, lab in tree._labels.items()}
+        self.leaf = dict(_leaf_of(tree))
         self._cls, self._next = type(tree), tree.next_id
 
     def live(self) -> tuple[dict, dict, dict]:
@@ -212,7 +214,9 @@ def _collapse_cherry(
 class ReductionState:
     """The reduction loop's working state, edited in place.
 
-    `net` is an editor of the net and `tree` the label-map tree side
+    `net` is an editor of the net, built at its first read, so a state
+    that its set-up decides (by a one-sided cherry) copies no net until
+    its pending collapses run, and `tree` is the label-map tree side
     (_TreeEditor). Beside them it keeps the reticulations of the net, its
     cherries split into a heap of the common ones (l1, l2, p) and the set
     of parents of the one-sided ones, and the number of the next fresh
@@ -226,7 +230,7 @@ class ReductionState:
 
     def __init__(self, net: Network, tree: PhyloTree):
         self.tree = ted = _TreeEditor(tree)
-        self.net = NetworkEditor(net)
+        self._source, self._net = net, None
         out, ins, labels = net._out, net._in, net._labels
         self.rets = set(net.reticulations)  # the stability pass memoizes them
         # One loop over the labelled leaves: check each label against the
@@ -262,9 +266,18 @@ class ReductionState:
         self.changed: set[int] = set()
         self.rows: list[tuple] = []
 
-    def _note_cherry(self, v: int) -> None:
-        """File the cherry under v, if any, as common or one-sided."""
-        ned = self.net
+    @property
+    def net(self) -> NetworkEditor:
+        """The net's editor, built at the first read. Loops bind it once:
+        a property load costs more than an attribute's."""
+        ned = self._net
+        if ned is None:
+            ned = self._net = NetworkEditor(self._source)
+        return ned
+
+    def _note_cherry(self, ned: NetworkEditor, v: int) -> None:
+        """File the cherry under v of the net's editor, if any, as common
+        or one-sided."""
         self.one_sided.discard(v)
         found = _cherry_at(ned.out, ned.ins, v)
         if found is None:
@@ -293,7 +306,7 @@ class ReductionState:
             self.fresh += 1
             rows.append(_collapse_cherry(ned, ted, l1, l2, p, lab))
             self.changed.add(p)  # p became a leaf; l1, l2 are gone
-            self._note_cherry(ned.ins[p][0])
+            self._note_cherry(ned, ned.ins[p][0])
 
     def remove(self, kind: str, branches: tuple) -> None:
         """Remove branches of the net and suppress from their ends
@@ -317,7 +330,7 @@ class ReductionState:
                 rets.add(v)
             else:
                 rets.discard(v)
-            self._note_cherry(v)
+            self._note_cherry(ned, v)
 
     def trace(self) -> ReductionTrace:
         """The trace over `rows`, with the common cherries still filed,

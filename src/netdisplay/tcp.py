@@ -552,7 +552,8 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     round's common-cherry collapses, which only feed the trace: their rows
     stay pending until the trace's first `len` or read of its steps (or
     to_text, ==, repr), and a negative verdict keeps its working state
-    alive until then (ReductionState.trace).
+    alive until then (ReductionState.trace). One filed at set-up decides
+    before the state copies the net, which those collapses then do.
     """
     net.require_valid(require_binary=True)
     require_tree(tree)
@@ -567,9 +568,7 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     # a valid network labels exactly its leaves
     m0 = len(state.rets)
     limit = m0 + len(net._labels) + 2
-    paths = LongestPaths(
-        state.net.out, state.net.ins, net.topological_order(), state.changed
-    )
+    ned = paths = None  # the editor and the path search, at the first case round
     iterations = 0
     certificate = None
     while True:
@@ -599,10 +598,13 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
             if not state.rows or not m0:
                 certificate = found
             break
+        if paths is None:
+            ned = state.net
+            paths = LongestPaths(ned.out, ned.ins, net.topological_order(), state.changed)
         tail = find_longest_root_leaf_path(paths)  # the last four vertices
-        matched = match_case(state.net, tail)
+        matched = match_case(ned, tail)
         before = len(state.rets)
-        removed = _case_removals(state.net, state.tree, matched)
+        removed = _case_removals(ned, state.tree, matched)
         state.remove(f"case_{matched.case_id}", removed)
         if len(state.rets) >= before:
             raise InternalConsistencyError(

@@ -12,11 +12,13 @@ from netdisplay.core import (
     Branch,
     Network,
     NetworkEditor,
+    PhyloTree,
     _subphylogeny_free,
     _topological_order,
     _violations,
     classify,
     in_class,
+    require_tree,
     stability,
     validate,
 )
@@ -323,6 +325,22 @@ def test_require_valid_raises():
         Network({0: [1, 3], 1: []}, {1: "a"})
     with pytest.raises(ValueError, match="label references unknown vertex 5"):
         Network({0: []}, {5: "a"})
+
+
+def test_require_tree_refuses_a_built_reticulation():
+    """A parsed tree answers require_tree from the parser's memo of no
+    reticulation. A Network or PhyloTree built by its constructor has no
+    such memo, and one with a reticulation is refused."""
+    net = parse_network(RUNNING)
+    for built in (Network(net._out, net._labels), PhyloTree(net._out, net._labels)):
+        assert "rets" not in built._cache
+        with pytest.raises(InvalidNetworkError, match="reticulations; not a tree"):
+            require_tree(built)
+    with pytest.raises(InvalidNetworkError, match="reticulations; not a tree"):
+        PhyloTree.from_network(net)
+    tree = parse_tree("((a,b),c);")
+    assert tree._cache["rets"] == ()
+    require_tree(tree)
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,11 @@ parse_tree, parse_trees) and through the reference in the same mode,
 except that the large single-statement valid corpus goes through the two
 single-statement ones; the streams cover the other two on valid input. An
 accepted text must give the same networks: type, root, next id, the
-child, parent and label maps item by item in order, and the validation
-memo (both outcomes and the topological order). A rejected one must give
+child, parent and label maps item by item in order, the validation
+memo (both outcomes and the topological order), `reticulations` and the
+label -> vertex map (core._leaf_of) item by item. A parsed tree answers
+those two from the parser's memos, the reference from its maps, so a
+memo that is wrong shows here. A rejected one must give
 the same exception text and the same diagnostics (offset, message,
 severity).
 """
@@ -16,7 +19,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from netdisplay.core import Network
+from netdisplay.core import Network, _leaf_of
 from netdisplay.errors import GenerationExhaustedError, NewickParseError
 from netdisplay.generator import GenSpec, generate, random_tree
 from netdisplay.newick_io import (
@@ -123,6 +126,8 @@ def _shape(net: Network):
         list(net._labels.items()),
         net._cache.get("valid"),
         net._cache.get("topo"),
+        net.reticulations,
+        list(_leaf_of(net).items()),
     )
 
 
@@ -158,13 +163,14 @@ def _load_bench_inputs():
     return mod
 
 
-def ns_scaling_texts(seeds=(1, 101)) -> list[str]:
-    """The ns-scaling builder's network, displayed tree and split-cherry
-    negative texts, as bench/workloads.py builds them."""
+def ns_scaling_instances(seeds=(1, 101)) -> list[list[str]]:
+    """The ns-scaling builder's instances, as bench/workloads.py builds
+    them: the network and displayed tree texts, and at n = 800 the
+    split-cherry negative tree's."""
     from netdisplay.core import classify
 
     inputs = _load_bench_inputs()
-    texts = []
+    instances = []
     for seed in seeds:
         for n, count in {100: 8, 200: 6, 400: 4, 800: 3}.items():
             for i in range(count):
@@ -173,10 +179,16 @@ def ns_scaling_texts(seeds=(1, 101)) -> list[str]:
                     n, n // 4, rng, lambda g: classify(Network(g.out, g.label))
                 )
                 tree = inputs.resolve(g, rng)
-                texts += [inputs.enewick(g), inputs.enewick(tree)]
+                texts = [inputs.enewick(g), inputs.enewick(tree)]
                 if n == 800:
                     texts.append(inputs.enewick(tree, inputs.split_cherry_swap(g, rng)))
-    return texts
+                instances.append(texts)
+    return instances
+
+
+def ns_scaling_texts(seeds=(1, 101)) -> list[str]:
+    """Every text of ns_scaling_instances, in order."""
+    return [text for texts in ns_scaling_instances(seeds) for text in texts]
 
 
 def generated_texts(draws: int = 2000, seed: int = 17) -> list[str]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from netdisplay import tcp
-from netdisplay.core import Branch, NetworkEditor, PhyloTree, classify
+from netdisplay.core import Branch, Network, NetworkEditor, PhyloTree, classify
 from netdisplay.errors import (
     ClassPreconditionError,
     InternalConsistencyError,
@@ -204,6 +204,18 @@ def test_longest_path_running_example():
 def test_longest_path_on_trees():
     assert find_longest_root_leaf_path(parse_network("((a,b),c);")) == [0, 1, 2]
     assert find_longest_root_leaf_path(parse_network("a;")) == [0]
+
+
+def test_longest_path_without_a_live_leaf_is_empty():
+    # a graph with no vertex, and a kept search after its editor lost
+    # every vertex
+    assert find_longest_root_leaf_path(Network({}, {})) == []
+    ed = NetworkEditor(parse_network("((a,b),c);"))
+    paths = tcp.LongestPaths(ed.out, ed.ins, (0, 1, 2, 3, 4), set())
+    assert paths.path() == [0, 1, 2]
+    ed.out.clear()
+    ed.ins.clear()
+    assert paths.path() == []
 
 
 @pytest.mark.parametrize("name", sorted(CASE_FIXTURES))

@@ -343,6 +343,32 @@ def test_tree_side_is_one_label_map_over_the_parsed_tree():
     assert ted.tout is tree._out and tree._out == tout
 
 
+def test_decides_leave_the_parsed_tree_label_map_as_parsed():
+    """A parsed tree carries the parser's label -> vertex map and its memo
+    of no reticulation. A whole decide, with its pending collapses run,
+    and a replay of its trace leave that map as parsed: the tree side
+    edits a copy. Over the golden pairs and the ns-scaling instances of
+    seeds 1 and 101, the split-cherry negatives included."""
+    from test_parse_differential import ns_scaling_instances
+
+    pairs = [(rec["net"], rec["tree"], True) for rec in GOLDEN]
+    for net_text, *tree_texts in ns_scaling_instances():
+        pairs += [(net_text, text, False) for text in tree_texts]
+    negatives = 0
+    for net_text, tree_text, replay in pairs:
+        net, tree = parse_network(net_text), parse_tree(tree_text)
+        memo = tree._cache["leaf_of"]
+        parsed = list(memo.items())
+        assert tree._cache["rets"] == () and len(parsed) == len(tree._labels)
+        verdict = displays(net, tree)
+        verdict.trace.to_text()  # runs the pending collapses
+        if replay:
+            replay_trace(net, tree, verdict.trace)
+        assert tree._cache["leaf_of"] is memo and list(memo.items()) == parsed
+        negatives += not verdict.displayed
+    assert len(pairs) == len(GOLDEN) + 48 and negatives >= 6
+
+
 class _CountingDict(dict):
     """A dict that logs every read of its values into `log`."""
 
@@ -473,8 +499,10 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     cherry whose labels the tree splits is filed one-sided at set-up, so
     the decide runs the stability pass once, decided by the leaf chains
     without the dominator pass, builds no StabilityReport, never runs
-    LongestPaths' first pass and collapses no cherry. The first len of its trace runs the pending collapses, one per
-    row; later reads run none."""
+    LongestPaths' first pass, collapses no cherry and builds no
+    NetworkEditor. The first len of its trace builds the one editor and
+    runs the pending collapses, one per row, the rows a state that
+    collapses at once records; later reads run none."""
     import netdisplay.core as core
 
     net, tree = _n200_pair()
@@ -494,9 +522,11 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     dominated: list = []
     firsts: list = []
     collapses: list = []
+    editors: list = []
     real_stability, real_first = core._stability, LongestPaths._first
     real_dominators = core._dominators
     real_collapse = reductions._collapse_cherry
+    real_editor = NetworkEditor.__init__
 
     def counting_stability(n):
         if "stab" not in n._cache:
@@ -515,6 +545,10 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
         collapses.append(args)
         return real_collapse(*args)
 
+    def counting_editor(self, source):
+        editors.append(source)
+        real_editor(self, source)
+
     def no_report(*args):
         raise AssertionError("the decide built a StabilityReport")
 
@@ -523,6 +557,7 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     monkeypatch.setattr(core, "StabilityReport", no_report)
     monkeypatch.setattr(LongestPaths, "_first", counting_first)
     monkeypatch.setattr(reductions, "_collapse_cherry", counting_collapse)
+    monkeypatch.setattr(NetworkEditor, "__init__", counting_editor)
     got = displays(net, tree)
     assert not got.displayed
     assert got.iterations == 1
@@ -530,12 +565,17 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     assert dominated == []
     assert firsts == []
     assert collapses == []
+    assert editors == []
     rows = len(got.trace)
     assert rows > 10 and len(collapses) == rows
+    assert editors == [net]
     assert len(got.trace) == rows
     text = got.trace.to_text()
-    assert len(collapses) == rows
+    assert len(collapses) == rows and editors == [net]
     assert [line.split()[0] for line in text.splitlines()] == ["cherry"] * rows
+    eager = ReductionState(net, tree)
+    eager.collapse_cherries()
+    assert got.trace == reductions.ReductionTrace(eager.rows)
 
 
 def test_removal_rounds_refile_only_live_vertices(monkeypatch):

@@ -33,8 +33,10 @@ and runs each side on the same inputs:
   cases, fuzz-lite and random latin-1 strings), each text through
   `parse_network`, `parse_networks`, `parse_tree` and `parse_trees`. A
   parse yields the networks (type, root, next id, the child, parent and
-  label maps item by item, and the validation memo) or the exception
-  text and every diagnostic.
+  label maps item by item, and the validation memo; of a tree also its
+  `reticulations` and its label -> vertex map item by item, which a
+  parsed tree answers from the parser's memos) or the exception text and
+  every diagnostic.
 
 Inputs are eNewick text, made once and parsed by each side. Each decide
 yields a record of `displayed`, `iterations`, the trace's length read
@@ -218,7 +220,7 @@ def _parse_corpus():
 
 
 def _parse(text: str, entry: str, nd) -> str:
-    """The parsed networks with their memo, or the error and its
+    """The parsed networks with their memos, or the error and its
     diagnostics, as text."""
     try:
         got = getattr(nd, entry)(text)
@@ -230,8 +232,21 @@ def _parse(text: str, entry: str, nd) -> str:
         f" out={list(net._out.items())} in={list(net._in.items())}"
         f" labels={list(net._labels.items())}"
         f" valid={net._cache.get('valid')} topo={net._cache.get('topo')}"
+        + (_tree_memos(net, nd) if type(net) is nd.PhyloTree else "")
         for net in (got if type(got) is list else [got])
     )
+
+
+def _tree_memos(tree, nd) -> str:
+    """A parsed tree's reticulations and label -> vertex map, item by
+    item. A checkout whose parser keeps no label map (no
+    `core._leaf_of`) gives the inverse of the labels."""
+    leaf_of = getattr(nd.core, "_leaf_of", None)
+    if leaf_of is None:
+        found = {lab: v for v, lab in tree._labels.items()}
+    else:
+        found = leaf_of(tree)
+    return f" rets={tree.reticulations} leaf_of={list(found.items())}"
 
 
 def _decide(net_text: str, tree_text: str, nd) -> str:
