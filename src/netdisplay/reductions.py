@@ -67,13 +67,14 @@ class ReductionTrace:
     happens, and ReductionState.trace hands that list to a trace, with
     the common-cherry collapses still due pending in `_pending` (the
     working state's bound collapse_cherries, which appends their rows to
-    the same list) when displays decided negatively before them: the
-    first `len` or read of `steps` runs it, once, and until then the
-    trace keeps that working state alive. Reading `steps` builds the
-    rows, all appended by then, into ReductionSteps in that list, once,
-    so a decide whose trace nobody reads builds no step. Equality, repr
-    and to_text read `steps`. A trace is mutable, so unhashable, and
-    ReductionTrace(steps) keeps the list it is given.
+    the same list, after filing the cherries that set-up left unfiled)
+    when displays decided negatively before them: the first `len` or
+    read of `steps` runs it, once, and until then the trace keeps that
+    working state alive. Reading `steps` builds the rows, all appended by
+    then, into ReductionSteps in that list, once, so a decide whose trace
+    nobody reads builds no step. Equality, repr and to_text read `steps`.
+    A trace is mutable, so unhashable, and ReductionTrace(steps) keeps the
+    list it is given.
     """
 
     __slots__ = ("_steps", "_pending")
@@ -214,41 +215,45 @@ def _collapse_cherry(
 class ReductionState:
     """The reduction loop's working state, edited in place.
 
-    `net` is an editor of the net, built at its first read, so a state
-    that its set-up decides (by a one-sided cherry) copies no net until
-    its pending collapses run, and `tree` is the label-map tree side
-    (_TreeEditor). Beside them it keeps the reticulations of the net, its
-    cherries split into a heap of the common ones (l1, l2, p) and the set
-    of parents of the one-sided ones, and the number of the next fresh
-    ``__r<k>`` label. Each edit re-checks these only where it changed the
-    net, and adds to `changed` every net vertex whose in-list or leafness
-    it changed, for a reader to drain; `rows` is the trace (trace()), one
-    row per edit. The leaf label sets are checked once, here, against the
-    tree side's label -> leaf map. The net must be valid and binary and
-    the tree a valid tree, as displays checks first.
+    `net` is an editor of the net, built at its first read, and `tree` is
+    the label-map tree side (_TreeEditor). Beside them it keeps the
+    reticulations of the net, its cherries split into a heap of the common
+    ones (l1, l2, p) and the set of parents of the one-sided ones, and the
+    number of the next fresh ``__r<k>`` label. Set-up files cherries only
+    up to the first one-sided one, which decides: the editor's build
+    (so the pending collapses) files the rest and reads the labels for
+    `fresh`. Each edit re-checks these only where it changed the net, and
+    adds to `changed` every net vertex whose in-list or leafness it
+    changed, for a reader to drain; `rows` is the trace (trace()), one row
+    per edit. The leaf label sets are checked once, here, against the tree
+    side's label -> leaf map. The net must be valid and binary and the
+    tree a valid tree, as displays checks first.
     """
 
     def __init__(self, net: Network, tree: PhyloTree):
         self.tree = ted = _TreeEditor(tree)
         self._source, self._net = net, None
-        out, ins, labels = net._out, net._in, net._labels
+        labels, tleaf = net._labels, ted.leaf
+        if len(tleaf) != len(labels) or not all(map(tleaf.__contains__, labels.values())):
+            _check_same_leaves(net, tree)  # raises, naming the labels
         self.rets = set(net.reticulations)  # the stability pass memoizes them
-        # One loop over the labelled leaves: check each label against the
-        # tree side, file a cherry as _note_cherry would on meeting a tree
-        # vertex's second leaf child, and set the next fresh label above
-        # the reserved ``__r<k>`` ones (each new label is the largest).
-        tleaf, tin = ted.leaf, ted.tin
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
-        first: dict[int, int] = {}  # leaf parent -> the leaf met under it
-        self.fresh = 0
-        for leaf, lab in labels.items():
-            if lab not in tleaf:
-                _check_same_leaves(net, tree)  # raises, naming the labels
-            if "__r" in lab:
-                m = _FRESH_RE.match(lab)
-                if m and int(m.group(1)) >= self.fresh:
-                    self.fresh = int(m.group(1)) + 1
+        self._first: dict[int, int] = {}  # leaf parent -> the leaf met under it
+        self._items = iter(labels.items())  # the labelled leaves not yet filed
+        self.changed: set[int] = set()
+        self.rows: list[tuple] = []
+        self._file()
+
+    def _file(self) -> None:
+        """File the source net's cherries as _note_cherry would, at each
+        tree vertex's second leaf child met, from where the last call
+        stopped up to the next one-sided one, which decides. At the end
+        heapify the common ones and set `fresh` above the reserved
+        ``__r<k>`` labels (each new label is the largest)."""
+        out, ins, labels = self._source._out, self._source._in, self._source._labels
+        tleaf, tin, first = self.tree.leaf, self.tree.tin, self._first
+        for leaf, lab in self._items:
             ps = ins[leaf]
             if not ps:
                 continue
@@ -260,18 +265,25 @@ class ReductionState:
                 self.common.append((other, leaf, p) if other < leaf else (leaf, other, p))
             else:
                 self.one_sided.add(p)
-        if len(tleaf) != len(labels):
-            _check_same_leaves(net, tree)
+                return
+        self._items = self._first = None
         heapq.heapify(self.common)
-        self.changed: set[int] = set()
-        self.rows: list[tuple] = []
+        self.fresh = 0
+        for lab in labels.values():
+            if "__r" in lab:
+                m = _FRESH_RE.match(lab)
+                if m and int(m.group(1)) >= self.fresh:
+                    self.fresh = int(m.group(1)) + 1
 
     @property
     def net(self) -> NetworkEditor:
-        """The net's editor, built at the first read. Loops bind it once:
-        a property load costs more than an attribute's."""
+        """The net's editor, built at the first read, which first finishes
+        the filing: the source net is not edited before. Loops bind it
+        once: a property load costs more than an attribute's."""
         ned = self._net
         if ned is None:
+            while self._items is not None:
+                self._file()
             ned = self._net = NetworkEditor(self._source)
         return ned
 
@@ -333,10 +345,11 @@ class ReductionState:
             self._note_cherry(ned, v)
 
     def trace(self) -> ReductionTrace:
-        """The trace over `rows`, with the common cherries still filed,
-        which only a negative verdict leaves, pending (see ReductionTrace)."""
+        """The trace over `rows`, with the common cherries still filed or
+        not yet filed, which only a negative verdict leaves, pending (see
+        ReductionTrace)."""
         trace = ReductionTrace(self.rows)
-        if self.common:
+        if self.common or self._items is not None:
             trace._pending = self.collapse_cherries
         return trace
 

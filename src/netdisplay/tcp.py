@@ -552,8 +552,9 @@ def displays(net: Network, tree: PhyloTree) -> ContainmentVerdict:
     round's common-cherry collapses, which only feed the trace: their rows
     stay pending until the trace's first `len` or read of its steps (or
     to_text, ==, repr), and a negative verdict keeps its working state
-    alive until then (ReductionState.trace). One filed at set-up decides
-    before the state copies the net, which those collapses then do.
+    alive until then (ReductionState.trace). Set-up files cherries only
+    up to the first one-sided one, which decides before the state copies
+    the net; those collapses file the rest, then copy it.
     """
     net.require_valid(require_binary=True)
     require_tree(tree)

@@ -249,6 +249,23 @@ def test_try_augment_raises_on_a_cycle_without_free_tail():
         bounds._try_augment(net, r1, {t1: r2, t2: r1})
 
 
+def test_dummy_free_removal_rejects_a_matching_off_the_parents(monkeypatch):
+    # a matching that gives the reticulation a tail that is not its
+    # parent leaves it both in-branches
+    net = parse_network(RUNNING)
+    (r,) = net.reticulations
+
+    def off_parents(net, ret, match_of_tail):
+        match_of_tail[-1 - ret] = ret
+
+    monkeypatch.setattr(bounds, "_try_augment", off_parents)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=f"^reticulation {r} lacks a unique kept in-branch$",
+    ):
+        select_dummy_free_removal(net)
+
+
 def test_transform_stabilizes_frozen_example():
     out, before, after = ns_to_rv_transform(parse_network(UNSTABLE_OVER_STABLE))
     assert serialize(out) == UNSTABLE_OVER_STABLE_RV

@@ -1,12 +1,14 @@
 """Exercise the command line surface through main()."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from netdisplay import core
 from netdisplay.cli import main
-from netdisplay.errors import InternalConsistencyError
+from netdisplay.errors import InternalConsistencyError, NewickParseError
+from netdisplay.newick_io import parse_network
 
 from helpers import GOLDEN, UNSTABLE_OVER_STABLE, UNSTABLE_OVER_STABLE_RV, NOT_NEARLY_STABLE, RUNNING
 
@@ -162,11 +164,16 @@ def test_contains_trace_prints_the_golden_trace(files, capsys):
 
 
 def test_contains_leaf_mismatch_exit_3(files, capsys):
-    code = main(
-        ["contains", files("net.nwk", RUNNING), files("tree.nwk", "((a,b),d);")]
-    )
-    assert code == 3
-    assert "leaf" in capsys.readouterr().err
+    for tree, differ in [
+        ("((a,b),d);", "['c', 'd']"),  # as many labels, not the same ones
+        ("(((a,b),c),d);", "['d']"),  # one more on the tree side
+        ("(a,b);", "['c']"),  # one more on the network side
+    ]:
+        code = main(["contains", files("net.nwk", RUNNING), files("tree.nwk", tree)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"netdisplay: leaf label sets differ: {differ}\n"
 
 
 def test_contains_fast_rejects_not_nearly_stable(files, capsys):
@@ -307,6 +314,71 @@ def test_transform_rejects_not_nearly_stable(files, capsys):
     code = main(["transform", "--to", "rv", files("net.nwk", NOT_NEARLY_STABLE)])
     assert code == 4
     capsys.readouterr()
+
+
+def _census_after(monkeypatch, **fields) -> None:
+    """Make the transform's census of its output (the second class_stats
+    call) report the given fields."""
+    from netdisplay import bounds
+
+    real, calls = bounds.class_stats, []
+
+    def census(net):
+        calls.append(net)
+        stats = real(net)
+        return replace(stats, **fields) if len(calls) == 2 else stats
+
+    monkeypatch.setattr(bounds, "class_stats", census)
+
+
+def _output_still_unstable(monkeypatch) -> str:
+    _census_after(monkeypatch, u_ret=1)
+    return "rewiring finished without reaching reticulation visibility"
+
+
+def _output_gains_stable(monkeypatch) -> str:
+    _census_after(monkeypatch, s_ret=3, u_ret=0)  # the input has 1 + 1
+    return "stable reticulation count moved outside its promised range"
+
+
+def _leaf_parent_called_unstable(monkeypatch) -> str:
+    """Make the transform's stability pass call UNSTABLE_OVER_STABLE's
+    stable reticulation, whose child is the leaf lb, its one unstable vertex."""
+    from netdisplay import bounds
+
+    net = parse_network(UNSTABLE_OVER_STABLE)
+    (ret,) = (r for r in net.reticulations if not net.children(net.children(r)[0]))
+    real = bounds._stability
+    monkeypatch.setattr(bounds, "_stability", lambda n: (real(n)[0], [ret]))
+    return f"unstable reticulation {ret} lacks a reticulation child"
+
+
+@pytest.mark.parametrize(
+    "breaks", [_leaf_parent_called_unstable, _output_still_unstable, _output_gains_stable]
+)
+def test_transform_self_checks_exit_5(files, capsys, monkeypatch, breaks):
+    """The transform's three self-checks, each reached by a stability pass
+    or an output census made to misbehave, exit 5 with their message."""
+    message = breaks(monkeypatch)
+    code = main(["transform", "--to", "rv", files("net.nwk", UNSTABLE_OVER_STABLE)])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"netdisplay: {message}\n"
+
+
+def test_parse_error_without_diagnostics_exit_3(files, capsys, monkeypatch):
+    """A NewickParseError that carries no diagnostic (the parser always
+    gives one) is reported by its own message."""
+
+    def broken(text):
+        raise NewickParseError("no statement")
+
+    monkeypatch.setattr("netdisplay.cli.parse_network", broken)
+    assert main(["validate", files("net.nwk", RUNNING)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "netdisplay: no statement\n"
 
 
 def test_gen_deterministic_with_metadata(capsys):

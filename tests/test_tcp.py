@@ -438,11 +438,15 @@ def test_displays_matches_tree_equality_on_every_tree_pair(k, monkeypatch):
 
 
 def test_displays_rejects_leaf_mismatch():
-    with pytest.raises(LeafSetMismatchError):
+    # as many labels, not the same ones
+    with pytest.raises(LeafSetMismatchError, match=r"differ: \['c', 'd'\]$"):
         displays(parse_network(RUNNING), parse_tree("((a,b),d);"))
     # every label of the network, and one more
     with pytest.raises(LeafSetMismatchError, match=r"differ: \['d'\]"):
         displays(parse_network(RUNNING), parse_tree("(((a,b),c),d);"))
+    # every label of the tree, and one more on the network side
+    with pytest.raises(LeafSetMismatchError, match=r"^leaf label sets differ: \['c'\]$"):
+        displays(parse_network(RUNNING), parse_tree("(a,b);"))
 
 
 def test_displays_rejects_not_nearly_stable():

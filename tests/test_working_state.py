@@ -475,11 +475,20 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
     leaf_parents = {net.parents(v)[0] for v in net.leaves}
     assert len(setup_child_reads) == len(set(setup_child_reads)) > 10
     assert set(setup_child_reads) <= leaf_parents
-    # what a cherry test of every vertex files, as _note_cherry files it
+    common, one_sided = _filed_by_cherry_tests(net, tree)
+    ((setup_common, setup_one_sided),) = states
+    assert sorted(setup_common) == sorted(common) and setup_one_sided == one_sided
+    assert common and not one_sided
+
+
+def _filed_by_cherry_tests(net: Network, tree: PhyloTree) -> tuple[list, set]:
+    """The sorted common cherries (l1, l2, p) and the parents of the
+    one-sided ones that a cherry test of every vertex of the net finds,
+    as _note_cherry files them."""
     sides = {tree.label(v): tree.parents(v)[0] for v in tree.leaves}
     common, one_sided = [], set()
     for v in net.vertices:
-        found = real_cherry_at(net._out, net._in, v)
+        found = reductions._cherry_at(net._out, net._in, v)
         if found is None:
             continue
         l1, l2, _ = found
@@ -487,9 +496,7 @@ def test_displays_builds_one_lean_working_state(monkeypatch):
             common.append(found)
         else:
             one_sided.add(v)
-    ((setup_common, setup_one_sided),) = states
-    assert sorted(setup_common) == sorted(common) and setup_one_sided == one_sided
-    assert common
+    return sorted(common), one_sided
 
 
 def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
@@ -500,9 +507,11 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     the decide runs the stability pass once, decided by the leaf chains
     without the dominator pass, builds no StabilityReport, never runs
     LongestPaths' first pass, collapses no cherry and builds no
-    NetworkEditor. The first len of its trace builds the one editor and
-    runs the pending collapses, one per row, the rows a state that
-    collapses at once records; later reads run none."""
+    NetworkEditor. Set-up reads the net's labelled leaves only up to the
+    second leaf of the first one-sided cherry in label order. The first
+    len of its trace files the rest, builds the one editor and runs the
+    pending collapses, one per row, the rows of a state that files every
+    cherry and collapses at once; later reads run none."""
     import netdisplay.core as core
 
     net, tree = _n200_pair()
@@ -518,6 +527,27 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     tree = parse_tree(serialize(PhyloTree(
         tree._out, {v: swap.get(lab, lab) for v, lab in tree._labels.items()}
     )))
+    # the leaves in label order up to the first one-sided cherry's second
+    tparent = {tree.label(v): tree.parents(v)[0] for v in tree.leaves}
+    met, order = {}, list(net._labels)
+    for stop, leaf in enumerate(order):
+        q = net.parents(leaf)[0]
+        other = met.setdefault(q, leaf)
+        cherry = reductions._cherry_at(net._out, net._in, q)
+        if other != leaf and cherry and tparent[net.label(leaf)] != tparent[net.label(other)]:
+            break
+    assert 0 < stop < len(order) - 10
+    in_setup: list = []
+    leaf_reads: list = []
+    net._in = _KeyLog(net._in, leaf_reads, in_setup)
+    real_init = ReductionState.__init__
+
+    def init(self, *args):
+        in_setup.append(True)
+        real_init(self, *args)
+        in_setup.pop()
+
+    monkeypatch.setattr(ReductionState, "__init__", init)
     passes: list = []
     dominated: list = []
     firsts: list = []
@@ -566,16 +596,44 @@ def test_split_cherry_negative_runs_one_stability_pass_and_no_path_query(
     assert firsts == []
     assert collapses == []
     assert editors == []
+    leaves = set(net._labels)
+    assert [v for v in leaf_reads if v in leaves] == order[: stop + 1]
+    in_setup.append(True)  # log the reads that the pending collapses make
     rows = len(got.trace)
+    in_setup.pop()
     assert rows > 10 and len(collapses) == rows
     assert editors == [net]
+    assert [v for v in leaf_reads if v in leaves] == order
     assert len(got.trace) == rows
     text = got.trace.to_text()
     assert len(collapses) == rows and editors == [net]
     assert [line.split()[0] for line in text.splitlines()] == ["cherry"] * rows
     eager = ReductionState(net, tree)
+    eager.net  # files every cherry
+    assert (sorted(eager.common), eager.one_sided) == _filed_by_cherry_tests(net, tree)
     eager.collapse_cherries()
     assert got.trace == reductions.ReductionTrace(eager.rows)
+
+
+def test_fresh_labels_start_above_the_reserved_labels_of_the_input():
+    """The API-built net (((a,b),(__r3,__r7)),c), whose labels the parser
+    would refuse, gets ``__r8`` as its first fresh label: on a positive,
+    and on a negative that the one-sided cherry (a,b), first in label
+    order, decides at set-up, before set-up reaches the common cherry or
+    reads the labels for the next fresh one. Reading that negative's
+    trace files and collapses the common cherry."""
+    out = {0: [1, 8], 1: [2, 3], 2: [4, 5], 3: [6, 7], 4: [], 5: [], 6: [], 7: [], 8: []}
+    labels = {4: "a", 5: "b", 6: "__r3", 7: "__r7", 8: "c"}
+    net = Network(out, labels)
+    same = displays(net, PhyloTree(out, labels))
+    assert same.displayed
+    assert [s.introduced_leaf[1] for s in same.trace.steps] == [
+        "__r8", "__r9", "__r10"
+    ]
+    split = {**labels, 5: "c", 8: "b"}  # (((a,c),(__r3,__r7)),b)
+    got = displays(net, PhyloTree(out, split))
+    assert not got.displayed and got.iterations == 1
+    assert got.trace.to_text() == "cherry removed=3->6,3->7 contracted= introduced=3:__r8"
 
 
 def test_removal_rounds_refile_only_live_vertices(monkeypatch):
