@@ -4,6 +4,8 @@ seeded generator."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     CLASSES,
     Branch,
@@ -67,59 +69,8 @@ from .bounds import (
 )
 from .generator import RNG_NAME, GenSpec, generate, random_tree
 
+# the public surface is every name imported above
 __all__ = [
-    "CLASSES",
-    "Branch",
-    "BoundCheck",
-    "BoundReport",
-    "CaseMatch",
-    "ClassFlags",
-    "ClassPreconditionError",
-    "ClassStats",
-    "ContainmentVerdict",
-    "DEFAULT_ORACLE_CAP",
-    "GenSpec",
-    "GenerationExhaustedError",
-    "InternalConsistencyError",
-    "InvalidNetworkError",
-    "LeafSetMismatchError",
-    "Network",
-    "NetworkEditor",
-    "NetworkError",
-    "NewickParseError",
-    "OracleCapExceededError",
-    "ParseDiagnostic",
-    "PatternMismatchError",
-    "PhyloTree",
-    "ReductionStep",
-    "ReductionTrace",
-    "Resolution",
-    "RNG_NAME",
-    "StabilityReport",
-    "ValidationOutcome",
-    "Violation",
-    "apply_resolution",
-    "canonical_equal",
-    "class_stats",
-    "classify",
-    "displays",
-    "find_longest_root_leaf_path",
-    "generate",
-    "in_class",
-    "match_case",
-    "ns_to_rv_transform",
-    "oracle_displays",
-    "parse_network",
-    "parse_networks",
-    "parse_tree",
-    "parse_trees",
-    "random_tree",
-    "replay_trace",
-    "select_dummy_free_removal",
-    "serialize",
-    "stability",
-    "trees_equal",
-    "validate",
-    "verify_bounds",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

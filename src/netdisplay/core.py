@@ -89,11 +89,12 @@ class Network:
     __slots__ = ("_out", "_in", "_labels", "_root", "_next_id", "_cache")
 
     def __init__(
-        self,
-        out_adj: Mapping[int, Iterable[int]],
-        leaf_labels: Mapping[int, str],
+        self, out_adj: Mapping[int, Iterable[int]], leaf_labels: Mapping[int, str],
         next_id: int | None = None,
     ):
+        """The public constructor: builds the parent tuples, the root and
+        the next id from `out_adj` and `leaf_labels`, as _from_maps takes
+        them."""
         out = {v: tuple(cs) for v, cs in out_adj.items()}
         ins: dict[int, list[int]] = {v: [] for v in out}
         for v, cs in out.items():
@@ -104,42 +105,42 @@ class Network:
         for v in leaf_labels:
             if v not in out:
                 raise ValueError(f"label references unknown vertex {v}")
-        self._out = out
-        self._in = {v: tuple(ps) for v, ps in ins.items()}
-        self._labels = dict(leaf_labels)
-        roots = [v for v, ps in self._in.items() if not ps]
-        self._root = min(roots) if roots else None
+        root = min((v for v, ps in ins.items() if not ps), default=None)
         top = max(out) + 1 if out else 0
-        self._next_id = top if next_id is None else max(next_id, top)
-        self._cache: dict = {}
+        self._take(
+            out, {v: tuple(ps) for v, ps in ins.items()}, dict(leaf_labels), root,
+            top if next_id is None else max(next_id, top),
+        )
+
+    def _take(self, out, ins, labels, root, next_id, cache=None) -> "Network":
+        self._out, self._in, self._labels, self._root = out, ins, labels, root
+        self._next_id, self._cache = next_id, {} if cache is None else cache
+        return self
 
     @classmethod
     def _from_maps(
-        cls, out: dict, ins: dict, labels: dict, root: int | None, topo=None,
-        leaf_of=None,
+        cls, out: dict, ins: dict, labels: dict, root: int | None, next_id: int,
+        topo=None, leaf_of=None, fresh=None,
     ) -> "Network":
-        """A network on maps its builder assembled, taken as they are.
-
-        `out` and `ins` key the ids 0..len(out)-1 in order to child and
-        parent tuples that are each other's inverse, with each parent
-        tuple in ascending id order; `root` is the smallest parentless id.
-        These are the maps __init__ would build. The tuples should hold
+        """A network that keeps the maps its builder made, with no work
+        per vertex; the builder must not edit them after. They must be the
+        maps __init__ builds from `out` and `labels`: `ins` keyed like
+        `out`, each parent tuple in `out`'s key order; `root` the smallest
+        parentless id; `next_id` above every id. The tuples should hold
         the key objects themselves: a dict matches a key by identity
-        before it compares values, and ids above 256 are distinct int
-        objects of equal value. A builder that has proved
-        the network valid and binary passes its topological order as
-        `topo`, and validate then answers from the memo. One that has
-        proved it a tree also passes its label -> vertex map as `leaf_of`,
-        the memo _leaf_of answers from, and `reticulations` then answers
-        from the memo ().
+        first, and ids above 256 are distinct int objects of equal value.
+        Memo hints a builder has proved: the topological order `topo` of a
+        valid binary network (validate answers from it), a tree's label
+        -> vertex map `leaf_of` (so _leaf_of, and `reticulations` with ())
+        and `fresh`, the first ``__r<k>`` not in use, which the reduction
+        loop then need not scan the labels for.
         """
-        net = object.__new__(cls)
-        net._out, net._in, net._labels, net._root = out, ins, labels, root
-        net._next_id = len(out)
-        cache = net._cache = {} if topo is None else {"topo": topo, "valid": _CLEAN}
+        cache = {} if topo is None else {"topo": topo, "valid": _CLEAN}
         if leaf_of is not None:
             cache["rets"], cache["leaf_of"] = (), leaf_of
-        return net
+        if fresh is not None:
+            cache["fresh"] = fresh
+        return object.__new__(cls)._take(out, ins, labels, root, next_id, cache)
 
     # -- structure accessors ------------------------------------------------
 
@@ -275,8 +276,10 @@ class PhyloTree(Network):
 
     @classmethod
     def from_network(cls, net: Network) -> "PhyloTree":
+        """The network as a tree, on its own (immutable) maps; the memos
+        stay with the network."""
         require_tree(net)
-        return cls(net._out, net._labels, next_id=net.next_id)
+        return cls._from_maps(net._out, net._in, net._labels, net._root, net._next_id)
 
 
 def _without(t: tuple, x: int) -> tuple:
@@ -305,8 +308,8 @@ class NetworkEditor:
         self.ins = dict(net._in)
         self.labels = dict(net._labels)
         self.root = net._root
-        self._next = net.next_id
-        self._cls = type(net)
+        self._new = self._next = net.next_id  # _new: the first id made here
+        self._cls, self._appended, self._rank = type(net), set(), None  # see freeze
 
     def new_vertex(self) -> int:
         v = self._next
@@ -322,7 +325,9 @@ class NetworkEditor:
                 f"adding branch {tail}->{head} would create a parallel branch"
             )
         out[tail] += (head,)
-        self.ins[head] += (tail,)
+        ps, self.ins[head] = self.ins[head], self.ins[head] + (tail,)
+        if ps and (tail < self._new or tail < max(ps)):
+            self._appended.add(head)
 
     def remove_branch(self, tail: int, head: int) -> None:
         out, ins = self.out, self.ins
@@ -424,6 +429,8 @@ class NetworkEditor:
                     labels.pop(v, None)
                     out[p] = _without(out[p], v) + (c,)
                     ins[c] = _without(ins[c], v) + (p,)
+                    if len(ins[c]) > 1:
+                        self._appended.add(c)
                     contracted.append(v)
                     nxt = (p, c)
             else:
@@ -439,7 +446,35 @@ class NetworkEditor:
         return contracted
 
     def freeze(self) -> Network:
-        return self._cls(self.out, self.labels, next_id=self._next)
+        """The network __init__ builds from `out`, `labels` and the next
+        id, of the source's class, on copies of the maps.
+
+        __init__ lists parents in `out`'s key order: the source's keys in
+        its order, less deleted ones, then those made here, in id order.
+        A parent tuple keeps that order as parents leave it, but not
+        always where add_branch or suppress append one. Those vertices
+        wait in `_appended` (add_branch skips a vertex made here above
+        every parent there: it comes last), and just their tuples are
+        sorted, by key position (`_rank`, taken at the first sort; later
+        vertices follow in id order). The editor keeps its own order,
+        which suppress's sweep reads. `root` is the source's, moved only
+        by suppress's root-chain contraction: __init__'s smallest
+        parentless id while every other parentless vertex has a larger
+        id, as new_vertex's do and suppress lets no other stay.
+        """
+        out, ins, appended = dict(self.out), dict(self.ins), self._appended
+        if appended:
+            if self._rank is None:
+                self._rank = {v: i for i, v in enumerate(out)}
+            rank, top = self._rank.get, len(self._rank)
+            for c in list(appended):
+                ps = ins.get(c, ())
+                fixed = tuple(sorted(ps, key=lambda v: rank(v, top + v)))
+                if fixed == ps:  # in order until the next append
+                    appended.discard(c)
+                else:
+                    ins[c] = fixed
+        return self._cls._from_maps(out, ins, dict(self.labels), self.root, self._next)
 
 
 # -- operations ---------------------------------------------------------------

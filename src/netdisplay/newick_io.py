@@ -18,7 +18,8 @@ and building the child, parent and label maps, which
 `Network._from_maps` takes as they are. A parsed network is validated
 once, which fills the memo `validate` answers from; a parsed tree is valid
 by construction (see `_assemble`) and gets that memo without the checks,
-with the memos of its label -> vertex map and of no reticulation.
+with the memos of its label -> vertex map and of no reticulation. Both
+memoize that no label is in the reserved namespace.
 
 Serialization emits children smallest reachable leaf label first (stable
 for ties), renumbers hybrid tags 1..m in emission order, and prints each
@@ -316,9 +317,10 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
     root = None if ins[0] else 0  # a vertex but 0 has the parent it was placed under
     out_map = dict(zip(ids, map(tuple, out)))
     ins_map = dict(zip(ids, ins))
+    # _Source refused the reserved namespace: the first free __r<k> is 0
     if cls is PhyloTree:
-        return cls._from_maps(out_map, ins_map, labels, root, tuple(ids), leaf_of)
-    net = cls._from_maps(out_map, ins_map, labels, root)
+        return cls._from_maps(out_map, ins_map, labels, root, len(ids), tuple(ids), leaf_of, 0)
+    net = cls._from_maps(out_map, ins_map, labels, root, len(ids), fresh=0)
     outcome = validate(net)
     if not outcome.ok:
         src.fail(start, *(str(viol) for viol in outcome.violations))

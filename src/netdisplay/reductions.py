@@ -144,12 +144,12 @@ class _TreeEditor:
     leaf's parent is always its source parent. live() and freeze() build
     the live tree when called; only this module reads the three maps.
     `leaf` starts as a copy of the tree's label map (core._leaf_of), which
-    a parsed tree has from the parser."""
+    a parsed tree has from the parser. The source must be a valid tree."""
 
     def __init__(self, tree: PhyloTree):
         self.tin, self.tout = tree._in, tree._out
         self.leaf = dict(_leaf_of(tree))
-        self._cls, self._next = type(tree), tree.next_id
+        self._cls, self._root, self._next = type(tree), tree._root, tree.next_id
 
     def live(self) -> tuple[dict, dict, dict]:
         """The live tree's child, parent and label maps: the closure of the
@@ -175,9 +175,12 @@ class _TreeEditor:
         return out, ins, labels
 
     def freeze(self) -> PhyloTree:
-        """The live tree (see live)."""
-        out, _, labels = self.live()
-        return self._cls(out, labels, next_id=self._next)
+        """The live tree (see live) on live()'s maps, as __init__ builds it
+        from the child and label maps: live() keys the parent map alike,
+        and every vertex but the source root, where each walk ends, has
+        one parent."""
+        out, ins, labels = self.live()
+        return self._cls._from_maps(out, ins, labels, self._root if out else None, self._next)
 
 
 def _siblings(ned: NetworkEditor, ted: _TreeEditor, x: int, y: int) -> bool:
@@ -268,8 +271,10 @@ class ReductionState:
                 return
         self._items = self._first = None
         heapq.heapify(self.common)
-        self.fresh = 0
-        for lab in labels.values():
+        # a parsed net has no reserved label, and memoizes fresh = 0
+        memo = self._source._cache
+        self.fresh = memo.get("fresh", 0)
+        for lab in () if "fresh" in memo else labels.values():
             if "__r" in lab:
                 m = _FRESH_RE.match(lab)
                 if m and int(m.group(1)) >= self.fresh:

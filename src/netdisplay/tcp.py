@@ -72,7 +72,9 @@ def apply_resolution(net: Network, res: Resolution) -> PhyloTree:
         dropped.extend(Branch(p, r) for p in net.parents(r) if p != b.tail)
     ed = NetworkEditor(net)
     ed.prune(dropped)
-    return PhyloTree.from_network(ed.freeze())
+    ed._cls = PhyloTree  # freeze the resolved network as the tree it must be
+    require_tree(tree := ed.freeze())
+    return tree
 
 
 def _fold_order(out, labels, order) -> tuple:

@@ -194,7 +194,8 @@ def reference_generate(spec):
         s1 = ed.subdivide(t1, h1)
         s2 = ed.subdivide(t2, h2)
         ed.add_branch(s1, s2)
-        cand = ed.freeze()
+        # through the public constructor, independent of NetworkEditor.freeze
+        cand = Network(ed.out, ed.labels, next_id=ed._next)
         if not _accepts(cand, spec.class_constraint):
             rejections += 1
             continue
@@ -645,7 +646,7 @@ def reference_transform(net: Network):
         ed = NetworkEditor(cur)
         ed.remove_branch(cut_parent, target)
         reference_suppress(ed)
-        cur = ed.freeze()
+        cur = Network(ed.out, ed.labels, next_id=ed._next)  # not through freeze
     after = class_stats(cur)
     if not classify(cur).reticulation_visible:
         raise InternalConsistencyError(

@@ -15,6 +15,7 @@ the same exception text and the same diagnostics (offset, message,
 severity).
 """
 
+import functools
 import importlib.util
 import random
 from pathlib import Path
@@ -163,10 +164,12 @@ def _load_bench_inputs():
     return mod
 
 
-def ns_scaling_instances(seeds=(1, 101)) -> list[list[str]]:
+@functools.cache
+def ns_scaling_instances(seeds=(1, 101)) -> tuple[tuple[str, ...], ...]:
     """The ns-scaling builder's instances, as bench/workloads.py builds
     them: the network and displayed tree texts, and at n = 800 the
-    split-cherry negative tree's."""
+    split-cherry negative tree's. Built once per process: several test
+    modules read them."""
     from netdisplay.core import classify
 
     inputs = _load_bench_inputs()
@@ -182,8 +185,8 @@ def ns_scaling_instances(seeds=(1, 101)) -> list[list[str]]:
                 texts = [inputs.enewick(g), inputs.enewick(tree)]
                 if n == 800:
                     texts.append(inputs.enewick(tree, inputs.split_cherry_swap(g, rng)))
-                instances.append(texts)
-    return instances
+                instances.append(tuple(texts))
+    return tuple(instances)
 
 
 def ns_scaling_texts(seeds=(1, 101)) -> list[str]:

@@ -13,10 +13,11 @@ and runs each side on the same inputs:
   (`NsScaling.setup` in `bench/workloads.py`);
 - 2000 generator specs (n = 3 to 60, nearly stable). Each side runs
   `generate` on the spec and `random_tree` on its labels, and each
-  side's bytes (or error) are a record. From this checkout's network,
-  each side runs `apply_resolution` on one random resolution,
-  `ns_to_rv_transform` (output bytes and both ClassStats) and `displays`
-  with the resolved tree and with the random tree.
+  side's bytes and the network's parent tuples (or the error) are a
+  record. From this checkout's network, each side runs `apply_resolution`
+  on one random resolution, `ns_to_rv_transform` (output bytes, its
+  parent tuples and both ClassStats) and `displays` with the resolved
+  tree and with the random tree.
 - a stability record for each golden, ns-scaling and generated network:
   the `stability` report's witness and stable maps item by item (so in
   key order), the three `in_class` flags and `class_stats`, each read
@@ -43,7 +44,10 @@ yields a record of `displayed`, `iterations`, the trace's length read
 before anything reads its steps, then its text, then both again (pending
 work that runs twice, or two reads that disagree, show there),
 `certificate`, `reticulations_initial` and every `replay_trace` state
-serialized (or the error raised). The script prints one sha256 over the
+serialized, with a sha256 of each side's parent tuples (or the error
+raised). Parent tuples are recorded exactly, key by key in map order,
+because `serialize` hides their order and the oracle's certificate
+enumerates `parents()` in order. The script prints one sha256 over the
 records per side and exits 1 at the first record that differs.
 """
 
@@ -151,6 +155,15 @@ def _class_networks(nd):
     yield "meet:stability", partial(_class_record, MEET_STABLE)
 
 
+def _parents(net) -> str:
+    """A network's parent tuples, vertex by vertex in map order."""
+    return repr(list(net._in.items()))
+
+
+def _parents_sha(net) -> str:
+    return hashlib.sha256(_parents(net).encode()).hexdigest()[:16]
+
+
 def _kept(nd, kept) -> tuple:
     return tuple((r, nd.Branch(*b)) for r, b in kept)
 
@@ -162,7 +175,7 @@ def _generate(spec, i, nd) -> str:
     except nd.GenerationExhaustedError as exc:
         return f"error {type(exc).__name__}: {exc}"
     tree = nd.random_tree(sorted(net.label_set()), seed=i)
-    return nd.serialize(net) + "\n" + nd.serialize(tree)
+    return f"{nd.serialize(net)}\n{nd.serialize(tree)}\nparents={_parents(net)}"
 
 
 def _resolve(net_text: str, kept, nd) -> str:
@@ -177,7 +190,9 @@ def _transform(net_text: str, nd) -> str:
         out, before, after = nd.ns_to_rv_transform(nd.parse_network(net_text))
     except nd.NetworkError as exc:
         return f"error {type(exc).__name__}: {exc}"
-    return f"{nd.serialize(out)}\nbefore={before}\nafter={after}"
+    return (
+        f"{nd.serialize(out)}\nparents={_parents(out)}\nbefore={before}\nafter={after}"
+    )
 
 
 def _stability(net_text: str, nd) -> str:
@@ -263,7 +278,8 @@ def _decide(net_text: str, tree_text: str, nd) -> str:
         (r, tuple(b)) for r, b in v.certificate.kept_in_branch
     ]
     states = [
-        nd.serialize(s_net) + " " + nd.serialize(s_tree)
+        f"{nd.serialize(s_net)} {nd.serialize(s_tree)}"
+        f" parents={_parents_sha(s_net)},{_parents_sha(s_tree)}"
         for s_net, s_tree in nd.replay_trace(net, tree, v.trace)
     ]
     return "\n".join(
