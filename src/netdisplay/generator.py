@@ -69,7 +69,7 @@ def _grow_tree(labels, rng: random.Random) -> Network:
         leaf = ed.new_vertex()
         ed.add_branch(s, leaf)
         ed.labels[leaf] = lab
-    return ed.freeze()
+    return ed.freeze(rets=())
 
 
 def random_tree(labels, seed: int = 0) -> PhyloTree:
@@ -133,7 +133,8 @@ def generate(spec: GenSpec) -> Network:
         s1 = ed.subdivide(t1, h1)
         s2 = ed.subdivide(t2, h2)
         ed.add_branch(s1, s2)
-        cand = ed.freeze()
+        # s2, the newest vertex, is the one new reticulation
+        cand = ed.freeze(rets=cur.reticulations + (s2,))
         if not _accepts(cand, spec.class_constraint):
             rejected.add(pair)
             rejections += 1

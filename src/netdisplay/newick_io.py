@@ -18,7 +18,8 @@ and building the child, parent and label maps, which
 `Network._from_maps` takes as they are. A parsed network is validated
 once, which fills the memo `validate` answers from; a parsed tree is valid
 by construction (see `_assemble`) and gets that memo without the checks,
-with the memos of its label -> vertex map and of no reticulation. Both
+with the memos of its label -> vertex map and of no reticulation. A
+network memoizes its hybrid-tag vertices as its reticulations. Both
 memoize that no label is in the reserved namespace.
 
 Serialization emits children smallest reachable leaf label first (stable
@@ -247,7 +248,8 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
     validate flavours are clean. Its topological order is 0..V-1, since a
     parent precedes its child and the smallest ready id is the next one.
     The tree keeps that order, the label -> vertex map that found the
-    duplicates, and no reticulation as memos (see Network._from_maps).
+    duplicates, and no reticulation as memos (see Network._from_maps); a
+    network keeps its tag vertices as its reticulations.
     """
     par, lab, tag, kids, at = arrays
     out: list[list[int]] = []  # vertex -> children
@@ -319,8 +321,15 @@ def _assemble(src: _Source, arrays, start: int, cls: type[Network]) -> Network:
     ins_map = dict(zip(ids, ins))
     # _Source refused the reserved namespace: the first free __r<k> is 0
     if cls is PhyloTree:
-        return cls._from_maps(out_map, ins_map, labels, root, len(ids), tuple(ids), leaf_of, 0)
-    net = cls._from_maps(out_map, ins_map, labels, root, len(ids), fresh=0)
+        return cls._from_maps(
+            out_map, ins_map, labels, root, len(ids), tuple(ids), leaf_of, 0, ()
+        )
+    # made in id order; in a valid network the tag vertices are exactly
+    # the reticulations: another vertex has at most one parent, and a tag
+    # vertex has a child subtree and a parent per use but at the root,
+    # which would leave no parentless vertex
+    rets = tuple(tag_vertex.values())
+    net = cls._from_maps(out_map, ins_map, labels, root, len(ids), fresh=0, rets=rets)
     outcome = validate(net)
     if not outcome.ok:
         src.fail(start, *(str(viol) for viol in outcome.violations))

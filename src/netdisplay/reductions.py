@@ -141,8 +141,8 @@ class _TreeEditor:
     parent. So the live tree is the closure of the leaf vertices under
     `tin`, and each live internal vertex keeps both of its source
     children: a vertex loses children only when it becomes a leaf. A
-    leaf's parent is always its source parent. live() and freeze() build
-    the live tree when called; only this module reads the three maps.
+    leaf's parent is always its source parent. live() builds the live
+    tree when called; only this module reads the three maps.
     `leaf` starts as a copy of the tree's label map (core._leaf_of), which
     a parsed tree has from the parser. The source must be a valid tree."""
 
@@ -174,12 +174,12 @@ class _TreeEditor:
             out[v] = cs
         return out, ins, labels
 
-    def freeze(self) -> PhyloTree:
-        """The live tree (see live) on live()'s maps, as __init__ builds it
-        from the child and label maps: live() keys the parent map alike,
-        and every vertex but the source root, where each walk ends, has
-        one parent."""
-        out, ins, labels = self.live()
+    def freeze(self, live: tuple[dict, dict, dict]) -> PhyloTree:
+        """The live tree on C-level copies of `live`, live()'s maps as a
+        caller keeps them, as __init__ builds it from the child and label
+        maps: the parent map is keyed alike, and every vertex but the
+        source root, where each walk ends, has one parent."""
+        out, ins, labels = map(dict, live)
         return self._cls._from_maps(out, ins, labels, self._root if out else None, self._next)
 
 
@@ -239,7 +239,7 @@ class ReductionState:
         labels, tleaf = net._labels, ted.leaf
         if len(tleaf) != len(labels) or not all(map(tleaf.__contains__, labels.values())):
             _check_same_leaves(net, tree)  # raises, naming the labels
-        self.rets = set(net.reticulations)  # the stability pass memoizes them
+        self.rets = set(net.reticulations)  # memoized by the class test at latest
         self.common: list[tuple[int, int, int]] = []
         self.one_sided: set[int] = set()
         self._first: dict[int, int] = {}  # leaf parent -> the leaf met under it
@@ -372,12 +372,15 @@ def replay_trace(
     side has; each case step must be one of case_A to case_J, remove one
     or more distinct branches of the network and contract exactly the
     vertices it recorded; else InternalConsistencyError, naming the step.
+    The live tree's maps are built once and patched at each collapse:
+    the two sibling leaves go, and their parent becomes a leaf.
     """
     net.require_valid()
     require_tree(tree)
     _check_same_leaves(net, tree)
     states = [(net, tree)]
     ned, ted = NetworkEditor(net), _TreeEditor(tree)
+    live = tout, tin, tlabels = ted.live()
     for step in trace.steps:
         removed, intro = step.removed_branches, step.introduced_leaf
         if step.kind == "cherry":
@@ -392,7 +395,11 @@ def replay_trace(
             if not _siblings(ned, ted, l1, l2):
                 raise InternalConsistencyError(f"{step.to_line()}: no tree cherry")
             _collapse_cherry(ned, ted, l1, l2, p, lab)
-            tree = ted.freeze()
+            t = ted.leaf[lab]
+            for leaf in tout[t]:
+                del tout[leaf], tin[leaf], tlabels[leaf]
+            tout[t], tlabels[t] = (), lab
+            tree = ted.freeze(live)
         elif step.kind not in _CASE_KINDS or not removed:
             raise InternalConsistencyError(f"{step.to_line()}: malformed case step")
         elif len(set(removed)) != len(removed) or any(

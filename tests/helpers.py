@@ -524,7 +524,7 @@ def reference_displays(net: Network, tree: PhyloTree):
         state = ReductionState(net, tree)
         state.collapse_cherries()
         rows += state.rows
-        net, tree = state.net.freeze(), state.tree.freeze()
+        net, tree = state.net.freeze(), state.tree.freeze(state.tree.live())
         net.require_valid(require_binary=True)
         tree.require_valid(require_binary=True)
         if net.num_reticulations == 0:

@@ -1,6 +1,7 @@
 """Structural model: validation, vertex kinds, stability, classification."""
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -565,35 +566,51 @@ def test_classify_monotone_tree_child_implies_nearly_stable():
 
 def test_in_class_matches_reference_and_classify(monkeypatch):
     """in_class against reference_in_class and classify, and under it
-    _stability's flags themselves, its unstable list and the reticulation
-    memo it fills against deletion_stability, on networks that the leaf
-    chains decide alone and on networks that need the dominator pass."""
+    _stability's flags and its unstable list, in topological order,
+    against deletion_stability, on networks that the leaf chains decide
+    alone and on networks that need the dominator pass, and with each of
+    its two starts: generated and hand networks, copied by the
+    constructor with a cold memo, which mostly have V < 6m, and the
+    ns-scaling builder's at n <= 400, V near 10m, parsed and as such
+    copies. On each network both starts give the same marks, and the
+    generator's or parser's reticulation memo is the derived one."""
     import netdisplay.core as core
+    from test_parse_differential import ns_scaling_instances
 
-    passes = []
-    real = core._dominators
-    monkeypatch.setattr(core, "_dominators", lambda net: passes.append(net) or real(net))
+    leaf_marks, reticulation_marks = core._leaf_marks, core._reticulation_marks
+    runs = Counter()
+    for name in ("_dominators", "_leaf_marks", "_reticulation_marks"):
+        real = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda *a, real=real, name=name: runs.update((name,)) or real(*a)
+        )
     texts = [rec["net"] for rec in GOLDEN] + [MEET_STABLE, NOT_NEARLY_STABLE]
     sample = class_sample(40, 500) + [parse_network(text) for text in texts]
+    ns = [parse_network(t[0]) for t in ns_scaling_instances() if len(t) == 2]
     seen = set()
     taken = {False: 0, True: 0}  # by whether the dominator pass ran
-    for net in sample:
-        fresh = Network(net._out, net._labels, net.next_id)  # cold memo
-        before = len(passes)
-        stable, unstable = core._stability(fresh)
-        taken[len(passes) > before] += 1
+    for net in sample + ns:
+        verts = net.vertices
+        rets = tuple(v for v in verts if len(net.parents(v)) > 1 and net.children(v))
+        assert net.reticulations == rets
+        up, down = leaf_marks(net), reticulation_marks(net, rets)
+        assert [up[v] for v in verts] == [down[v] for v in verts]
         ref = deletion_stability(net).stable
-        assert {v: stable[v] for v in net.vertices} == ref
-        assert unstable == [v for v in net.topological_order() if not ref[v]]
-        assert fresh._cache["rets"] == tuple(
-            v for v in net.vertices if len(net.parents(v)) > 1 and net.children(v)
-        )
-        flags = classify(net).to_dict()
+        fresh = Network(net._out, net._labels, net.next_id)  # cold memo
+        for subject in (fresh, net) if net in ns else (fresh,):
+            before = runs["_dominators"]
+            stable, unstable = core._stability(subject)
+            taken[runs["_dominators"] > before] += 1
+            assert {v: stable[v] for v in verts} == ref
+            assert unstable == [v for v in net.topological_order() if not ref[v]]
+        assert fresh.reticulations == rets
         member = tuple(in_class(fresh, name) for name in CLASSES)
-        assert member == tuple(reference_in_class(net, name) for name in CLASSES)
-        assert member == tuple(flags[name] for name in CLASSES)
+        assert member == tuple(classify(net).to_dict()[name] for name in CLASSES)
+        if net not in ns:  # reference_in_class redoes deletion_stability
+            assert member == tuple(reference_in_class(net, name) for name in CLASSES)
         seen.add(member)
-    assert taken[False] >= 50 and taken[True] >= 50
+    assert len(ns) == 36 and taken[False] >= 50 and taken[True] >= 50
+    assert runs["_leaf_marks"] >= 50 and runs["_reticulation_marks"] >= 50
     # tree-child, visible but not tree-child, nearly stable only, neither,
     # and visible but not nearly stable all occur
     assert seen >= {

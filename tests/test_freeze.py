@@ -1,7 +1,8 @@
 """Every freeze equals the public constructor on the same maps.
 
 `NetworkEditor.freeze` and `_TreeEditor.freeze` build through
-`Network._from_maps` on copies of the editors' maps, and the parser and
+`Network._from_maps` on copies of the editors' maps (of the tree side,
+the live maps that `replay_trace` keeps patched), and the parser and
 `PhyloTree.from_network` build through it too. The fixture below wraps
 both freezes, so that each network they return is compared with
 `Network.__init__` (of the same class) on the child and label maps it
@@ -41,17 +42,20 @@ def freezes(monkeypatch):
     seen = Counter()
     net_freeze, tree_freeze = NetworkEditor.freeze, _TreeEditor.freeze
 
-    def checked_net(ed):
-        got = net_freeze(ed)
+    def checked_net(ed, **hints):
+        got = net_freeze(ed, **hints)
         want = ed._cls(ed.out, ed.labels, next_id=ed._next)
         _same(got, want)
         seen["net"] += 1
         seen["reordered"] += list(ed.ins.items()) != list(want._in.items())
         return got
 
-    def checked_tree(ted):
-        # the child and label maps are live()'s, which the freeze keeps
-        got = tree_freeze(ted)
+    def checked_tree(ted, live):
+        # the maps the caller patched hold live()'s items, and the freeze
+        # keeps copies of them
+        got = tree_freeze(ted, live)
+        assert (got._out, got._in, got._labels) == ted.live() == live
+        assert not {id(got._out), id(got._in), id(got._labels)} & set(map(id, live))
         _same(got, ted._cls(got._out, got._labels, next_id=ted._next))
         seen["tree"] += 1
         return got

@@ -122,7 +122,7 @@ def test_cherry_reduce_no_common_cherry_is_noop():
     state.collapse_cherries()
     assert state.rows == []
     assert canonical_equal(state.net.freeze(), net)
-    assert canonical_equal(state.tree.freeze(), tree)
+    assert canonical_equal(state.tree.freeze(state.tree.live()), tree)
 
 
 def test_cherry_reduce_collapses_both_cherries():
@@ -131,7 +131,7 @@ def test_cherry_reduce_collapses_both_cherries():
     state = ReductionState(net, tree)
     state.collapse_cherries()
     trace = ReductionTrace(state.rows)
-    out_net, out_tree = state.net.freeze(), state.tree.freeze()
+    out_net, out_tree = state.net.freeze(), state.tree.freeze(state.tree.live())
     # the root is not a strict tree vertex, so (__r0,__r1) stays put
     assert len(trace) == 2
     assert len(out_net.vertices) == 3
@@ -147,7 +147,7 @@ def test_cherry_reduce_keeps_leaf_sets_aligned():
     state = ReductionState(net, tree)
     state.collapse_cherries()
     trace = ReductionTrace(state.rows)
-    out_net, out_tree = state.net.freeze(), state.tree.freeze()
+    out_net, out_tree = state.net.freeze(), state.tree.freeze(state.tree.live())
     assert len(trace) == 1
     assert out_net.label_set() == out_tree.label_set()
     assert out_net.num_reticulations == 1
@@ -227,7 +227,7 @@ def test_replay_trace_reproduces_states():
     state = ReductionState(net, tree)
     state.collapse_cherries()
     trace = ReductionTrace(state.rows)
-    out_net, out_tree = state.net.freeze(), state.tree.freeze()
+    out_net, out_tree = state.net.freeze(), state.tree.freeze(state.tree.live())
     states = replay_trace(
         parse_network("((a,b),(c,d));"), parse_tree("((a,b),(c,d));"), trace
     )

@@ -219,7 +219,7 @@ def _assert_same_tree_side(ted, ref: ReferenceTreeEditor) -> None:
     ins = ted.live()[1]
     assert ins == {v: tuple(ps) for v, ps in ref.ins.items()}
     assert [v for v, ps in ins.items() if not ps] == [ref.root]
-    got, want = ted.freeze(), ref.freeze()
+    got, want = ted.freeze(ted.live()), ref.freeze()
     assert type(got) is type(want) and got.next_id == want.next_id
     assert got._out == want._out and got._labels == want._labels
     assert list(got._labels.items()) == list(want._labels.items())
@@ -241,7 +241,7 @@ def shadowed_collapses(monkeypatch):
     def shadowed(ned, ted, l1, l2, p, lab):
         if id(ted) not in shadows:
             # before its first collapse the tree side freezes to its source
-            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted.freeze()))
+            shadows[id(ted)] = (ted, ReferenceTreeEditor(ted.freeze(ted.live())))
         ref_ted = shadows[id(ted)][1]
         ref_ned = copy.deepcopy(ned)
         row = real(ned, ted, l1, l2, p, lab)
@@ -315,7 +315,7 @@ def test_tree_side_freezes_without_history_on_golden():
             reductions._collapse_cherry(ned, ted, l1, l2, p, lab)
             reference_collapse_cherry(ref_ned, ref_ted, l1, l2, p, lab)
             cherries += 1
-        got, want = ted.freeze(), ref_ted.freeze()
+        got, want = ted.freeze(ted.live()), ref_ted.freeze()
         assert got._out == want._out and got.next_id == want.next_id
         assert list(got._labels.items()) == list(want._labels.items())
     assert cherries > 300
@@ -702,7 +702,7 @@ def checked_tails(monkeypatch):
     seen: list = []
 
     def checked(state):
-        frozen = state.net.freeze(), state.tree.freeze()
+        frozen = state.net.freeze(), state.tree.freeze(state.tree.live())
         want = tcp.oracle_displays(*frozen).certificate
         got = real(state)
         assert got == want

@@ -10,8 +10,8 @@ corpora of the benchmark's workloads for `--seed` (default 1):
 - `gen`: every candidate network that the generator hands to its class
   test while it makes the first block of gen-recipes draws (the
   workload's own `draw` in `bench/workloads.py`, with
-  `generator.in_class` wrapped to record each candidate's maps and
-  class), timed with the class it was tested for;
+  `generator.in_class` wrapped to record each candidate's maps, its
+  reticulation memo and class), timed with the class it was tested for;
 - `cli`: the networks of cli-batch, timed for "nearly_stable", the class
   that `contains` asks;
 - `ns`: the ns-scaling networks (n = 100 to 800), timed for
@@ -20,15 +20,18 @@ corpora of the benchmark's workloads for `--seed` (default 1):
 Each of `REPS` repetitions runs every network of a corpus on both sides
 back to back, and the side that goes first alternates. Every call gets
 a fresh network with its validation memo filled outside the timer (a
-parsed one, or for `gen` one built from the recorded maps), so only the
+parsed one, or for `gen` one built from the recorded maps with the
+recorded reticulation memo, as the generator hands it over), so only the
 class test itself is timed.
 
 It prints one JSON object. Per corpus: the median µs of each side, the
 change of this side against the other in percent, in how many pairs
 this side was faster, the quartiles and the median of the per-pair
 change (this / other - 1, in percent), and how many networks this side
-decided from its leaf chains alone (`chain_exact`) or with the
-dominator pass (`fallback`), read off its memo.
+decided from its marks alone (`chain_exact`) or with the dominator
+pass (`fallback`), read off its memo. For each side whose class test has
+two starts (`core._leaf_marks` and `core._reticulation_marks`), it also
+counts, in one untimed pass, how many networks took each (`starts`).
 """
 
 from __future__ import annotations
@@ -49,14 +52,16 @@ REPS = 10
 
 
 def _gen_candidates(workloads, seed: int) -> list:
-    """(out, labels, next_id, class) of each candidate the generator tests
-    during the first gen-recipes block of `seed`."""
+    """(out, labels, next_id, reticulation memo or None, class) of each
+    candidate the generator tests during the first gen-recipes block of
+    `seed`."""
     gen = workloads.nd.generator
     real = gen.in_class
     found = []
 
     def recording(net, name):
-        found.append((dict(net._out), dict(net._labels), net.next_id, name))
+        rets = net._cache.get("rets")
+        found.append((dict(net._out), dict(net._labels), net.next_id, rets, name))
         return real(net, name)
 
     inp = workloads.GenRecipes().setup(seed, workdir=None)
@@ -78,14 +83,16 @@ def _corpora(seed: int) -> dict:
     def parsed(text):
         return lambda nd: nd.parse_network(text)
 
-    def built(out, labels, next_id):
+    def built(out, labels, next_id, rets):
         def make(nd):
             net = nd.Network(out, labels, next_id)
+            if rets is not None:
+                net._cache["rets"] = rets
             net.require_valid()
             return net
         return make
 
-    gen = [(built(*c[:3]), c[3]) for c in _gen_candidates(workloads, seed)]
+    gen = [(built(*c[:4]), c[4]) for c in _gen_candidates(workloads, seed)]
     with tempfile.TemporaryDirectory() as tmp:
         nets = workloads.CliBatch().setup(seed, tmp).data["nets"]
         cli_texts = []
@@ -108,6 +115,32 @@ def _time_class(nd, make, name: str) -> tuple:
     nd.in_class(net, name)
     ns = time.perf_counter_ns() - t0
     return ns, "idom" in net._cache
+
+
+def _starts(nd, cases) -> dict | None:
+    """How many networks of a corpus took each start of the class test,
+    or None where the class test has no such starts."""
+    core = nd.core
+    if not hasattr(core, "_reticulation_marks"):
+        return None
+    counts = {}
+    real = {name: getattr(core, name) for name in ("_leaf_marks", "_reticulation_marks")}
+
+    def counted(name):
+        def start(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real[name](*args)
+        return start
+
+    try:
+        for name in real:
+            setattr(core, name, counted(name))
+        for make, cls in cases:
+            nd.in_class(make(nd), cls)
+    finally:
+        for name, fn in real.items():
+            setattr(core, name, fn)
+    return counts
 
 
 def main(argv: list[str]) -> int:
@@ -159,6 +192,9 @@ def main(argv: list[str]) -> int:
             "pair_change_q3_pct": round(q3, 2),
             "chain_exact": fallback.count(False),
             "fallback": fallback.count(True),
+            "starts": {
+                tag: _starts(nd, cases) for tag, nd in zip(("this", "other"), sides)
+            },
         }
     print(json.dumps(report, indent=1))
     return 0

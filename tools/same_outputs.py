@@ -34,10 +34,10 @@ and runs each side on the same inputs:
   cases, fuzz-lite and random latin-1 strings), each text through
   `parse_network`, `parse_networks`, `parse_tree` and `parse_trees`. A
   parse yields the networks (type, root, next id, the child, parent and
-  label maps item by item, and the validation memo; of a tree also its
-  `reticulations` and its label -> vertex map item by item, which a
-  parsed tree answers from the parser's memos) or the exception text and
-  every diagnostic.
+  label maps item by item, the validation memo and `reticulations`; of
+  a tree also its label -> vertex map item by item, which a parsed tree
+  answers from the parser's memos, as a parsed network answers
+  `reticulations`) or the exception text and every diagnostic.
 
 Inputs are eNewick text, made once and parsed by each side. Each decide
 yields a record of `displayed`, `iterations`, the trace's length read
@@ -45,9 +45,11 @@ before anything reads its steps, then its text, then both again (pending
 work that runs twice, or two reads that disagree, show there),
 `certificate`, `reticulations_initial` and every `replay_trace` state
 serialized, with a sha256 of each side's parent tuples (or the error
-raised). Parent tuples are recorded exactly, key by key in map order,
-because `serialize` hides their order and the oracle's certificate
-enumerates `parents()` in order. The script prints one sha256 over the
+raised). A network's parent tuples are recorded exactly, key by key in
+map order, because `serialize` hides their order and the oracle's
+certificate enumerates `parents()` in order. A tree vertex has at most
+one parent, so a tree's are recorded in id order: `replay_trace` patches
+the tree side's maps, which keeps their items and not their key order. The script prints one sha256 over the
 records per side and exits 1 at the first record that differs.
 """
 
@@ -164,6 +166,11 @@ def _parents_sha(net) -> str:
     return hashlib.sha256(_parents(net).encode()).hexdigest()[:16]
 
 
+def _tree_parents_sha(tree) -> str:
+    """A tree's parent tuples, vertex by vertex in id order."""
+    return hashlib.sha256(repr(sorted(tree._in.items())).encode()).hexdigest()[:16]
+
+
 def _kept(nd, kept) -> tuple:
     return tuple((r, nd.Branch(*b)) for r, b in kept)
 
@@ -247,21 +254,22 @@ def _parse(text: str, entry: str, nd) -> str:
         f" out={list(net._out.items())} in={list(net._in.items())}"
         f" labels={list(net._labels.items())}"
         f" valid={net._cache.get('valid')} topo={net._cache.get('topo')}"
+        + f" rets={net.reticulations}"
         + (_tree_memos(net, nd) if type(net) is nd.PhyloTree else "")
         for net in (got if type(got) is list else [got])
     )
 
 
 def _tree_memos(tree, nd) -> str:
-    """A parsed tree's reticulations and label -> vertex map, item by
-    item. A checkout whose parser keeps no label map (no
-    `core._leaf_of`) gives the inverse of the labels."""
+    """A parsed tree's label -> vertex map, item by item. A checkout
+    whose parser keeps no label map (no `core._leaf_of`) gives the
+    inverse of the labels."""
     leaf_of = getattr(nd.core, "_leaf_of", None)
     if leaf_of is None:
         found = {lab: v for v, lab in tree._labels.items()}
     else:
         found = leaf_of(tree)
-    return f" rets={tree.reticulations} leaf_of={list(found.items())}"
+    return f" leaf_of={list(found.items())}"
 
 
 def _decide(net_text: str, tree_text: str, nd) -> str:
@@ -279,7 +287,7 @@ def _decide(net_text: str, tree_text: str, nd) -> str:
     ]
     states = [
         f"{nd.serialize(s_net)} {nd.serialize(s_tree)}"
-        f" parents={_parents_sha(s_net)},{_parents_sha(s_tree)}"
+        f" parents={_parents_sha(s_net)},{_tree_parents_sha(s_tree)}"
         for s_net, s_tree in nd.replay_trace(net, tree, v.trace)
     ]
     return "\n".join(
